@@ -6,8 +6,8 @@ forward convention
 
     F(k) = sum_t x(t) exp(-2 pi i k t / T),      x(t) = (1/T) sum_k F(k) exp(+2 pi i k t / T),
 
-computed by an iterative radix-2 FFT when T is a power of two and by the
-plain O(T^2) transform otherwise.
+computed by `numpy.fft` (``fft``/``ifft``) for every length. The model
+itself never calls these: it folds mode selection into dense S x T kernels.
 
 Two filtering pipelines share the same spectral core (transform, keep S
 modes, multiply by per-variable complex S x S weights, zero-pad, invert):
@@ -51,58 +51,21 @@ __all__ = [
 # transforms
 # ---------------------------------------------------------------------------
 
-def _fft_radix2(values: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT over the last axis (length must be 2**m)."""
-    n = values.shape[-1]
-    levels = n.bit_length() - 1
-    # bit-reversal reordering
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(n):
-        r, v = 0, i
-        for _ in range(levels):
-            r = (r << 1) | (v & 1)
-            v >>= 1
-        rev[i] = r
-    out = values[..., rev]
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(-2j * np.pi * np.arange(half) / size)
-        out = out.reshape(out.shape[:-1] + (n // size, size))
-        even = out[..., :half]
-        odd = out[..., half:] * twiddle
-        out = np.concatenate([even + odd, even - odd], axis=-1)
-        out = out.reshape(out.shape[:-2] + (n,))
-        size *= 2
-    return out
-
-
-def _dft_direct(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    k = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return np.einsum("...t,kt->...k", values, kernel)
+def _transform(fft, values, axis: int) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.shape[axis] == 0:
+        raise ShapeError("cannot transform an empty axis")
+    return fft(arr, axis=axis)
 
 
 def dft(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized forward transform along ``axis``."""
-    arr = np.asarray(x)
-    if arr.shape[axis] == 0:
-        raise ShapeError("cannot transform an empty axis")
-    moved = np.moveaxis(arr.astype(np.complex128), axis, -1)
-    n = moved.shape[-1]
-    if n & (n - 1) == 0 and n > 1:
-        out = _fft_radix2(moved)
-    else:
-        out = _dft_direct(moved)
-    return np.moveaxis(out, -1, axis)
+    return _transform(np.fft.fft, x, axis)
 
 
 def idft(f: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse transform (the 1/T convention), via conjugation of `dft`."""
-    arr = np.asarray(f, dtype=np.complex128)
-    n = arr.shape[axis]
-    return np.conj(dft(np.conj(arr), axis=axis)) / n
+    """Inverse transform (the 1/T convention)."""
+    return _transform(np.fft.ifft, f, axis)
 
 
 # ---------------------------------------------------------------------------

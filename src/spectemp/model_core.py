@@ -28,7 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ParameterError, ShapeError
 from .frequency_temporal import lowest_modes, moving_average_matrix
-from .spectral_graph import BASES, Adjacency, normalized_laplacian
+from .spectral_graph import (Adjacency, Recurrence, basis_recurrence,
+                             normalized_laplacian, polynomial_stack)
 
 __all__ = [
     "ModelConfig",
@@ -80,8 +81,10 @@ class ModelConfig:
     monomial_on_laplacian: bool = False
 
     def __post_init__(self):
-        if self.basis not in BASES:
-            raise ConfigError(f"unknown basis {self.basis!r}")
+        try:
+            self.recurrence()
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.variant not in ("linear", "nonlinear"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.adjacency_mode not in ("pearson", "learned", "provided"):
@@ -96,8 +99,10 @@ class ModelConfig:
             raise ConfigError("decomp_window must lie in [1, lookback]")
         if self.blocks < 1 or self.degree < 0:
             raise ConfigError("blocks must be >= 1 and degree >= 0")
-        if self.basis in ("gegenbauer", "chebyshev2") and not self.alpha > -0.5:
-            raise ConfigError("gegenbauer alpha must exceed -1/2")
+
+    def recurrence(self) -> Recurrence:
+        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
+                                self.jacobi_b, self.monomial_on_laplacian)
 
     @property
     def relu_enabled(self) -> bool:
@@ -365,52 +370,6 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     return a_hat, lap
 
 
-def _graph_conv_stack(z, operator, laplacian, config: ModelConfig):
-    """P_0(M) z .. P_K(M) z by the recurrences, on the tape."""
-    degree = config.degree
-    stack = [z]
-    if config.basis == "bernstein":
-        stack = []
-        for k in range(degree + 1):
-            term = z
-            for _ in range(k):
-                term = ad.mul(ad.graph_mix(laplacian, term), 0.5)
-            for _ in range(degree - k):
-                term = ad.sub(term, ad.mul(ad.graph_mix(laplacian, term), 0.5))
-            from math import comb
-            stack.append(ad.mul(term, float(comb(degree, k))))
-        return stack
-    if config.basis == "monomial":
-        mat = laplacian if config.monomial_on_laplacian else operator
-        for k in range(1, degree + 1):
-            stack.append(ad.graph_mix(mat, stack[-1]))
-        return stack
-    if config.basis in ("gegenbauer", "chebyshev2"):
-        alpha = 1.0 if config.basis == "chebyshev2" else config.alpha
-        if degree >= 1:
-            stack.append(ad.mul(ad.graph_mix(operator, z), 2.0 * alpha))
-        for k in range(2, degree + 1):
-            lead = ad.mul(ad.graph_mix(operator, stack[k - 1]), 2.0 * (k + alpha - 1.0))
-            stack.append(ad.mul(ad.sub(lead, ad.mul(stack[k - 2], k + 2.0 * alpha - 2.0)),
-                                1.0 / k))
-        return stack
-    # jacobi
-    a = config.alpha - 0.5 if config.jacobi_a is None else config.jacobi_a
-    b = config.alpha - 0.5 if config.jacobi_b is None else config.jacobi_b
-    if degree >= 1:
-        stack.append(ad.add(ad.mul(z, 0.5 * (a - b)),
-                            ad.mul(ad.graph_mix(operator, z), 0.5 * (a + b + 2.0))))
-    for k in range(2, degree + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        term = ad.add(ad.mul(stack[k - 1], c2),
-                      ad.mul(ad.graph_mix(operator, stack[k - 1]), c3))
-        stack.append(ad.mul(ad.sub(term, ad.mul(stack[k - 2], c4)), 1.0 / c1))
-    return stack
-
-
 def _filter_stage(z, weights_re, weights_im, mats):
     """transform -> complex per-variable weights -> inverse, on the tape."""
     select_re, select_im, rebuild_re, rebuild_im = mats
@@ -451,12 +410,15 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
         operator, laplacian = _learned_operators(params, x, config)
     else:
         operator, laplacian = state.a_hat, state.laplacian
+    rec = config.recurrence()
+    graph_operator = laplacian if rec.on_laplacian else operator
 
     trend_matrix = moving_average_matrix(t, config.decomp_window)
     z = ad.as_tensor(x)
     for m in range(config.blocks):
         prefix = f"block{m}"
-        stack = _graph_conv_stack(z, operator, laplacian, config)
+        stack = polynomial_stack(rec, z, lambda v: ad.graph_mix(graph_operator, v),
+                                 ad.mul, ad.add, ad.sub)
         theta = params[f"{prefix}.theta"]
         mixed = ad.mul(stack[0], ad.take_row(theta, 0))
         for k in range(1, config.degree + 1):

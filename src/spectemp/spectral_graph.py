@@ -14,20 +14,26 @@ gegenbauer C_k^alpha(x), x = 1 - lambda   I - L
 jacobi     P_k^(a,b)(x),  x = 1 - lambda  I - L
 ========== ============================== ==========================
 
-Gegenbauer polynomials follow the recurrence
+Each basis is written once. `basis_recurrence` resolves its parameters
+(chebyshev2 -> alpha = 1, the default Jacobi pair a = b = alpha - 1/2, the
+domain check a, b > -1) and tabulates the coefficients of
 
-    P_0 = 1,  P_1 = 2 alpha x,
-    P_k = (1/k) [2 x (k + alpha - 1) P_{k-1} - (k + 2 alpha - 2) P_{k-2}],
+    P_0 = 1,  P_k = (A_k M P_{k-1} + B_k P_{k-1} - C_k P_{k-2}) / D_k.
 
-orthogonal on [-1, 1] under the weight (1 - x^2)^(alpha - 1/2). Convolution
-is computed by running the recurrence on vectors (never materializing dense
-P_k(L)), and `spectral_oracle_conv` provides the slow eigendecomposition
-route U g(Lambda) U^T X used to cross-check it.
+Gegenbauer, for one, has A_1 = 2 alpha, A_k = 2 (k + alpha - 1),
+C_k = k + 2 alpha - 2, D_k = k, and is orthogonal on [-1, 1] under the
+weight (1 - x^2)^(alpha - 1/2). `polynomial_stack` runs the table (or the
+Bernstein construction) with the "apply M" step and the arithmetic passed
+in, so one driver serves the scalar evaluators, the numpy `graph_conv`
+(matrix-vector products, never a dense P_k(L)) and the model's autodiff
+tape. `spectral_oracle_conv` is the independent eigendecomposition route
+U g(Lambda) U^T X that cross-checks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -39,9 +45,12 @@ __all__ = [
     "Adjacency",
     "GraphSpectrum",
     "FilterBank",
+    "Recurrence",
     "SignalDensity",
     "normalized_laplacian",
     "eigendecompose",
+    "basis_recurrence",
+    "polynomial_stack",
     "basis_eval",
     "filter_response",
     "graph_conv",
@@ -114,8 +123,7 @@ class FilterBank:
     monomial_on_laplacian: bool = False
 
     def __post_init__(self):
-        if self.basis not in BASES:
-            raise ParameterError(f"unknown basis {self.basis!r}, expected one of {BASES}")
+        self.recurrence()  # rejects unknown bases and out-of-domain weights
         coeff = np.asarray(self.coefficients, dtype=np.float64)
         if coeff.ndim == 1:
             coeff = coeff[:, None]
@@ -124,17 +132,11 @@ class FilterBank:
         if self.degree < 0 or coeff.shape[0] != self.degree + 1:
             raise ShapeError(
                 f"coefficient rows ({coeff.shape[0]}) must equal degree+1 ({self.degree + 1})")
-        if self.basis in ("gegenbauer", "chebyshev2") and not self.alpha > -0.5:
-            raise ParameterError("gegenbauer alpha must exceed -1/2")
         object.__setattr__(self, "coefficients", coeff)
 
-    def jacobi_pair(self) -> tuple[float, float]:
-        """Jacobi exponents; default a = b = alpha - 1/2 (the Gegenbauer weight)."""
-        a = self.alpha - 0.5 if self.jacobi_a is None else self.jacobi_a
-        b = self.alpha - 0.5 if self.jacobi_b is None else self.jacobi_b
-        if not (a > -1.0 and b > -1.0):
-            raise ParameterError("jacobi exponents must exceed -1")
-        return float(a), float(b)
+    def recurrence(self) -> Recurrence:
+        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
+                                self.jacobi_b, self.monomial_on_laplacian)
 
 
 @dataclass(frozen=True)
@@ -189,70 +191,110 @@ def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# basis evaluation
+# basis recurrences: one table, one driver
 # ---------------------------------------------------------------------------
 
-def _gegenbauer_values(x: np.ndarray, degree: int, alpha: float) -> np.ndarray:
-    """Stack P_0..P_K at x, by the three-term recurrence."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((degree + 1,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    if degree >= 1:
-        out[1] = 2.0 * alpha * x
-    for k in range(2, degree + 1):
-        out[k] = (2.0 * x * (k + alpha - 1.0) * out[k - 1]
-                  - (k + 2.0 * alpha - 2.0) * out[k - 2]) / k
-    return out
+@dataclass(frozen=True)
+class Recurrence:
+    """A basis with resolved parameters: rows[k-1] = (A_k, B_k, C_k, 1/D_k).
 
-def _jacobi_values(x: np.ndarray, degree: int, a: float, b: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((degree + 1,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    if degree >= 1:
-        out[1] = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for k in range(2, degree + 1):
-        c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-        c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-        out[k] = ((c2 + c3 * x) * out[k - 1] - c4 * out[k - 2]) / c1
-    return out
+    M is I - L (x = 1 - lambda) unless ``on_laplacian``; ``weight`` is the
+    Jacobi pair (a, b) of the orthogonality weight (1-x)^a (1+x)^b, uniform
+    for the power bases. Bernstein has no rows.
+    """
 
-def _bernstein_values(x: np.ndarray, degree: int) -> np.ndarray:
-    """Bernstein basis of fixed degree K on lambda = 1 - x in [0, 2]."""
-    x = np.asarray(x, dtype=np.float64)
-    lo = (1.0 - x) / 2.0   # lambda / 2
-    hi = (1.0 + x) / 2.0   # 1 - lambda / 2
-    out = np.empty((degree + 1,) + x.shape, dtype=np.float64)
-    for k in range(degree + 1):
-        out[k] = comb(degree, k) * hi ** (degree - k) * lo ** k
-    return out
-
-def _monomial_values(x: np.ndarray, degree: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((degree + 1,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    for k in range(1, degree + 1):
-        out[k] = out[k - 1] * x
-    return out
+    basis: str
+    degree: int
+    rows: tuple
+    on_laplacian: bool
+    weight: tuple[float, float]
 
 
-def _basis_values(basis: str, degree: int, x: np.ndarray, alpha: float = 1.0,
-                  jacobi_a: float | None = None, jacobi_b: float | None = None) -> np.ndarray:
-    """P_0..P_K stacked, evaluated at x in [-1, 1] (x = 1 - lambda)."""
-    if basis == "gegenbauer":
-        return _gegenbauer_values(x, degree, alpha)
+def basis_recurrence(basis: str, degree: int, alpha: float = 1.0,
+                     jacobi_a: float | None = None, jacobi_b: float | None = None,
+                     monomial_on_laplacian: bool = False) -> Recurrence:
+    """Resolve a basis's parameters once and tabulate its recurrence.
+
+    chebyshev2 is Gegenbauer at alpha = 1; the Jacobi exponents default to
+    a = b = alpha - 1/2 (the Gegenbauer weight). Every orthogonal family
+    needs a, b > -1, which for Gegenbauer is alpha > -1/2.
+    """
+    if basis not in BASES:
+        raise ParameterError(f"unknown basis {basis!r}, expected one of {BASES}")
     if basis == "chebyshev2":
-        return _gegenbauer_values(x, degree, 1.0)
-    if basis == "jacobi":
-        a = alpha - 0.5 if jacobi_a is None else jacobi_a
-        b = alpha - 0.5 if jacobi_b is None else jacobi_b
-        return _jacobi_values(x, degree, a, b)
-    if basis == "bernstein":
-        return _bernstein_values(x, degree)
-    if basis == "monomial":
-        return _monomial_values(x, degree)
-    raise ParameterError(f"unknown basis {basis!r}")
+        alpha = 1.0
+    a = b = 0.0
+    if basis in ("gegenbauer", "chebyshev2"):
+        a = b = alpha - 0.5
+    elif basis == "jacobi":
+        a = alpha - 0.5 if jacobi_a is None else float(jacobi_a)
+        b = alpha - 0.5 if jacobi_b is None else float(jacobi_b)
+    if not (a > -1.0 and b > -1.0):
+        raise ParameterError(
+            f"{basis} weight exponents must exceed -1 (alpha > -1/2), got a={a}, b={b}")
+
+    rows = []
+    for k in range(1, degree + 1):
+        if basis == "monomial":
+            rows.append((1.0, 0.0, 0.0, 1.0))
+        elif basis in ("gegenbauer", "chebyshev2"):
+            rows.append((2.0 * alpha, 0.0, 0.0, 1.0) if k == 1 else
+                        (2.0 * (k + alpha - 1.0), 0.0, k + 2.0 * alpha - 2.0, 1.0 / k))
+        elif basis == "jacobi" and k == 1:
+            rows.append((0.5 * (a + b + 2.0), 0.5 * (a - b), 0.0, 1.0))
+        elif basis == "jacobi":
+            c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
+            c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
+            c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
+            c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
+            rows.append((c3, c2, c4, 1.0 / c1))
+    on_laplacian = basis == "bernstein" or (basis == "monomial" and monomial_on_laplacian)
+    return Recurrence(basis=basis, degree=degree, rows=tuple(rows),
+                      on_laplacian=on_laplacian, weight=(float(a), float(b)))
+
+
+def polynomial_stack(rec: Recurrence, p0, apply, mul=operator.mul, add=operator.add,
+                     sub=operator.sub) -> list:
+    """[P_0(M) p0, ..., P_K(M) p0] for a resolved basis.
+
+    ``apply(v)`` computes M v; ``mul(v, c)`` scales by a float and
+    ``add``/``sub`` combine two values, so the same driver runs on scalars,
+    on numpy matrices and on the autodiff tape. Zero terms and unit
+    scalings are skipped, which keeps P_0 and P_1 free of extra rounding.
+    """
+    degree = rec.degree
+    if rec.basis == "bernstein":
+        # binom(K, k) (I - L/2)^(K-k) (L/2)^k p0
+        stack = []
+        for k in range(degree + 1):
+            term = p0
+            for _ in range(k):
+                term = mul(apply(term), 0.5)
+            for _ in range(degree - k):
+                term = sub(term, mul(apply(term), 0.5))
+            stack.append(mul(term, float(comb(degree, k))))
+        return stack
+    stack = [p0]
+    for a, b, c, inv_d in rec.rows:
+        prev = stack[-1]
+        term = apply(prev)
+        if a != 1.0:
+            term = mul(term, a)
+        if b:
+            term = add(mul(prev, b), term)
+        if c:
+            term = sub(term, mul(stack[-2], c))
+        if inv_d != 1.0:
+            term = mul(term, inv_d)
+        stack.append(term)
+    return stack
+
+
+def _values(rec: Recurrence, x: np.ndarray) -> np.ndarray:
+    """P_0..P_K stacked, evaluated at x in [-1, 1] (x = 1 - lambda)."""
+    x = np.asarray(x, dtype=np.float64)
+    operand = 1.0 - x if rec.on_laplacian else x
+    return np.stack(polynomial_stack(rec, np.ones_like(x), lambda v: operand * v))
 
 
 def basis_eval(basis: str, k: int, x, alpha: float = 1.0, degree: int | None = None,
@@ -264,18 +306,16 @@ def basis_eval(basis: str, k: int, x, alpha: float = 1.0, degree: int | None = N
     """
     if k < 0:
         raise ParameterError("polynomial index k must be nonnegative")
-    if basis in ("gegenbauer", "chebyshev2") and not alpha > -0.5:
-        raise ParameterError("gegenbauer alpha must exceed -1/2")
+    if degree is None and basis == "bernstein":
+        raise ParameterError("bernstein basis requires the family degree")
+    deg = k if degree is None else degree
+    if k > deg:
+        raise ParameterError(f"polynomial index k={k} exceeds the family degree {deg}")
+    rec = basis_recurrence(basis, deg, alpha, jacobi_a, jacobi_b)
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(np.abs(x_arr) > 1.0 + 1e-9):
         raise ParameterError("basis argument x must lie in [-1, 1]")
-    if basis == "bernstein":
-        if degree is None:
-            raise ParameterError("bernstein basis requires the family degree")
-        if k > degree:
-            raise ParameterError("bernstein index k exceeds family degree")
-    deg = degree if degree is not None else k
-    values = _basis_values(basis, deg, x_arr, alpha, jacobi_a, jacobi_b)[k]
+    values = _values(rec, x_arr)[k]
     return float(values) if np.isscalar(x) or x_arr.ndim == 0 else values
 
 
@@ -284,13 +324,7 @@ def filter_response(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))
     if np.any(lam < -1e-9) or np.any(lam > 2.0 + 1e-9):
         raise ParameterError("eigenvalue arguments must lie in [0, 2]")
-    if bank.basis == "monomial" and bank.monomial_on_laplacian:
-        values = _monomial_values(lam, bank.degree)
-    elif bank.basis == "bernstein":
-        values = _bernstein_values(1.0 - lam, bank.degree)
-    else:
-        a, b = (bank.jacobi_pair() if bank.basis == "jacobi" else (None, None))
-        values = _basis_values(bank.basis, bank.degree, 1.0 - lam, bank.alpha, a, b)
+    values = _values(bank.recurrence(), 1.0 - lam)
     return np.einsum("kl,kd->ld", values, bank.coefficients)
 
 
@@ -308,79 +342,34 @@ def _resolve_laplacian(adj_or_laplacian) -> np.ndarray:
     return lap
 
 
-def _theta_apply(stack: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Combine stacked P_k(M) X terms with per-dimension coefficients."""
-    k1 = coefficients.shape[0]
+def _check_width(coefficients: np.ndarray, d: int) -> None:
     width = coefficients.shape[1]
-    if width not in (1, stack.shape[-1]):
+    if width not in (1, d):
         raise ShapeError(
             f"coefficient columns ({width}) must be 1 or match the signal's "
-            f"feature dimension ({stack.shape[-1]})")
-    out = np.zeros_like(stack[0])
-    for k in range(k1):
-        out += stack[k] * coefficients[k]  # (D,) or (1,) broadcasts on last axis
-    return out
+            f"feature dimension ({d})")
 
 
 def graph_conv(bank: FilterBank, adj_or_laplacian, x_t: np.ndarray) -> np.ndarray:
     """Filter the node-axis signal x_t (N, ..., D) through the bank.
 
-    Runs the three-term recurrence on vectors so only K matrix-vector
-    products against the (sparse-able) operator are needed.
+    Runs the basis recurrence on vectors, so only matrix-vector products
+    against the operator are needed (never a dense P_k(L)).
     """
     lap = _resolve_laplacian(adj_or_laplacian)
     x = np.asarray(x_t, dtype=np.float64)
     if x.ndim < 2 or x.shape[0] != lap.shape[0]:
         raise ShapeError(
             f"signal must be (N, ..., D) with N={lap.shape[0]}, got {x.shape}")
+    _check_width(bank.coefficients, x.shape[-1])
     n = lap.shape[0]
-    flat = x.reshape(n, -1)
-    degree = bank.degree
-
-    if bank.basis == "bernstein":
-        half = 0.5 * lap
-        stack = np.empty((degree + 1,) + flat.shape, dtype=np.float64)
-        for k in range(degree + 1):
-            term = flat
-            for _ in range(k):
-                term = half @ term
-            for _ in range(degree - k):
-                term = term - half @ term  # (I - L/2) term
-            stack[k] = comb(degree, k) * term
-        return _theta_apply(stack.reshape((degree + 1,) + x.shape),
-                            bank.coefficients)
-
-    if bank.basis == "monomial":
-        mat = lap if bank.monomial_on_laplacian else np.eye(n) - lap
-        stack = np.empty((degree + 1,) + flat.shape, dtype=np.float64)
-        stack[0] = flat
-        for k in range(1, degree + 1):
-            stack[k] = mat @ stack[k - 1]
-        return _theta_apply(stack.reshape((degree + 1,) + x.shape),
-                            bank.coefficients)
-
-    mat = np.eye(n) - lap  # all remaining bases run on x = 1 - lambda
-    stack = np.empty((degree + 1,) + flat.shape, dtype=np.float64)
-    stack[0] = flat
-    if bank.basis in ("gegenbauer", "chebyshev2"):
-        alpha = 1.0 if bank.basis == "chebyshev2" else bank.alpha
-        if degree >= 1:
-            stack[1] = 2.0 * alpha * (mat @ flat)
-        for k in range(2, degree + 1):
-            stack[k] = (2.0 * (k + alpha - 1.0) * (mat @ stack[k - 1])
-                        - (k + 2.0 * alpha - 2.0) * stack[k - 2]) / k
-    else:  # jacobi
-        a, b = bank.jacobi_pair()
-        if degree >= 1:
-            stack[1] = 0.5 * (a - b) * flat + 0.5 * (a + b + 2.0) * (mat @ flat)
-        for k in range(2, degree + 1):
-            c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-            c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-            c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-            c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-            stack[k] = (c2 * stack[k - 1] + c3 * (mat @ stack[k - 1])
-                        - c4 * stack[k - 2]) / c1
-    return _theta_apply(stack.reshape((degree + 1,) + x.shape), bank.coefficients)
+    rec = bank.recurrence()
+    mat = lap if rec.on_laplacian else np.eye(n) - lap
+    stack = polynomial_stack(rec, x.reshape(n, -1), lambda flat: mat @ flat)
+    out = np.zeros_like(x)
+    for term, theta in zip(stack, bank.coefficients):
+        out += term.reshape(x.shape) * theta  # (D,) or (1,) broadcasts on last axis
+    return out
 
 
 def spectral_oracle_conv(spectrum: GraphSpectrum, bank: FilterBank,
@@ -388,18 +377,14 @@ def spectral_oracle_conv(spectrum: GraphSpectrum, bank: FilterBank,
     """Slow reference route: U g(Lambda) U^T x, per feature dimension."""
     u = spectrum.eigenvectors
     x = np.asarray(x_t, dtype=np.float64)
-    if x.shape[0] != u.shape[0]:
-        raise ShapeError("signal node count does not match the spectrum")
+    if x.ndim < 2 or x.shape[0] != u.shape[0]:
+        raise ShapeError(
+            f"signal must be (N, ..., D) with N={u.shape[0]}, got {x.shape}")
+    _check_width(bank.coefficients, x.shape[-1])
     responses = filter_response(bank, spectrum.eigenvalues)  # (N, D) or (N, 1)
+    gains = responses.reshape((u.shape[0],) + (1,) * (x.ndim - 2) + responses.shape[1:])
     hat = np.einsum("ni,n...->i...", u, x)
-    if x.ndim == 2:
-        gains = responses if responses.shape[1] == x.shape[1] else responses[:, [0] * x.shape[1]]
-        scaled = hat * gains
-    else:
-        gains = responses if responses.shape[1] == x.shape[-1] else np.broadcast_to(
-            responses[:, :1], (u.shape[0], x.shape[-1]))
-        scaled = hat * gains[:, None, :]
-    return np.einsum("ni,i...->n...", u, scaled)
+    return np.einsum("ni,i...->n...", u, hat * gains)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +476,9 @@ def orthogonality_residual(basis: str, jmax: int = 4, alpha: float = 1.0,
     """
     from scipy.special import roots_jacobi
 
-    if basis in ("gegenbauer", "chebyshev2"):
-        a = b = (1.0 if basis == "chebyshev2" else alpha) - 0.5
-    elif basis == "jacobi":
-        a = alpha - 0.5 if jacobi_a is None else jacobi_a
-        b = alpha - 0.5 if jacobi_b is None else jacobi_b
-    else:
-        a = b = 0.0
-    xq, wq = roots_jacobi(nodes, a, b)
-    values = _basis_values(basis, jmax, xq, alpha, jacobi_a, jacobi_b)
+    rec = basis_recurrence(basis, jmax, alpha, jacobi_a, jacobi_b)
+    xq, wq = roots_jacobi(nodes, *rec.weight)
+    values = _values(rec, xq)
     gram = np.einsum("q,iq,jq->ij", wq, values, values)
     off = gram - np.diag(np.diag(gram))
     return float(np.abs(off).max())

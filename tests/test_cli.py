@@ -148,6 +148,13 @@ def test_unknown_model_key_exits_2(tmp_path):
                      "--out", str(tmp_path / "run")]) == 2
 
 
+def test_out_of_domain_jacobi_exponent_exits_2(tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--set", "model.basis=jacobi",
+                     "--set", "model.jacobi_a=-2.0"]) == 2
+
+
 def test_unreadable_graph_file_exits_3(tmp_path, capsys):
     garbage = tmp_path / "bad.dtdg"
     garbage.write_text("this is not a graph\n")

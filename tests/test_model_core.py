@@ -53,6 +53,12 @@ def test_config_rejects_bad_values():
         mc.ModelConfig(**{**BASE, "variant": "quadratic"})
     with pytest.raises(ConfigError):
         mc.ModelConfig(**{**BASE, "decomp_window": 20})
+    with pytest.raises(ConfigError):
+        mc.ModelConfig(**{**BASE, "basis": "gegenbauer", "alpha": -0.5})
+    with pytest.raises(ConfigError):
+        mc.ModelConfig(**{**BASE, "basis": "jacobi", "jacobi_a": -2.0})
+    with pytest.raises(ConfigError):
+        mc.ModelConfig(**{**BASE, "basis": "jacobi", "alpha": -0.7})
 
 
 def test_config_dict_roundtrip():
@@ -197,27 +203,36 @@ def test_permutation_consistency():
     assert np.abs(out - np.einsum("ij,bjtd->bitd", p, base)).max() < 1e-10
 
 
-def test_block_matches_composed_public_operations():
-    state, config = small_state(seed=18, blocks=1, n=4)
-    x = batch_input(19, 1, 4, 8, 2)[0]
+BLOCK_BASES = [dict(basis="monomial"), dict(basis="monomial", monomial_on_laplacian=True),
+               dict(basis="bernstein"), dict(basis="chebyshev2"),
+               dict(basis="gegenbauer", alpha=1.7),
+               dict(basis="jacobi", jacobi_a=0.3, jacobi_b=-0.4)]
 
-    theta = state.params["block0.theta"]
-    bank = FilterBank(basis=config.basis, degree=config.degree,
-                      coefficients=theta, alpha=config.alpha)
-    conv = np.stack([graph_conv(bank, state.laplacian, x[:, t, :])
-                     for t in range(config.lookback)], axis=1)
-    coarse_idx, fine_idx = state.mode_sets[0]
-    coarse = coarse_fdm(conv, TemporalFDMParams(
-        mode_indices=coarse_idx,
-        weights=state.params["block0.coarse_re"]
-        + 1j * state.params["block0.coarse_im"]))
-    fine = fine_fdm(coarse, TemporalFDMParams(
-        mode_indices=fine_idx,
-        weights=state.params["block0.fine_re"]
-        + 1j * state.params["block0.fine_im"],
-        decomp_window=config.decomp_window))
-    ours = mc.tggc_block(x, state, config, block=0)
-    assert np.abs(ours - fine).max() < 1e-12
+
+def test_block_matches_composed_public_operations():
+    """The tape route of the recurrence driver against its numpy route."""
+    x = batch_input(19, 1, 4, 8, 2)[0]
+    for overrides in BLOCK_BASES:
+        state, config = small_state(seed=18, blocks=1, n=4, **overrides)
+        bank = FilterBank(basis=config.basis, degree=config.degree,
+                          coefficients=state.params["block0.theta"],
+                          alpha=config.alpha, jacobi_a=config.jacobi_a,
+                          jacobi_b=config.jacobi_b,
+                          monomial_on_laplacian=config.monomial_on_laplacian)
+        conv = np.stack([graph_conv(bank, state.laplacian, x[:, t, :])
+                         for t in range(config.lookback)], axis=1)
+        coarse_idx, fine_idx = state.mode_sets[0]
+        coarse = coarse_fdm(conv, TemporalFDMParams(
+            mode_indices=coarse_idx,
+            weights=state.params["block0.coarse_re"]
+            + 1j * state.params["block0.coarse_im"]))
+        fine = fine_fdm(coarse, TemporalFDMParams(
+            mode_indices=fine_idx,
+            weights=state.params["block0.fine_re"]
+            + 1j * state.params["block0.fine_im"],
+            decomp_window=config.decomp_window))
+        ours = mc.tggc_block(x, state, config, block=0)
+        assert np.abs(ours - fine).max() < 1e-12, overrides
 
 
 def test_nonlinear_block_matches_composed_public_operations():

@@ -174,6 +174,16 @@ def test_basis_eval_rejects_bad_arguments():
         basis_eval("bernstein", 1, 0.0)   # family degree required
     with pytest.raises(ParameterError):
         basis_eval("monomial", -1, 0.0)
+    with pytest.raises(ParameterError):
+        basis_eval("gegenbauer", 5, 0.3, degree=2)   # k beyond the family
+    with pytest.raises(ParameterError):
+        basis_eval("jacobi", 3, 0.3, jacobi_a=-3, jacobi_b=-3)
+    with pytest.raises(ParameterError):
+        basis_eval("jacobi", 2, 0.3, alpha=-0.7)      # default a = b = alpha - 1/2
+    with pytest.raises(ParameterError):
+        orthogonality_residual("jacobi", jacobi_a=-1.5)
+    with pytest.raises(ParameterError):
+        orthogonality_residual("gegenbauer", alpha=-0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +274,14 @@ def test_graph_conv_permutation_equivariance():
 
 def test_graph_conv_coefficient_mismatch():
     adj = Adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    spectrum = eigendecompose(normalized_laplacian(adj))
     bank = FilterBank(basis="gegenbauer", degree=1,
                       coefficients=np.ones((2, 3)))
-    with pytest.raises(ShapeError):
-        graph_conv(bank, adj, np.ones((2, 2)))
+    for signal in (np.ones((2, 2)), np.ones((2, 4, 2))):
+        with pytest.raises(ShapeError):
+            graph_conv(bank, adj, signal)
+        with pytest.raises(ShapeError):
+            spectral_oracle_conv(spectrum, bank, signal)
 
 
 def test_monomial_matrix_argument_flag():
