@@ -7,9 +7,10 @@ real arrays are supported; complex quantities are carried as separate
 real/imaginary parts by the caller.
 
 The op set is exactly what the forecasting model needs: broadcast
-elementwise arithmetic, relu/softmax, a handful of einsum contractions
-with fixed subscripts, and safe reciprocal square root for degree
-normalization. Shapes follow the model convention (batch, node, time, dim).
+elementwise arithmetic, relu/softmax, safe reciprocal square root for
+degree normalization, and bilinear contractions, each one ``_contract``
+call that derives its VJP subscripts from its einsum subscripts. Shapes
+follow the model convention (batch, node, time, dim).
 """
 
 from __future__ import annotations
@@ -226,36 +227,38 @@ def rsqrt_safe(a):
 
 
 # ---------------------------------------------------------------------------
-# fixed-subscript contractions for the (batch, node, time, dim) layout
+# bilinear contractions for the (batch, node, time, dim) layout
 # ---------------------------------------------------------------------------
+
+def _contract(spec, a, b):
+    """Einsum ``spec`` ("sa,sb->so") of two operands as one tape node.
+
+    Its VJPs, einsum("so,sb->sa", g, b) and einsum("sa,so->sb", a, g), are
+    summed back to each operand's shape, so size-1 axes broadcast. Every
+    operand axis must appear in the other operand or in the output.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
+    return _node(np.einsum(spec, a.data, b.data), [
+        (a, lambda g: _unbroadcast(
+            np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data), a.data.shape)),
+        (b, lambda g: _unbroadcast(
+            np.einsum(f"{a_sub},{out_sub}->{b_sub}", a.data, g), b.data.shape)),
+    ])
+
 
 def graph_mix(m, x):
     """Mix along the node axis: out[b,i,t,d] = sum_j m[i,j] x[b,j,t,d].
 
     ``m`` is either a shared (N, N) operator or a per-sample (B, N, N) stack.
     """
-    m, x = as_tensor(m), as_tensor(x)
-    if m.data.ndim == 2:
-        out = np.einsum("ij,bjtd->bitd", m.data, x.data)
-        return _node(out, [
-            (m, lambda g: np.einsum("bitd,bjtd->ij", g, x.data)),
-            (x, lambda g: np.einsum("ij,bitd->bjtd", m.data, g)),
-        ])
-    out = np.einsum("bij,bjtd->bitd", m.data, x.data)
-    return _node(out, [
-        (m, lambda g: np.einsum("bitd,bjtd->bij", g, x.data)),
-        (x, lambda g: np.einsum("bij,bitd->bjtd", m.data, g)),
-    ])
+    m = as_tensor(m)
+    return _contract("ij,bjtd->bitd" if m.data.ndim == 2 else "bij,bjtd->bitd", m, x)
 
 
 def time_mix(a, x):
     """Mix along the time axis: out[b,n,i,d] = sum_j a[i,j] x[b,n,j,d]."""
-    a, x = as_tensor(a), as_tensor(x)
-    out = np.einsum("ij,bnjd->bnid", a.data, x.data)
-    return _node(out, [
-        (a, lambda g: np.einsum("bnid,bnjd->ij", g, x.data)),
-        (x, lambda g: np.einsum("ij,bnid->bnjd", a.data, g)),
-    ])
+    return _contract("ij,bnjd->bnid", a, x)
 
 
 def mode_filter(x, w):
@@ -264,61 +267,28 @@ def mode_filter(x, w):
     out[b,n,j,d] = sum_i x[b,n,i,d] w[n,d,i,j]; the first two axes of ``w``
     may be 1 for weight sharing across variables and/or dimensions.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    b, n, s, d = x.data.shape
-    wfull = np.broadcast_to(w.data, (n, d) + w.data.shape[2:])
-    out = np.einsum("bnid,ndij->bnjd", x.data, wfull)
-
-    def vjp_w(g):
-        full = np.einsum("bnid,bnjd->ndij", x.data, g)
-        return _unbroadcast(full, w.data.shape)
-
-    return _node(out, [
-        (x, lambda g: np.einsum("bnjd,ndij->bnid", g, wfull)),
-        (w, vjp_w),
-    ])
+    return _contract("bnid,ndij->bnjd", x, w)
 
 
 def node_scores(q, k):
     """Pairwise mode scores per node: out[b,n,i,j] = sum_d q[b,n,i,d] k[b,n,j,d]."""
-    q, k = as_tensor(q), as_tensor(k)
-    out = np.einsum("bnid,bnjd->bnij", q.data, k.data)
-    return _node(out, [
-        (q, lambda g: np.einsum("bnij,bnjd->bnid", g, k.data)),
-        (k, lambda g: np.einsum("bnij,bnid->bnjd", g, q.data)),
-    ])
+    return _contract("bnid,bnjd->bnij", q, k)
 
 
 def node_apply(a, v):
     """Apply per-node mixing weights: out[b,n,i,d] = sum_j a[b,n,i,j] v[b,n,j,d]."""
-    a, v = as_tensor(a), as_tensor(v)
-    out = np.einsum("bnij,bnjd->bnid", a.data, v.data)
-    return _node(out, [
-        (a, lambda g: np.einsum("bnid,bnjd->bnij", g, v.data)),
-        (v, lambda g: np.einsum("bnij,bnid->bnjd", a.data, g)),
-    ])
+    return _contract("bnij,bnjd->bnid", a, v)
 
 
 def embed_map(x, w):
     """Shared linear map on the last axis: out[b,n,l] = sum_k x[b,n,k] w[k,l]."""
-    x, w = as_tensor(x), as_tensor(w)
-    out = np.einsum("bnk,kl->bnl", x.data, w.data)
-    return _node(out, [
-        (x, lambda g: np.einsum("kl,bnl->bnk", w.data, g)),
-        (w, lambda g: np.einsum("bnk,bnl->kl", x.data, g)),
-    ])
+    return _contract("bnk,kl->bnl", x, w)
 
 
 def pair_scores(e):
     """Dot products between all variable pairs: out[b,n,m] = e[b,n,:] . e[b,m,:]."""
     e = as_tensor(e)
-    out = np.einsum("bne,bme->bnm", e.data, e.data)
-
-    def vjp(g):
-        return (np.einsum("bnm,bme->bne", g, e.data)
-                + np.einsum("bnm,bne->bme", g, e.data))
-
-    return _node(out, [(e, vjp)])
+    return _contract("bne,bme->bnm", e, e)
 
 
 def check_finite_gradients(named_params):

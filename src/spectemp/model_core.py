@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ParameterError, ShapeError
+from .errors import ConfigError, DataError, ParameterError, ShapeError
 from .frequency_temporal import lowest_modes, moving_average_matrix
 from .spectral_graph import (Adjacency, Recurrence, basis_recurrence,
                              normalized_laplacian, polynomial_stack)
@@ -48,6 +50,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"STCK"
 CHECKPOINT_VERSION = 1
+_PREAMBLE_BYTES = 16        # magic, u32 version, u64 header length
 
 
 @dataclass(frozen=True)
@@ -319,13 +322,13 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
 # spectral constants
 # ---------------------------------------------------------------------------
 
-def _stage_matrices(config: ModelConfig, indices: np.ndarray):
+def _stage_matrices(config: ModelConfig, state: ModelState, indices: np.ndarray):
     """(select_re, select_im, rebuild_re, rebuild_im) for one temporal stage.
 
     With the Fourier projector these fold mode selection into the transform:
     select_* are the S x T forward kernels and rebuild_* the T x S inverse
-    kernels of the real/imaginary parts. A random orthogonal projector has
-    no imaginary part.
+    kernels of the real/imaginary parts. The state's random orthogonal
+    projector has no imaginary part.
     """
     t = config.lookback
     if config.projector == "dft":
@@ -335,13 +338,6 @@ def _stage_matrices(config: ModelConfig, indices: np.ndarray):
         rebuild_re = select_re.T / t
         rebuild_im = -select_im.T / t
         return select_re, select_im, rebuild_re, rebuild_im
-    return None  # caller substitutes the state's random projector
-
-
-def _state_stage_matrices(config: ModelConfig, state: ModelState, indices: np.ndarray):
-    mats = _stage_matrices(config, indices)
-    if mats is not None:
-        return mats
     rows = state.projector_matrix[indices, :]
     zero = np.zeros_like(rows)
     return rows, zero, rows.T, zero.T
@@ -406,6 +402,9 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
     if t != config.lookback or d != config.n_dims:
         raise ShapeError(f"window shape {x.shape[1:]} does not match config "
                          f"(N, {config.lookback}, {config.n_dims})")
+    if n != state.n_nodes:
+        raise ShapeError(f"window has {n} variables but the model state was "
+                         f"built for {state.n_nodes}")
     if config.adjacency_mode == "learned":
         operator, laplacian = _learned_operators(params, x, config)
     else:
@@ -427,13 +426,13 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
             mixed = ad.relu(mixed)
 
         if config.use_coarse:
-            mats = _state_stage_matrices(config, state, state.mode_sets[m][0])
+            mats = _stage_matrices(config, state, state.mode_sets[m][0])
             mixed = _filter_stage(mixed, params[f"{prefix}.coarse_re"],
                                   params[f"{prefix}.coarse_im"], mats)
         if config.use_fine:
             trend = ad.time_mix(trend_matrix, mixed)
             seasonal = ad.sub(mixed, trend)
-            mats = _state_stage_matrices(config, state, state.mode_sets[m][1])
+            mats = _stage_matrices(config, state, state.mode_sets[m][1])
             if config.attention_enabled:
                 mixed = _attention_stage(trend, seasonal, params, prefix, mats, config, d)
             else:
@@ -494,7 +493,6 @@ def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
 def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
                block: int = 0) -> np.ndarray:
     """Run a single block (no residual, no head) on an (N, T, D) window."""
-    arr, squeeze = _promote(x)
     single = dataclasses.replace(config, blocks=1, residual=False)
     sub_state = ModelState(
         params={key.replace(f"block{block}.", "block0."): value
@@ -503,8 +501,7 @@ def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
         mode_sets=(state.mode_sets[block],),
         a_hat=state.a_hat, laplacian=state.laplacian,
         projector_matrix=state.projector_matrix, frozen=state.frozen)
-    _, rep = _forward_graph(wrap_params(sub_state, False), arr, sub_state, single)
-    return rep.data[0] if squeeze else rep.data
+    return embed(x, sub_state, single)
 
 
 def loss(prediction: np.ndarray, targets: np.ndarray) -> float:
@@ -548,7 +545,11 @@ def _state_arrays(state: ModelState) -> dict:
 def save_checkpoint(path, state: ModelState, config: ModelConfig) -> None:
     """Container layout: magic 'STCK', u32 version, u64 header length, JSON
     header (config echo plus array directory), then the concatenated
-    row-major little-endian float64 payload."""
+    row-major little-endian float64 payload.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a failed write leaves any earlier checkpoint at ``path`` intact.
+    """
     arrays = _state_arrays(state)
     directory, blobs, offset = [], [], 0
     for name in sorted(arrays):
@@ -564,43 +565,106 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig) -> None:
         "frozen": sorted(state.frozen),
         "arrays": directory,
     }).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
+    """Read a checkpoint written by ``save_checkpoint``; any malformed or
+    truncated file raises ``DataError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ParameterError(f"not a checkpoint file (magic {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ParameterError(f"unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        payload = fh.read()
-    config = ModelConfig.from_dict(header["config"])
+        raw = fh.read()
+
+    def malformed(why: str) -> DataError:
+        return DataError(f"malformed checkpoint {os.fspath(path)}: {why}")
+
+    if raw[:4] != CHECKPOINT_MAGIC:
+        raise malformed(f"not a checkpoint file (magic {raw[:4]!r})")
+    if len(raw) < _PREAMBLE_BYTES:
+        raise malformed("file ends inside the preamble")
+    version, header_len = struct.unpack_from("<IQ", raw, 4)
+    if version != CHECKPOINT_VERSION:
+        raise malformed(f"unsupported checkpoint version {version}")
+    if _PREAMBLE_BYTES + header_len > len(raw):
+        raise malformed(f"header length {header_len} exceeds the file")
+    try:
+        header = json.loads(raw[_PREAMBLE_BYTES:_PREAMBLE_BYTES + header_len]
+                            .decode("utf-8"))
+    except ValueError as exc:
+        raise malformed(f"header is not JSON ({exc})") from exc
+    missing = [key for key in ("config", "n_nodes", "arrays")
+               if not isinstance(header, dict) or key not in header]
+    if missing:
+        raise malformed(f"header lacks {missing}")
+    if not isinstance(header["arrays"], list):
+        raise malformed("the array directory must be a list")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (TypeError, ValueError) as exc:
+        raise malformed(f"bad config ({exc})") from exc
+    n_nodes = header["n_nodes"]
+    if not _is_count(n_nodes) or n_nodes == 0:
+        raise malformed(f"n_nodes must be a positive integer, got {n_nodes!r}")
+
+    payload = raw[_PREAMBLE_BYTES + header_len:]
     arrays = {}
     for entry in header["arrays"]:
-        start = entry["offset"]
-        count = entry["count"]
+        try:
+            name, shape = entry["name"], entry["shape"]
+            start, count = entry["offset"], entry["count"]
+        except (KeyError, TypeError) as exc:
+            raise malformed(f"bad array entry {entry!r}") from exc
+        if not (_is_count(start) and _is_count(count)
+                and isinstance(shape, list) and all(map(_is_count, shape))):
+            raise malformed(f"array {name!r} has a bad shape, offset or count")
+        if start + 8 * count > len(payload):
+            raise malformed(f"array {name!r} runs past the end of the payload")
+        if math.prod(shape) != count:
+            raise malformed(f"array {name!r} has shape {shape} but {count} values")
         flat = np.frombuffer(payload, dtype="<f8", offset=start, count=count)
-        arrays[entry["name"]] = flat.reshape(entry["shape"]).astype(np.float64)
+        arrays[name] = flat.reshape(shape).astype(np.float64)
+    for key in ("meta.a_hat", "meta.laplacian"):
+        if key in arrays and arrays[key].shape != (n_nodes, n_nodes):
+            raise malformed(f"{key} has shape {arrays[key].shape}, "
+                            f"expected ({n_nodes}, {n_nodes})")
+    frozen = header.get("frozen", [])
+    if not (isinstance(frozen, list) and all(isinstance(f, str) for f in frozen)):
+        raise malformed("frozen must list parameter names")
     params = {k: v for k, v in arrays.items() if not k.startswith("meta.")}
     mode_sets = []
     for m in range(config.blocks):
-        mode_sets.append((arrays[f"meta.modes{m}.coarse"].astype(np.intp),
-                          arrays[f"meta.modes{m}.fine"].astype(np.intp)))
+        stages = []
+        for stage in ("coarse", "fine"):
+            idx = arrays.get(f"meta.modes{m}.{stage}")
+            if (idx is None or idx.ndim != 1
+                    or not np.all((idx == np.floor(idx)) & (idx >= 0)
+                                  & (idx < config.lookback))):
+                raise malformed(f"meta.modes{m}.{stage} must list integer mode "
+                                f"indices in [0, {config.lookback})")
+            stages.append(idx.astype(np.intp))
+        mode_sets.append(tuple(stages))
     return (ModelState(params=params,
-                       n_nodes=int(header["n_nodes"]),
+                       n_nodes=n_nodes,
                        mode_sets=tuple(mode_sets),
                        a_hat=arrays.get("meta.a_hat"),
                        laplacian=arrays.get("meta.laplacian"),
                        projector_matrix=arrays.get("meta.projector"),
-                       frozen=frozenset(header.get("frozen", ()))),
+                       frozen=frozenset(frozen)),
             config)

@@ -227,21 +227,14 @@ def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
 
 def distinguishable(graph: DTDG, u: int, v: int, t: int,
                     steps: int | None = None) -> bool:
-    """True when refinement separates cells (u, t) and (v, t)."""
+    """True when refinement (at most ``steps`` rounds) separates cells
+    (u, t) and (v, t). Refinement never merges colors, so checking the last
+    partition is the same as checking every round."""
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise ParameterError("node indices out of range")
     if not 0 <= t < graph.n_steps:
         raise ParameterError("time index out of range")
-    state = init_colors(graph)
-    cap = graph.n_nodes * graph.n_steps if steps is None else steps
-    for _ in range(cap):
-        if state.colors[u, t] != state.colors[v, t]:
-            return True
-        refined = refine_step(graph, state)
-        if refined.color_count() == state.color_count():
-            state = refined
-            break
-        state = refined
+    state = refine_to_stable(graph, max_rounds=steps)
     return bool(state.colors[u, t] != state.colors[v, t])
 
 

@@ -137,12 +137,23 @@ def test_mode_filter():
 
 
 def test_mode_filter_broadcasts_shared_weights():
-    x, w = rng_arrays(13, (2, 4, 3, 2), (1, 1, 3, 3))
-    check_op(lambda t: ad.mode_filter(t[0], t[1]), [x, w])
-    full = np.broadcast_to(w, (4, 2, 3, 3)).copy()
-    shared = ad.mode_filter(ad.Tensor(x), ad.Tensor(w)).data
-    expanded = ad.mode_filter(ad.Tensor(x), ad.Tensor(full)).data
-    assert np.array_equal(shared, expanded)
+    # all shared, per-variable only (share_filter_dims), per-dim only
+    # (share_filter_vars)
+    for seed, shape in ((13, (1, 1, 3, 3)), (23, (4, 1, 3, 3)), (24, (1, 2, 3, 3))):
+        x, w = rng_arrays(seed, (2, 4, 3, 2), shape)
+        check_op(lambda t: ad.mode_filter(t[0], t[1]), [x, w])
+        full = np.broadcast_to(w, (4, 2, 3, 3)).copy()
+        tx, tw = ad.Tensor(x), ad.Tensor(w, requires_grad=True)
+        tfull = ad.Tensor(full, requires_grad=True)
+        shared = ad.mode_filter(tx, tw)
+        expanded = ad.mode_filter(tx, tfull)
+        assert np.array_equal(shared.data, expanded.data)
+        ad.sum_all(shared).backward()
+        ad.sum_all(expanded).backward()
+        assert tw.grad.shape == shape
+        summed = tfull.grad.sum(axis=tuple(i for i in (0, 1) if shape[i] == 1),
+                                keepdims=True)
+        np.testing.assert_allclose(tw.grad, summed, rtol=1e-12, atol=1e-12)
 
 
 def test_node_scores_and_apply():

@@ -164,6 +164,41 @@ def test_unreadable_graph_file_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A checkpoint trained on TINY (4 variables), shared by forecast cases."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, TINY)
+    assert cli.main(["train", "--config", cfg, "--out", str(root / "run")]) == 0
+    return (root / "run" / "checkpoint.stck").read_bytes()
+
+
+def forecast_with(tmp_path, checkpoint_bytes, task=None):
+    ckpt = tmp_path / "model.stck"
+    ckpt.write_bytes(checkpoint_bytes)
+    payload = {**TINY, "task": {**TINY["task"], **(task or {})},
+               "forecast": {"checkpoint": str(ckpt)}}
+    cfg = write_config(tmp_path, payload, name="forecast.json")
+    return cli.main(["forecast", "--config", cfg, "--out", str(tmp_path / "fc")])
+
+
+def test_truncated_checkpoint_exits_3(tmp_path, capsys, trained_checkpoint):
+    assert forecast_with(tmp_path, trained_checkpoint[:-100]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_bad_magic_exits_3(tmp_path, capsys, trained_checkpoint):
+    assert forecast_with(tmp_path, b"XXXX" + trained_checkpoint[4:]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_node_count_mismatch_exits_2(tmp_path, capsys,
+                                                trained_checkpoint):
+    assert forecast_with(tmp_path, trained_checkpoint, {"n_per_group": 3}) == 2
+    err = capsys.readouterr().err
+    assert "6 variables" in err and "built for 4" in err
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergent_training_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {**TINY,

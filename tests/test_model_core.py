@@ -2,12 +2,14 @@
 loss, and the checkpoint container."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from spectemp import model_core as mc
-from spectemp.errors import ConfigError, ShapeError
+from spectemp.errors import ConfigError, DataError, ShapeError
 from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm,
                                          fine_fdm, spectral_attention)
 from spectemp.spectral_graph import Adjacency, FilterBank, graph_conv
@@ -310,6 +312,13 @@ def test_loss_shape_mismatch():
         mc.loss(np.ones((2, 3, 1)), np.ones((2, 4, 1)))
 
 
+def test_forward_rejects_node_count_mismatch():
+    for mode in ("provided", "learned"):
+        state, config = small_state(seed=27, n=5, adjacency_mode=mode)
+        with pytest.raises(ShapeError, match="6 variables .* built for 5"):
+            mc.forward(batch_input(28, 2, 6, 8, 2), state, config)
+
+
 def test_reported_loss_scales_out_width():
     predicted = np.ones((2, 3, 4))
     actual = np.zeros((2, 3, 4))
@@ -368,5 +377,95 @@ def test_checkpoint_rejects_corrupt_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(bytes(raw))
-    with pytest.raises(Exception):
+    with pytest.raises(DataError):
         mc.load_checkpoint(path)
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    """Apply ``edit`` to a checkpoint's decoded JSON header and re-encode it."""
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + length])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + length:]
+
+
+def _entry(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+def _poke(raw: bytes, name: str, value: float) -> bytes:
+    """Overwrite the first value of array ``name`` in the payload."""
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    start = 16 + length + _entry(json.loads(raw[16:16 + length]), name)["offset"]
+    return raw[:start] + struct.pack("<d", value) + raw[start + 8:]
+
+
+CORRUPTIONS = {
+    "truncated": lambda raw: raw[:-100],
+    "preamble only": lambda raw: raw[:10],
+    "bad version": lambda raw: raw[:4] + struct.pack("<I", 99) + raw[8:],
+    "header past end": lambda raw: raw[:8] + struct.pack("<Q", len(raw)) + raw[16:],
+    "header not json": lambda raw: raw[:16] + b"\xff" + raw[17:],
+    "missing arrays key": lambda raw: _rewrite_header(raw, lambda h: h.pop("arrays")),
+    "directory not a list": lambda raw: _rewrite_header(
+        raw, lambda h: h.update(arrays=7)),
+    "config not a mapping": lambda raw: _rewrite_header(
+        raw, lambda h: h.update(config=3)),
+    "offset past payload": lambda raw: _rewrite_header(
+        raw, lambda h: _entry(h, "head.weight").update(offset=10 ** 6)),
+    "shape disagrees with count": lambda raw: _rewrite_header(
+        raw, lambda h: _entry(h, "head.weight").update(shape=[2, 2])),
+    "negative count": lambda raw: _rewrite_header(
+        raw, lambda h: _entry(h, "head.weight").update(count=-1)),
+    "mode index out of range": lambda raw: _poke(raw, "meta.modes0.fine", 8.0),
+    "fractional mode index": lambda raw: _poke(raw, "meta.modes1.coarse", 1.5),
+    "missing mode array": lambda raw: _rewrite_header(
+        raw, lambda h: h["arrays"].remove(_entry(h, "meta.modes1.coarse"))),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_checkpoint_rejects_malformed_files(tmp_path, corruption):
+    state, config = small_state(seed=37)
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(DataError, match="malformed checkpoint"):
+        mc.load_checkpoint(path)
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    first, config = small_state(seed=38)
+    second, _ = small_state(seed=39)
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, first, config)
+
+    class FailingFile:
+        """Accepts the preamble, then fails as a full disk would."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(mc, "open", lambda *a, **k: FailingFile(open(*a, **k)),
+                        raising=False)
+    with pytest.raises(OSError):
+        mc.save_checkpoint(path, second, config)
+    monkeypatch.undo()
+
+    assert [p.name for p in tmp_path.iterdir()] == ["model.stck"]
+    loaded, _ = mc.load_checkpoint(path)
+    for name, value in first.params.items():
+        assert np.array_equal(loaded.params[name], value)

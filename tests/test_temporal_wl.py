@@ -150,6 +150,34 @@ def test_refinement_monotonicity_200_random_graphs():
             state = nxt
 
 
+def test_distinguishable_matches_any_round_separation_150_random_graphs():
+    # Oracle: a pair is distinguishable when any partition in the refinement
+    # sequence (init, then up to ``steps`` rounds, stopping once stable)
+    # separates it.
+    rng = np.random.default_rng(103)
+    checks = 0
+    for trial in range(150):
+        g = random_dtdg(rng, with_features=bool(trial % 2))
+        for steps in (None, 0, 1, 2):
+            state = init_colors(g)
+            separated = np.zeros((g.n_nodes, g.n_nodes, g.n_steps), dtype=bool)
+            cap = g.n_nodes * g.n_steps if steps is None else steps
+            for round_index in range(cap + 1):
+                separated |= state.colors[:, None, :] != state.colors[None, :, :]
+                if round_index == cap:
+                    break
+                nxt = refine_step(g, state)
+                if nxt.color_count() == state.color_count():
+                    break
+                state = nxt
+            for u in range(g.n_nodes):
+                for v in range(u, g.n_nodes):
+                    for t in range(g.n_steps):
+                        assert distinguishable(g, u, v, t, steps) == separated[u, v, t]
+                        checks += 1
+    assert checks > 5_000
+
+
 def test_stabilization_within_nt_rounds():
     rng = np.random.default_rng(101)
     for _ in range(50):
