@@ -4,8 +4,14 @@ WL testing, and the synthetic signed-groups experiment.
 Every command reads an optional JSON config file, applies ``--set`` dotted
 overrides on top, runs, and leaves a ``manifest.json`` in the output
 directory recording the full effective configuration plus the artifacts
-written. Exit codes: 0 success, 2 usage or config errors, 3 data errors,
-4 numerical failures.
+written. ``config.read_section`` reads each section into a dataclass that
+declares its keys, types and defaults (``SynthTask``, ``DataSource``,
+``ModelConfig``, ``TrainConfig`` and the command sections below); an
+unknown section or key, or a wrongly typed value, is a config error.
+Training, forecasting and the recipes share ``experiments.prepare_data``
+and ``experiments.fit``. Exit codes: 0 success, 2 usage or config errors,
+3 data errors (malformed checkpoints and non-finite inputs included), 4
+numerical failures.
 """
 
 from __future__ import annotations
@@ -16,15 +22,15 @@ import dataclasses
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from . import experiments as ex
 from . import model_core as mc
-from .dataio import (compute_norm_stats, dataset_manifest, load_csv,
-                     make_windows, mae, normalize, rmse, split,
-                     synth_signed_groups)
+from .config import read_section
+from .dataio import denormalize, mae, rmse
 from .errors import (ConfigError, DataError, NumericalError, ParameterError,
                      ShapeError)
 from .frequency_temporal import column_sampling_check
@@ -35,9 +41,75 @@ from .spectral_graph import (Adjacency, eigendecompose, fit_weight_alpha,
 from .temporal_wl import (check_spectral_conditions, distinguishable,
                           fixture_path, init_colors, read_dtdg,
                           refine_to_stable, wl_test)
-from .training import TrainConfig, evaluate, train, write_history_csv
+from .training import TrainConfig, evaluate, write_history_csv
 
 DEFAULT_SEEDS = 5
+SECTIONS = ("task", "data", "model", "train", "forecast", "ablate", "theory",
+            "twl", "synth")
+
+
+# ---------------------------------------------------------------------------
+# per-command config sections
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ForecastSection:
+    checkpoint: str | None = None           # required: a .stck path
+
+
+@dataclass(frozen=True)
+class AblateSection:
+    axis: str | None = None                 # required: basis, structure, nonlinearity
+    seeds: list[int] | None = None          # default: --seed and the next four
+
+
+@dataclass(frozen=True)
+class ColumnSamplingSection:
+    n: int = 32
+    t: int = 64
+    k: int = 4
+    s: int = 32
+    trials: int = 500
+
+    def __post_init__(self):
+        if min(self.n, self.t, self.trials) < 1:
+            raise ConfigError("theory.column_sampling n, t and trials must be >= 1")
+
+
+@dataclass(frozen=True)
+class RaceSection:
+    epochs: int = ex.RACE_PRESET["epochs"]
+    lr: float = ex.RACE_PRESET["lr"]
+    seeds: list[int] | None = None          # default: [--seed]
+
+
+@dataclass(frozen=True)
+class TheorySection:
+    column_sampling: ColumnSamplingSection = field(
+        default_factory=ColumnSamplingSection)
+    race: RaceSection = field(default_factory=RaceSection)
+
+
+@dataclass(frozen=True)
+class TwlSection:
+    left: str = str(fixture_path("wl_pair_left"))
+    right: str = str(fixture_path("wl_pair_right"))
+    steps: int | None = None                # refinement round cap; default N*T
+    pair: tuple[int, int, int] | None = None    # (u, v, t) query on left
+
+    def __post_init__(self):
+        if self.steps is not None and self.steps < 0:
+            raise ConfigError(f"twl.steps must be >= 0, got {self.steps}")
+
+
+@dataclass(frozen=True)
+class SynthSection:
+    seeds: list[int] | None = None          # default: --seed and the next four
+    n_eval: int = 8
+
+    def __post_init__(self):
+        if self.n_eval < 1:
+            raise ConfigError(f"synth.n_eval must be >= 1, got {self.n_eval}")
 
 
 # ---------------------------------------------------------------------------
@@ -80,50 +152,11 @@ def load_config(args) -> dict:
     for item in args.set or ():
         key, value = _parse_override(item)
         _set_nested(config, key, value)
+    unknown = sorted(set(config) - set(SECTIONS))
+    if unknown:
+        raise ConfigError(f"unknown config sections {unknown}; expected some of "
+                          f"{list(SECTIONS)}")
     return config
-
-
-def _section(config: dict, name: str) -> dict:
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return dict(section)
-
-
-def _task_from(config: dict) -> ex.SynthTask:
-    fields = {f.name for f in dataclasses.fields(ex.SynthTask)}
-    section = _section(config, "task")
-    unknown = set(section) - fields
-    if unknown:
-        raise ConfigError(f"unknown task keys: {sorted(unknown)}")
-    if "ratios" in section:
-        section["ratios"] = tuple(section["ratios"])
-    return ex.SynthTask(**section)
-
-
-def _train_config(config: dict, seed: int) -> TrainConfig:
-    section = _section(config, "train")
-    section.setdefault("seed", seed)
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(section) - fields
-    if unknown:
-        raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-    return TrainConfig(**section)
-
-
-def _seed_list(config: dict, base_seed: int, key: str = "seeds") -> list[int]:
-    raw = config.get(key)
-    if raw is None:
-        return list(range(base_seed, base_seed + DEFAULT_SEEDS))
-    if not isinstance(raw, list) or not all(isinstance(s, int) for s in raw):
-        raise ConfigError(f"{key!r} must be a list of integers")
-    return raw
-
-
-def _ensure_out(args) -> str:
-    out = args.out or os.path.join("spectemp_out", args.command)
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _write_json(path, payload) -> None:
@@ -138,262 +171,180 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out: str, args, effective: dict, outputs: list[str]) -> None:
-    _write_json(os.path.join(out, "manifest.json"), {
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "effective_config": effective,
-        "outputs": sorted(outputs),
-    })
+def _long_rows(array: np.ndarray):
+    """Long format: one (index..., value) row per entry, in C order."""
+    return ([*idx, repr(float(array[idx]))] for idx in np.ndindex(array.shape))
 
 
-# ---------------------------------------------------------------------------
-# dataset resolution shared by train/forecast
-# ---------------------------------------------------------------------------
+class Run:
+    """One command invocation. Every section it reads goes into the
+    manifest's effective config and every file it names into the
+    manifest's output list."""
 
-def _resolve_data(config: dict, seed: int):
-    """Returns (bundle-like dict) with windows, stats, adjacency, manifest."""
-    data = _section(config, "data")
-    task = _task_from(config)
-    if "csv" in data:
-        ds = load_csv(data["csv"], layout=data.get("layout", "time_major"),
-                      impute=data.get("impute"))
-    else:
-        ds = synth_signed_groups(task.n_per_group, task.length,
-                                 noise_sigma=task.noise_sigma, seed=seed,
-                                 periods=task.periods)
-    ratios = tuple(data.get("ratios", task.ratios))
-    train_ds, val_ds, test_ds = split(ds, ratios)
-    method = data.get("normalize", "none")
-    stats = None
-    if method != "none":
-        stats = compute_norm_stats(train_ds, method)
-        train_ds, val_ds, test_ds = (normalize(part, stats)
-                                     for part in (train_ds, val_ds, test_ds))
-    w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
-    adjacency = mc.windowed_mean_correlation(train_ds.values, task.lookback).matrix
-    return {
-        "dataset": ds, "task": task, "stats": stats,
-        "train_windows": w(train_ds), "val_windows": w(val_ds),
-        "test_windows": w(test_ds), "adjacency": adjacency,
-        "train_values": train_ds.values,
-        "manifest": dataset_manifest(ds, stats, ratios, seed),
-    }
+    def __init__(self, args, config: dict):
+        self.args, self.config, self.seed = args, config, args.seed
+        self.out = args.out or os.path.join("spectemp_out", args.command)
+        self.effective: dict = {}
+        self.outputs: list[str] = []
 
+    def read(self, name: str, cls, **fallback):
+        section = read_section(cls, self.config.get(name, {}), name, **fallback)
+        self.effective[name] = dataclasses.asdict(section)
+        return section
 
-def _model_config(config: dict, task: ex.SynthTask) -> ModelConfig:
-    section = _section(config, "model")
-    section.setdefault("lookback", task.lookback)
-    section.setdefault("horizon", task.horizon)
-    section.setdefault("n_dims", 1)
-    return ModelConfig.from_dict(section)
+    def path(self, name: str) -> str:
+        path = os.path.join(self.out, name)
+        self.outputs.append(path)
+        return path
 
+    def write_csv(self, name: str, header: list, rows) -> None:
+        """A header row, then ``rows``; dict rows are read in header order."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([row[key] for key in header] if isinstance(row, dict)
+                             else row for row in rows)
 
-def _init_for(model_cfg: ModelConfig, data: dict, seed: int):
-    kwargs = {}
-    if model_cfg.adjacency_mode == "provided":
-        kwargs["adjacency"] = data["adjacency"]
-    elif model_cfg.adjacency_mode == "pearson":
-        kwargs["train_values"] = data["train_values"]
-    n_nodes = data["train_windows"].inputs.shape[1]
-    return mc.init_state(model_cfg, n_nodes, rng=seed, **kwargs)
+    def write_manifest(self) -> None:
+        _write_json(os.path.join(self.out, "manifest.json"), {
+            "command": self.args.command, "version": __version__,
+            "seed": self.seed, "effective_config": self.effective,
+            "outputs": sorted(self.outputs)})
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_train(args, config: dict) -> int:
-    out = _ensure_out(args)
-    data = _resolve_data(config, args.seed)
-    model_cfg = _model_config(config, data["task"])
-    tc = _train_config(config, args.seed)
-    state = _init_for(model_cfg, data, args.seed)
-    state, run = train(model_cfg, tc, data["train_windows"], data["val_windows"],
-                       state=state)
-    scores = evaluate(state, model_cfg, data["test_windows"], stats=data["stats"])
+def cmd_train(run: Run) -> None:
+    task = run.read("task", ex.SynthTask)
+    source = run.read("data", ex.DataSource)
+    model_cfg = run.read("model", ModelConfig, lookback=task.lookback,
+                         horizon=task.horizon, n_dims=1)
+    tc = run.read("train", TrainConfig, seed=run.seed)
+    bundle = ex.prepare_data(task, run.seed, source)
+    state, history = ex.fit(model_cfg, tc, bundle, run.seed)
+    scores = evaluate(state, model_cfg, bundle.test_windows, stats=bundle.stats)
 
-    ckpt = os.path.join(out, "checkpoint.stck")
-    mc.save_checkpoint(ckpt, state, model_cfg)
-    history = os.path.join(out, "history.csv")
-    write_history_csv(history, run)
-    metrics = os.path.join(out, "metrics.json")
-    _write_json(metrics, {"mae": scores["mae"], "rmse": scores["rmse"],
-                          "epochs_run": run.epochs_run,
-                          "best_epoch": run.best_epoch,
-                          "stopped_early": run.stopped_early})
-    effective = {"task": dataclasses.asdict(data["task"]),
-                 "model": model_cfg.to_dict(), "train": tc.to_dict(),
-                 "data": _section(config, "data"),
-                 "dataset": data["manifest"]}
-    _write_manifest(out, args, effective, [ckpt, history, metrics])
+    mc.save_checkpoint(run.path("checkpoint.stck"), state, model_cfg)
+    write_history_csv(run.path("history.csv"), history)
+    _write_json(run.path("metrics.json"), {
+        "mae": scores["mae"], "rmse": scores["rmse"],
+        "epochs_run": history.epochs_run, "best_epoch": history.best_epoch,
+        "stopped_early": history.stopped_early})
+    run.effective["dataset"] = bundle.manifest(run.seed)
     print(f"test mae {scores['mae']:.6f} rmse {scores['rmse']:.6f} "
-          f"({run.epochs_run} epochs)")
-    return 0
+          f"({history.epochs_run} epochs)")
 
 
-def cmd_forecast(args, config: dict) -> int:
-    out = _ensure_out(args)
-    section = _section(config, "forecast")
-    ckpt_path = section.get("checkpoint")
-    if not ckpt_path:
+def cmd_forecast(run: Run) -> None:
+    section = run.read("forecast", ForecastSection)
+    task = run.read("task", ex.SynthTask)
+    source = run.read("data", ex.DataSource)
+    if not section.checkpoint:
         raise ConfigError("forecast needs forecast.checkpoint (a .stck path)")
-    if not os.path.exists(ckpt_path):
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    state, model_cfg = mc.load_checkpoint(ckpt_path)
-    data = _resolve_data(config, args.seed)
-    windows = data["test_windows"]
+    if not os.path.exists(section.checkpoint):
+        raise ConfigError(f"checkpoint not found: {section.checkpoint}")
+    state, model_cfg = mc.load_checkpoint(section.checkpoint)
+    bundle = ex.prepare_data(task, run.seed, source)
+    windows = bundle.test_windows
     predicted = mc.forward(windows.inputs, state, model_cfg)
-    if data["stats"] is not None:
-        from .dataio import denormalize
-        predicted = denormalize(predicted, data["stats"])
-        actual = denormalize(windows.targets, data["stats"])
-    else:
-        actual = windows.targets
+    actual = windows.targets
+    if bundle.stats is not None:
+        predicted = denormalize(predicted, bundle.stats)
+        actual = denormalize(actual, bundle.stats)
 
-    pred_path = os.path.join(out, "predictions.csv")
-    with open(pred_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window_origin", "node_id", "step", "dim", "value"])
-        b, n, h, d = predicted.shape
-        for i in range(b):
-            for node in range(n):
-                for step in range(h):
-                    for dim in range(d):
-                        writer.writerow([int(windows.origins[i]), node, step, dim,
-                                         repr(float(predicted[i, node, step, dim]))])
-    metrics = os.path.join(out, "metrics.json")
-    _write_json(metrics, {"mae": mae(predicted, actual),
-                          "rmse": rmse(predicted, actual),
-                          "windows": int(windows.count)})
-    effective = {"forecast": section, "task": dataclasses.asdict(data["task"]),
-                 "model": model_cfg.to_dict(), "dataset": data["manifest"]}
-    _write_manifest(out, args, effective, [pred_path, metrics])
+    run.write_csv("predictions.csv",
+                  ["window_origin", "node_id", "step", "dim", "value"],
+                  ([int(windows.origins[i]), *rest]
+                   for i, *rest in _long_rows(predicted)))
+    _write_json(run.path("metrics.json"), {"mae": mae(predicted, actual),
+                                           "rmse": rmse(predicted, actual),
+                                           "windows": int(windows.count)})
+    run.effective.update(model=model_cfg.to_dict(), dataset=bundle.manifest(run.seed))
     print(f"wrote {windows.count} windows of forecasts")
-    return 0
 
 
-def cmd_ablate(args, config: dict) -> int:
-    out = _ensure_out(args)
-    section = _section(config, "ablate")
-    axis = section.get("axis")
-    if axis is None:
+def cmd_ablate(run: Run) -> None:
+    section = run.read("ablate", AblateSection,
+                       seeds=list(range(run.seed, run.seed + DEFAULT_SEEDS)))
+    if section.axis is None:
         valid = "basis, structure, nonlinearity"
         raise ConfigError(f"ablate needs ablate.axis; valid axes: {valid}")
-    variants = ex.ablation_variants(axis)   # raises with the valid list
-    task = _task_from(config)
-    seeds = _seed_list(section, args.seed)
-    tc = _train_config(config, args.seed)
-    result = ex.ablation_run(axis, task, seeds, tc=tc)
+    task = run.read("task", ex.SynthTask)
+    tc = run.read("train", TrainConfig, seed=run.seed)
+    result = ex.ablation_run(section.axis, task, section.seeds, tc=tc)
 
-    rows_path = os.path.join(out, "ablation_rows.csv")
-    with open(rows_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "seed", "mae",
-                                                "rmse", "epochs_run"])
-        writer.writeheader()
-        writer.writerows(result["rows"])
-    summary_path = os.path.join(out, "ablation_summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "mean_mae", "std_mae",
-                                                "mean_rmse", "std_rmse", "n_seeds"])
-        writer.writeheader()
-        writer.writerows(result["summary"])
-    effective = {"ablate": {"axis": axis, "seeds": seeds},
-                 "task": dataclasses.asdict(task), "train": tc.to_dict(),
-                 "variants": [name for name, _ in variants]}
-    _write_manifest(out, args, effective, [rows_path, summary_path])
+    run.write_csv("ablation_rows.csv",
+                  ["variant", "seed", "mae", "rmse", "epochs_run"], result["rows"])
+    run.write_csv("ablation_summary.csv",
+                  ["variant", "mean_mae", "std_mae", "mean_rmse", "std_rmse",
+                   "n_seeds"], result["summary"])
+    run.effective["variants"] = result["variants"]
     for row in result["summary"]:
         print(f"{row['variant']:20s} mae {row['mean_mae']:.4f} "
               f"+/- {row['std_mae']:.4f}")
-    return 0
 
 
-def cmd_theory(args, config: dict) -> int:
-    out = _ensure_out(args)
-    section = _section(config, "theory")
-    report: dict = {}
+def cmd_theory(run: Run) -> None:
+    section = run.read("theory", TheorySection)
+    task = run.read("task", ex.SynthTask)
 
     # column-sampling projection bound
-    cs = section.get("column_sampling", {})
-    n, t = cs.get("n", 32), cs.get("t", 64)
-    k, s = cs.get("k", 4), cs.get("s", 32)
-    trials = cs.get("trials", 500)
-    rng = np.random.default_rng(args.seed)
-    a = rng.standard_normal((n, t))
-    w = rng.standard_normal((t, 3))
-    cs_report = column_sampling_check(a, w, k=k, s=s, trials=trials, seed=args.seed)
-    report["column_sampling"] = {
-        "n": n, "t": t, "k": k, "s": s, "trials": trials,
-        "mean_lhs": cs_report.mean_lhs, "max_lhs": cs_report.max_lhs,
-        "rhs": cs_report.rhs, "epsilon": cs_report.epsilon,
-        "violation_rate": cs_report.violation_rate,
-    }
+    cs = section.column_sampling
+    rng = np.random.default_rng(run.seed)
+    a = rng.standard_normal((cs.n, cs.t))
+    w = rng.standard_normal((cs.t, 3))
+    cs_report = column_sampling_check(a, w, k=cs.k, s=cs.s, trials=cs.trials,
+                                      seed=run.seed)
 
     # quadrature orthogonality per basis
-    ortho = {}
-    for basis in ex.BASIS_ORDER:
-        residuals = {}
-        for alpha in (0.5, 1.0, 2.0):
-            residuals[str(alpha)] = orthogonality_residual(basis, jmax=4,
-                                                           alpha=alpha)
-        ortho[basis] = residuals
-    report["orthogonality"] = ortho
+    ortho = {basis: {str(alpha): orthogonality_residual(basis, jmax=4, alpha=alpha)
+                     for alpha in (0.5, 1.0, 2.0)}
+             for basis in ex.BASIS_ORDER}
 
     # density fit on a synthetic snapshot
-    task = _task_from(config)
-    bundle = ex.prepare_synth(task, args.seed)
-    lap = normalized_laplacian(Adjacency(bundle.adjacency))
-    spectrum = eigendecompose(lap)
-    x_t = bundle.train_windows.inputs[0, :, -1, :]
-    density = signal_density(spectrum, x_t)
+    bundle = ex.prepare_synth(task, run.seed)
+    spectrum = eigendecompose(normalized_laplacian(Adjacency(bundle.adjacency)))
+    density = signal_density(spectrum, bundle.train_windows.inputs[0, :, -1, :])
     alpha_fit, alpha_residual = fit_weight_alpha(density)
-    report["density"] = {
-        "eigenvalues": spectrum.eigenvalues.tolist(),
-        "fitted_alpha": alpha_fit,
-        "fit_residual": alpha_residual,
-    }
 
     # basis convergence race
-    race_cfg = section.get("race", {})
-    seeds = _seed_list(race_cfg, args.seed) if "seeds" in race_cfg else [args.seed]
+    seeds = section.race.seeds or [run.seed]
     race_task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
-    race = ex.convergence_race(race_task, seeds,
-                               epochs=race_cfg.get("epochs", ex.RACE_PRESET["epochs"]),
-                               lr=race_cfg.get("lr", ex.RACE_PRESET["lr"]),
+    race = ex.convergence_race(race_task, seeds, epochs=section.race.epochs,
+                               lr=section.race.lr,
                                batch_size=ex.RACE_PRESET["batch_size"])
-    race_path = os.path.join(out, "race.csv")
-    with open(race_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch"] + list(race["bases"]))
-        curves = {b: np.mean(race["curves"][b], axis=0) for b in race["bases"]}
-        for epoch in range(race["epochs"]):
-            writer.writerow([epoch] + [repr(float(curves[b][epoch]))
-                                       for b in race["bases"]])
-    report["race"] = {"seeds": seeds, "epochs": race["epochs"], "lr": race["lr"],
-                      "final_losses": {b: [c[-1] for c in race["curves"][b]]
-                                       for b in race["bases"]}}
+    curves = [np.mean(race["curves"][b], axis=0) for b in race["bases"]]
+    run.write_csv("race.csv", ["epoch"] + list(race["bases"]),
+                  ([epoch] + [repr(float(c[epoch])) for c in curves]
+                   for epoch in range(race["epochs"])))
 
-    theory_path = os.path.join(out, "theory.json")
-    _write_json(theory_path, report)
-    effective = {"theory": section, "task": dataclasses.asdict(task)}
-    _write_manifest(out, args, effective, [theory_path, race_path])
+    _write_json(run.path("theory.json"), {
+        "column_sampling": {
+            **dataclasses.asdict(cs),
+            "mean_lhs": cs_report.mean_lhs, "max_lhs": cs_report.max_lhs,
+            "rhs": cs_report.rhs, "epsilon": cs_report.epsilon,
+            "violation_rate": cs_report.violation_rate},
+        "orthogonality": ortho,
+        "density": {"eigenvalues": spectrum.eigenvalues.tolist(),
+                    "fitted_alpha": alpha_fit, "fit_residual": alpha_residual},
+        "race": {"seeds": seeds, "epochs": race["epochs"], "lr": race["lr"],
+                 "final_losses": {b: [c[-1] for c in race["curves"][b]]
+                                  for b in race["bases"]}},
+    })
     print(f"column-sampling violation rate {cs_report.violation_rate:.3f}")
     print(f"fitted alpha {alpha_fit:.2f}")
     for basis in ex.BASIS_ORDER:
         print(f"orthogonality residual {basis:12s} alpha=1: "
               f"{ortho[basis]['1.0']:.2e}")
-    return 0
 
 
-def cmd_twl(args, config: dict) -> int:
-    out = _ensure_out(args)
-    section = _section(config, "twl")
-    left_path = section.get("left", fixture_path("wl_pair_left"))
-    right_path = section.get("right", fixture_path("wl_pair_right"))
-    steps = section.get("steps")
-    left = read_dtdg(left_path)
-    right = read_dtdg(right_path)
+def cmd_twl(run: Run) -> None:
+    section = run.read("twl", TwlSection)
+    steps = section.steps
+    left = read_dtdg(section.left)
+    right = read_dtdg(section.right)
 
     report = wl_test(left, right, steps=steps)
     lines = [f"wl_test: {report.verdict} (round {report.rounds})"]
@@ -404,9 +355,8 @@ def cmd_twl(args, config: dict) -> int:
                         for t in range(graph.n_steps)]
         lines.append(f"{name}: stable colors per snapshot {per_snapshot}")
 
-    pair = section.get("pair")
-    if pair is not None:
-        u, v, t = pair
+    if section.pair is not None:
+        u, v, t = section.pair
         verdict = distinguishable(left, u, v, t, steps=steps)
         lines.append(f"distinguishable(left, {u}, {v}, t={t}): {verdict}")
 
@@ -424,101 +374,53 @@ def cmd_twl(args, config: dict) -> int:
             lines.append(f"{name}: spectral conditions not applicable "
                          "(needs fixed topology and features)")
 
-    twl_path = os.path.join(out, "twl.json")
-    _write_json(twl_path, {
-        "left": str(left_path), "right": str(right_path),
-        "verdict": report.verdict, "rounds": report.rounds,
-        "spectral": spectral,
-    })
-    _write_manifest(out, args, {"twl": {"left": str(left_path),
-                                        "right": str(right_path),
-                                        "steps": steps}}, [twl_path])
+    _write_json(run.path("twl.json"), {
+        "left": section.left, "right": section.right, "verdict": report.verdict,
+        "rounds": report.rounds, "spectral": spectral})
     print("\n".join(lines))
-    return 0
 
 
-def cmd_synth(args, config: dict) -> int:
-    out = _ensure_out(args)
-    section = _section(config, "synth")
-    task = _task_from(config)
-    if not _section(config, "task"):
-        task = ex.SynthTask(noise_sigma=ex.SILHOUETTE_PRESET["noise_sigma"])
-    seeds = _seed_list(section, args.seed)
-    n_eval = section.get("n_eval", 8)
-    tc = _train_config(config, args.seed)
-    if "train" not in config:
-        tc = TrainConfig(lr=ex.SILHOUETTE_PRESET["lr"],
-                         epochs=ex.SILHOUETTE_PRESET["epochs"],
-                         batch_size=ex.SILHOUETTE_PRESET["batch_size"])
+def cmd_synth(run: Run) -> None:
+    preset = ex.SILHOUETTE_PRESET
+    section = run.read("synth", SynthSection,
+                       seeds=list(range(run.seed, run.seed + DEFAULT_SEEDS)))
+    # Without a task or train section the run takes the silhouette preset.
+    task = run.read("task", ex.SynthTask, **({} if run.config.get("task") else
+                                             {"noise_sigma": preset["noise_sigma"]}))
+    tc = run.read("train", TrainConfig, **(
+        {"seed": run.seed} if "train" in run.config else
+        {key: preset[key] for key in ("lr", "epochs", "batch_size")}))
 
-    rows = []
-    first = None
-    for seed in seeds:
-        result = ex.signed_groups_experiment(task, seed, tc=tc, n_eval=n_eval)
-        if first is None:
-            first = result
+    rows, first = [], None
+    for seed in section.seeds:
+        result = ex.signed_groups_experiment(task, seed, tc=tc, n_eval=section.n_eval)
+        first = first or result
         rows.append({"seed": seed,
                      "model_silhouette": result["model_silhouette"],
                      "control_silhouette": result["control_silhouette"],
                      "model_wins": result["model_silhouette"]
                                    > result["control_silhouette"]})
+    run.write_csv("silhouettes.csv", list(rows[0]), rows)
 
-    sil_path = os.path.join(out, "silhouettes.csv")
-    with open(sil_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["seed", "model_silhouette",
-                                                "control_silhouette", "model_wins"])
-        writer.writeheader()
-        writer.writerows(rows)
-
-    outputs = [sil_path]
     labels = first["labels"]
     for tag in ("model", "control"):
         wide = first[f"{tag}_embeddings"]
-        wide_path = os.path.join(out, f"embeddings_{tag}.csv")
-        with open(wide_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "group"]
-                            + [f"f{j}" for j in range(wide.shape[1])])
-            for i in range(wide.shape[0]):
-                writer.writerow([i, int(labels[i])]
-                                + [repr(float(v)) for v in wide[i]])
-        outputs.append(wide_path)
-
-        state = first[f"{tag}_state"]
-        cfg_tag = first[f"{tag}_config"]
+        run.write_csv(f"embeddings_{tag}.csv",
+                      ["node_id", "group"] + [f"f{j}" for j in range(wide.shape[1])],
+                      ([i, int(labels[i])] + [repr(float(v)) for v in wide[i]]
+                       for i in range(wide.shape[0])))
         last = first["bundle"].test_windows.inputs[-1]
-        rep = mc.embed(last, state, cfg_tag)
-        long_path = os.path.join(out, f"embeddings_{tag}_long.csv")
-        with open(long_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node_id", "t", "dim", "value"])
-            n, t_len, d = rep.shape
-            for node in range(n):
-                for step in range(t_len):
-                    for dim in range(d):
-                        writer.writerow([node, step, dim,
-                                         repr(float(rep[node, step, dim]))])
-        outputs.append(long_path)
+        rep = mc.embed(last, first[f"{tag}_state"], first[f"{tag}_config"])
+        run.write_csv(f"embeddings_{tag}_long.csv", ["node_id", "t", "dim", "value"],
+                      _long_rows(rep))
+    run.write_csv("labels.csv", ["node_id", "group"],
+                  ([i, int(g)] for i, g in enumerate(labels)))
 
-    labels_path = os.path.join(out, "labels.csv")
-    with open(labels_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "group"])
-        for i, g in enumerate(labels):
-            writer.writerow([i, int(g)])
-    outputs.append(labels_path)
-
-    wins = sum(r["model_wins"] for r in rows)
-    effective = {"synth": {"seeds": seeds, "n_eval": n_eval},
-                 "task": dataclasses.asdict(task), "train": tc.to_dict(),
-                 "dataset": dataset_manifest(first["bundle"].dataset, None,
-                                             task.ratios, seeds[0])}
-    _write_manifest(out, args, effective, outputs)
+    run.effective["dataset"] = first["bundle"].manifest(section.seeds[0])
     for r in rows:
         print(f"seed {r['seed']}: model {r['model_silhouette']:+.4f} "
               f"control {r['control_silhouette']:+.4f}")
-    print(f"model wins {wins}/{len(rows)}")
-    return 0
+    print(f"model wins {sum(r['model_wins'] for r in rows)}/{len(rows)}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args)
-        return args.func(args, config)
+        run = Run(args, load_config(args))
+        os.makedirs(run.out, exist_ok=True)
+        args.func(run)
+        run.write_manifest()
+        return 0
     except (ConfigError, ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -88,7 +88,7 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
     time_major: rows are time steps, columns variables; variable_major is
     the transpose. NaN/empty cells raise DataError unless impute="ffill",
     which forward-fills per variable (leading gaps take the first valid
-    value).
+    value). Infinite cells always raise DataError.
     """
     if layout not in ("time_major", "variable_major"):
         raise ParameterError(f"unknown layout {layout!r}")
@@ -123,6 +123,11 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
             raise DataError(f"{path}: line {line_no}: expected {width} columns,"
                             f" got {len(row)}")
     table = np.asarray([row for _, row in rows], dtype=np.float64)
+    infinite = np.argwhere(np.isinf(table))
+    if infinite.size:
+        r, c = infinite[0]
+        raise DataError(f"{path}: line {rows[r][0]}, column {c + 1}: "
+                        f"non-finite cell {table[r, c]!r}")
     if layout == "time_major":
         table = table.T  # -> (N, L)
     if np.isnan(table).any():

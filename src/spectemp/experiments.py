@@ -11,21 +11,25 @@ graph filter should beat a fixed low-pass one.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model_core as mc
-from .dataio import (Dataset, WindowSet, make_windows, mae, persistence_baseline,
-                     rmse, split, synth_signed_groups)
+from .dataio import (Dataset, NormStats, WindowSet, compute_norm_stats,
+                     dataset_manifest, load_csv, make_windows, mae, normalize,
+                     persistence_baseline, rmse, split, synth_signed_groups)
 from .errors import ConfigError, ParameterError
 from .model_core import ModelConfig, ModelState
 from .training import TrainConfig, TrainRun, evaluate, train
 
 __all__ = [
     "SynthTask",
+    "DataSource",
     "SynthBundle",
+    "prepare_data",
     "prepare_synth",
+    "fit",
     "task_model_config",
     "low_pass_control_state",
     "silhouette_score",
@@ -77,16 +81,30 @@ class SynthTask:
     lookback: int = 24
     horizon: int = 3
     stride: int = 1
-    ratios: tuple = (0.6, 0.2, 0.2)
+    ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     @property
     def n_nodes(self) -> int:
         return 2 * self.n_per_group
 
 
+@dataclass(frozen=True)
+class DataSource:
+    """Where the series come from: the synthetic task when ``csv`` is
+    unset, otherwise a CSV file (see ``dataio.load_csv``). ``ratios``
+    overrides the task's split; ``normalize`` is "none", "zscore" or
+    "minmax", with statistics from the training split."""
+
+    csv: str | None = None
+    layout: str = "time_major"
+    impute: str | None = None
+    normalize: str = "none"
+    ratios: tuple[float, float, float] | None = None
+
+
 @dataclass
 class SynthBundle:
-    """A prepared synthetic task: splits, windows, adjacency, labels."""
+    """A prepared task: splits, windows, adjacency, labels."""
 
     dataset: Dataset
     train_windows: WindowSet
@@ -95,20 +113,57 @@ class SynthBundle:
     adjacency: np.ndarray
     labels: np.ndarray
     train_values: np.ndarray
+    stats: NormStats | None         # training-split normalization, if any
+    ratios: tuple
+
+    def manifest(self, seed: int) -> dict:
+        return dataset_manifest(self.dataset, self.stats, self.ratios, seed)
 
 
-def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:
-    """Generate, split chronologically, window, and build the adjacency
+def prepare_data(task: SynthTask, seed: int,
+                 source: DataSource = DataSource()) -> SynthBundle:
+    """Generate (or load), split chronologically, normalize with
+    training-split statistics, window, and build the adjacency
     (window-level mean |correlation| over the training split only)."""
-    ds = synth_signed_groups(task.n_per_group, task.length,
-                             noise_sigma=task.noise_sigma, seed=seed,
-                             periods=task.periods)
-    train_ds, val_ds, test_ds = split(ds, task.ratios)
+    if source.csv is None:
+        ds = synth_signed_groups(task.n_per_group, task.length,
+                                 noise_sigma=task.noise_sigma, seed=seed,
+                                 periods=task.periods)
+    else:
+        ds = load_csv(source.csv, layout=source.layout, impute=source.impute)
+    ratios = tuple(source.ratios or task.ratios)
+    parts = split(ds, ratios)
+    stats = None
+    if source.normalize != "none":
+        stats = compute_norm_stats(parts[0], source.normalize)
+        parts = [normalize(part, stats) for part in parts]
+    train_ds, val_ds, test_ds = parts
     adjacency = mc.windowed_mean_correlation(train_ds.values, task.lookback).matrix
     w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
     return SynthBundle(dataset=ds, train_windows=w(train_ds), val_windows=w(val_ds),
                        test_windows=w(test_ds), adjacency=adjacency,
-                       labels=ds.labels, train_values=train_ds.values)
+                       labels=ds.labels, train_values=train_ds.values,
+                       stats=stats, ratios=ratios)
+
+
+def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:
+    """``prepare_data`` on the synthetic task."""
+    return prepare_data(task, seed)
+
+
+def fit(config: ModelConfig, tc: TrainConfig, bundle: SynthBundle, seed: int,
+        state: ModelState | None = None,
+        validate: bool = True) -> tuple[ModelState, TrainRun]:
+    """Train on the bundle's windows, starting from ``state`` or else from
+    a fresh state whose parameters ``seed`` draws (the adjacency follows
+    ``config.adjacency_mode``). Validates on the validation windows unless
+    ``validate`` is False."""
+    if state is None:
+        state = mc.init_state(config, bundle.dataset.n_variables, rng=seed,
+                              train_values=bundle.train_values,
+                              adjacency=bundle.adjacency)
+    return train(config, tc, bundle.train_windows,
+                 bundle.val_windows if validate else None, state=state)
 
 
 def task_model_config(task: SynthTask, **overrides) -> ModelConfig:
@@ -129,13 +184,10 @@ def low_pass_control_state(config: ModelConfig, n_nodes: int, seed: int,
     control_cfg = dataclasses.replace(config, degree=1, basis="gegenbauer",
                                       alpha=1.0, jacobi_a=None, jacobi_b=None)
     state = mc.init_state(control_cfg, n_nodes, rng=seed, adjacency=adjacency)
-    frozen = set()
-    for m in range(control_cfg.blocks):
-        width = state.params[f"block{m}.theta"].shape[1]
-        state.params[f"block{m}.theta"] = np.repeat(
-            np.array([[0.5], [0.25]]), width, axis=1)
-        frozen.add(f"block{m}.theta")
-    state.frozen = frozenset(frozen)
+    state.frozen = frozenset(f"block{m}.theta" for m in range(control_cfg.blocks))
+    for name in state.frozen:
+        state.params[name] = np.repeat(np.array([[0.5], [0.25]]),
+                                       state.params[name].shape[1], axis=1)
     return state, control_cfg
 
 
@@ -179,8 +231,7 @@ def embedding_matrix(state: ModelState, config: ModelConfig, windows: WindowSet,
     picks = np.unique(np.linspace(0, windows.count - 1,
                                   min(n_eval, windows.count), dtype=int))
     reps = mc.embed(windows.inputs[picks], state, config)   # (P, N, T, D)
-    p, n = reps.shape[0], reps.shape[1]
-    return np.transpose(reps, (1, 0, 2, 3)).reshape(n, -1)
+    return np.transpose(reps, (1, 0, 2, 3)).reshape(reps.shape[1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +244,16 @@ def signed_groups_experiment(task: SynthTask, seed: int,
     """Train the full model and the frozen low-pass control on the same
     data, then compare silhouette scores of their test-window embeddings
     on the group labels."""
-    tc = tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64, seed=seed)
-    tc = dataclasses.replace(tc, seed=seed)
+    tc = dataclasses.replace(tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64),
+                             seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
 
-    model_state = mc.init_state(config, task.n_nodes, rng=seed,
-                                adjacency=bundle.adjacency)
-    model_state, model_run = train(config, tc, bundle.train_windows,
-                                   bundle.val_windows, state=model_state)
+    model_state, model_run = fit(config, tc, bundle, seed)
     control_state, control_cfg = low_pass_control_state(config, task.n_nodes,
                                                         seed, bundle.adjacency)
-    control_state, control_run = train(control_cfg, tc, bundle.train_windows,
-                                       bundle.val_windows, state=control_state)
+    control_state, control_run = fit(control_cfg, tc, bundle, seed,
+                                     state=control_state)
 
     model_emb = embedding_matrix(model_state, config, bundle.test_windows, n_eval)
     control_emb = embedding_matrix(control_state, control_cfg,
@@ -234,12 +282,10 @@ def convergence_race(task: SynthTask, seeds, bases=BASIS_ORDER, epochs: int = 20
     curves = {basis: [] for basis in bases}
     for seed in seeds:
         bundle = prepare_synth(task, seed)
+        tc = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
         for basis in bases:
             config = task_model_config(task, basis=basis)
-            tc = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-            state = mc.init_state(config, task.n_nodes, rng=seed,
-                                  adjacency=bundle.adjacency)
-            _, run = train(config, tc, bundle.train_windows, None, state=state)
+            _, run = fit(config, tc, bundle, seed, validate=False)
             curves[basis].append(list(run.epoch_losses))
     return {"bases": list(bases), "seeds": list(seeds), "curves": curves,
             "epochs": epochs, "lr": lr}
@@ -261,13 +307,11 @@ def forecast_experiment(task: SynthTask, seed: int,
                         tc: TrainConfig | None = None) -> dict:
     """Full-model forecasting on the synthetic task, judged on the test
     split against the persistence baseline."""
-    tc = tc or TrainConfig(lr=3e-3, epochs=40, batch_size=64, seed=seed)
-    tc = dataclasses.replace(tc, seed=seed)
+    tc = dataclasses.replace(tc or TrainConfig(lr=3e-3, epochs=40, batch_size=64),
+                             seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
-    state = mc.init_state(config, task.n_nodes, rng=seed, adjacency=bundle.adjacency)
-    state, run = train(config, tc, bundle.train_windows, bundle.val_windows,
-                       state=state)
+    state, run = fit(config, tc, bundle, seed)
     scores = evaluate(state, config, bundle.test_windows)
     naive = persistence_baseline(bundle.test_windows)
     base_mae = mae(naive, bundle.test_windows.targets)
@@ -314,36 +358,40 @@ def ablation_variants(axis: str) -> list[tuple[str, dict]]:
         f"unknown ablation axis {axis!r}; valid axes: basis, structure, nonlinearity")
 
 
+def _variant_rows(task: SynthTask, variants, seeds,
+                  tc: TrainConfig | None) -> list[dict]:
+    """Train every (name, overrides) variant on each seed's bundle and
+    score test MAE and RMSE, one row per (seed, variant)."""
+    base_tc = tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64)
+    rows = []
+    for seed in seeds:
+        bundle = prepare_synth(task, seed)
+        run_tc = dataclasses.replace(base_tc, seed=seed)
+        for name, overrides in variants:
+            config = task_model_config(task, **overrides)
+            state, run = fit(config, run_tc, bundle, seed)
+            scores = evaluate(state, config, bundle.test_windows)
+            rows.append({"variant": name, "seed": seed,
+                         "mae": scores["mae"], "rmse": scores["rmse"],
+                         "epochs_run": run.epochs_run})
+    return rows
+
+
 def ablation_run(axis: str, task: SynthTask, seeds,
                  tc: TrainConfig | None = None) -> dict:
     """Train every variant of one axis across the seeds and score test MAE
     and RMSE. Rows come back per (variant, seed) plus per-variant means."""
     variants = ablation_variants(axis)
-    base_tc = tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64)
-    rows = []
-    for seed in seeds:
-        bundle = prepare_synth(task, seed)
-        for name, overrides in variants:
-            config = task_model_config(task, **overrides)
-            run_tc = dataclasses.replace(base_tc, seed=seed)
-            state = mc.init_state(config, task.n_nodes, rng=seed,
-                                  adjacency=bundle.adjacency)
-            state, run = train(config, run_tc, bundle.train_windows,
-                               bundle.val_windows, state=state)
-            scores = evaluate(state, config, bundle.test_windows)
-            rows.append({"variant": name, "seed": seed,
-                         "mae": scores["mae"], "rmse": scores["rmse"],
-                         "epochs_run": run.epochs_run})
+    rows = _variant_rows(task, variants, seeds, tc)
     summary = []
     for name, _ in variants:
-        maes = [r["mae"] for r in rows if r["variant"] == name]
-        rmses = [r["rmse"] for r in rows if r["variant"] == name]
-        summary.append({"variant": name,
-                        "mean_mae": float(np.mean(maes)),
-                        "std_mae": float(np.std(maes)),
-                        "mean_rmse": float(np.mean(rmses)),
-                        "std_rmse": float(np.std(rmses)),
-                        "n_seeds": len(maes)})
+        picked = [r for r in rows if r["variant"] == name]
+        entry = {"variant": name}
+        for metric in ("mae", "rmse"):
+            values = [r[metric] for r in picked]
+            entry[f"mean_{metric}"] = float(np.mean(values))
+            entry[f"std_{metric}"] = float(np.std(values))
+        summary.append({**entry, "n_seeds": len(picked)})
     return {"axis": axis, "rows": rows, "summary": summary,
             "variants": [name for name, _ in variants]}
 
@@ -358,20 +406,13 @@ def ablation_direction_check(variant: str, seeds,
                           f"expected one of {sorted(ABLATION_PRESETS)}")
     seeds = list(seeds)
     preset = ABLATION_PRESETS[variant]
-    task = SynthTask(**preset["task"])
-    base_tc = tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64)
-    full_mae, ablated_mae = [], []
-    for seed in seeds:
-        bundle = prepare_synth(task, seed)
-        run_tc = dataclasses.replace(base_tc, seed=seed)
-        for bucket, extra in ((full_mae, {}), (ablated_mae, preset["override"])):
-            config = task_model_config(task, **preset["config"], **extra)
-            state = mc.init_state(config, task.n_nodes, rng=seed,
-                                  adjacency=bundle.adjacency)
-            state, _ = train(config, run_tc, bundle.train_windows,
-                             bundle.val_windows, state=state)
-            bucket.append(evaluate(state, config, bundle.test_windows)["mae"])
-    worse = [ablated_mae[i] > full_mae[i] for i in range(len(seeds))]
+    rows = _variant_rows(SynthTask(**preset["task"]),
+                         [("full", preset["config"]),
+                          ("ablated", {**preset["config"], **preset["override"]})],
+                         seeds, tc)
+    full_mae, ablated_mae = ([r["mae"] for r in rows if r["variant"] == name]
+                             for name in ("full", "ablated"))
+    worse = [a > f for f, a in zip(full_mae, ablated_mae)]
     return {"variant": variant, "seeds": seeds, "full_mae": full_mae,
             "ablated_mae": ablated_mae, "worse": worse,
             "n_worse": int(sum(worse))}

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import read_section
 from .errors import ConfigError, DataError, ParameterError, ShapeError
 from .frequency_temporal import lowest_modes, moving_average_matrix
 from .spectral_graph import (Adjacency, Recurrence, basis_recurrence,
@@ -121,11 +122,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        return cls(**data)
+        return read_section(cls, data, "model")
 
 
 @dataclass
@@ -238,6 +235,39 @@ def _draw_modes(config: ModelConfig, rng: np.random.Generator) -> np.ndarray:
     return np.sort(idx).astype(np.intp)
 
 
+def _parameter_layout(config: ModelConfig, n_nodes: int) -> dict:
+    """Name -> (shape, initial) for every parameter, in ``init_state``'s
+    draw order. ``initial`` maps a standard-normal draw of that shape to
+    the parameter's identity-plus-noise starting value."""
+    t, d, s = config.lookback, config.n_dims, config.n_modes
+    # Noise scale keeps near-identity blocks within a few percent of the
+    # identity map even after the polynomial stack amplifies order-k terms.
+    sigma = 0.004
+    noise = lambda z: sigma * z
+    near = lambda base: lambda z: base + sigma * z
+
+    theta_width = 1 if config.share_theta_dims else d
+    filter_shape = (1 if config.share_filter_vars else n_nodes,
+                    1 if config.share_filter_dims else d, s, s)
+    layout = {}
+    if config.adjacency_mode == "learned":
+        layout["adjacency.embed"] = ((t * d, config.embed_dim), noise)
+    for m in range(config.blocks):
+        layout[f"block{m}.theta"] = ((config.degree + 1, theta_width),
+                                     near(_identity_coefficients(config, theta_width)))
+        if config.use_coarse:
+            layout[f"block{m}.coarse_re"] = (filter_shape, near(np.eye(s)[None, None]))
+            layout[f"block{m}.coarse_im"] = (filter_shape, noise)
+        if config.use_fine and config.attention_enabled:
+            for tag in ("q", "k", "v"):
+                layout[f"block{m}.attn_{tag}"] = ((t, t), near(np.eye(t)))
+        elif config.use_fine:
+            layout[f"block{m}.fine_re"] = (filter_shape, near(np.eye(s)[None, None]))
+            layout[f"block{m}.fine_im"] = (filter_shape, noise)
+    layout["head.weight"] = ((t * d, config.horizon * d), lambda z: z / np.sqrt(t * d))
+    return layout
+
+
 def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int,
                train_values: np.ndarray | None = None,
                adjacency: np.ndarray | Adjacency | None = None) -> ModelState:
@@ -249,13 +279,7 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    t, d, s = config.lookback, config.n_dims, config.n_modes
-    # Noise scale keeps near-identity blocks within a few percent of the
-    # identity map even after the polynomial stack amplifies order-k terms.
-    sigma = 0.004
-
     a_hat = lap = None
-    params: dict[str, np.ndarray] = {}
     if config.adjacency_mode == "provided":
         if adjacency is None:
             raise ConfigError("provided adjacency mode needs an adjacency")
@@ -272,43 +296,17 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
             raise ShapeError("training values variable count does not match n_nodes")
         lap = normalized_laplacian(adj)
         a_hat = np.eye(n_nodes) - lap
-    else:
-        params["adjacency.embed"] = sigma * rng.standard_normal((t * d, config.embed_dim))
 
-    theta_width = 1 if config.share_theta_dims else d
-    filter_vars = 1 if config.share_filter_vars else n_nodes
-    filter_dims = 1 if config.share_filter_dims else d
-
+    params: dict[str, np.ndarray] = {}
     mode_sets = []
-    for m in range(config.blocks):
-        idx_coarse = _draw_modes(config, rng)
-        idx_fine = _draw_modes(config, rng)
-        mode_sets.append((idx_coarse, idx_fine))
-        params[f"block{m}.theta"] = (_identity_coefficients(config, theta_width)
-                                     + sigma * rng.standard_normal((config.degree + 1,
-                                                                    theta_width)))
-        if config.use_coarse:
-            params[f"block{m}.coarse_re"] = (np.eye(s)[None, None]
-                                             + sigma * rng.standard_normal(
-                                                 (filter_vars, filter_dims, s, s)))
-            params[f"block{m}.coarse_im"] = sigma * rng.standard_normal(
-                (filter_vars, filter_dims, s, s))
-        if config.use_fine:
-            if config.attention_enabled:
-                for tag in ("q", "k", "v"):
-                    params[f"block{m}.attn_{tag}"] = (np.eye(t)
-                                                      + sigma * rng.standard_normal((t, t)))
-            else:
-                params[f"block{m}.fine_re"] = (np.eye(s)[None, None]
-                                               + sigma * rng.standard_normal(
-                                                   (filter_vars, filter_dims, s, s)))
-                params[f"block{m}.fine_im"] = sigma * rng.standard_normal(
-                    (filter_vars, filter_dims, s, s))
-
-    params["head.weight"] = rng.standard_normal((t * d, config.horizon * d)) / np.sqrt(t * d)
+    for name, (shape, initial) in _parameter_layout(config, n_nodes).items():
+        if name.endswith(".theta"):     # each block draws its mode sets first
+            mode_sets.append((_draw_modes(config, rng), _draw_modes(config, rng)))
+        params[name] = initial(rng.standard_normal(shape))
 
     projector_matrix = None
     if config.projector == "random":
+        t = config.lookback
         raw = rng.standard_normal((t, t))
         q, r = np.linalg.qr(raw)
         projector_matrix = q * np.sign(np.diag(r))[None, :]
@@ -405,6 +403,10 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
     if n != state.n_nodes:
         raise ShapeError(f"window has {n} variables but the model state was "
                          f"built for {state.n_nodes}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        window, node = np.argwhere(~finite)[0][:2]
+        raise DataError(f"window {window}, node {node} holds a non-finite value")
     if config.adjacency_mode == "learned":
         operator, laplacian = _learned_operators(params, x, config)
     else:
@@ -640,10 +642,23 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
             raise malformed(f"array {name!r} has shape {shape} but {count} values")
         flat = np.frombuffer(payload, dtype="<f8", offset=start, count=count)
         arrays[name] = flat.reshape(shape).astype(np.float64)
-    for key in ("meta.a_hat", "meta.laplacian"):
-        if key in arrays and arrays[key].shape != (n_nodes, n_nodes):
-            raise malformed(f"{key} has shape {arrays[key].shape}, "
-                            f"expected ({n_nodes}, {n_nodes})")
+    expected = {name: shape for name, (shape, _)
+                in _parameter_layout(config, n_nodes).items()}
+    for m in range(config.blocks):
+        expected[f"meta.modes{m}.coarse"] = expected[f"meta.modes{m}.fine"] = (
+            config.n_modes,)
+    if config.adjacency_mode != "learned":
+        expected["meta.a_hat"] = expected["meta.laplacian"] = (n_nodes, n_nodes)
+    if config.projector == "random":
+        expected["meta.projector"] = (config.lookback, config.lookback)
+    missing = sorted(set(expected) - set(arrays))
+    extra = sorted(set(arrays) - set(expected))
+    if missing or extra:
+        raise malformed(f"arrays do not match the config: missing {missing}, "
+                        f"unexpected {extra}")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise malformed(f"{name} has shape {arrays[name].shape}, expected {shape}")
     frozen = header.get("frozen", [])
     if not (isinstance(frozen, list) and all(isinstance(f, str) for f in frozen)):
         raise malformed("frozen must list parameter names")
@@ -652,10 +667,9 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     for m in range(config.blocks):
         stages = []
         for stage in ("coarse", "fine"):
-            idx = arrays.get(f"meta.modes{m}.{stage}")
-            if (idx is None or idx.ndim != 1
-                    or not np.all((idx == np.floor(idx)) & (idx >= 0)
-                                  & (idx < config.lookback))):
+            idx = arrays[f"meta.modes{m}.{stage}"]
+            if not np.all((idx == np.floor(idx)) & (idx >= 0)
+                          & (idx < config.lookback)):
                 raise malformed(f"meta.modes{m}.{stage} must list integer mode "
                                 f"indices in [0, {config.lookback})")
             stages.append(idx.astype(np.intp))

@@ -199,6 +199,36 @@ def test_checkpoint_node_count_mismatch_exits_2(tmp_path, capsys,
     assert "6 variables" in err and "built for 4" in err
 
 
+# Each of these used to end in a traceback (or, for twl.stepz, pass
+# silently); each must now be a typed error with its exit code.
+BAD_RUNS = {
+    "twl pair of two": (["twl", "--set", "twl.pair=[0,2]"], 2),
+    "twl steps not int": (["twl", "--set", "twl.steps=x"], 2),
+    "twl unknown key": (["twl", "--set", "twl.stepz=3"], 2),
+    "column sampling not a section": (
+        ["theory", "--set", "theory.column_sampling=5"], 2),
+    "column sampling n not int": (
+        ["theory", "--set", "theory.column_sampling.n=a"], 2),
+    "task lookback not int": (["train", "--set", "task.lookback=x"], 2),
+    "model n_modes a string": (["train", "--set", 'model.n_modes="5"'], 2),
+    "misspelt section": (["train", "--set", "trian.epochs=1"], 2),
+    "checkpoint with renamed parameter": (["forecast"], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
+                                                trained_checkpoint):
+    argv, code = BAD_RUNS[case]
+    ckpt = tmp_path / "model.stck"
+    ckpt.write_bytes(trained_checkpoint.replace(b"block0.fine_re",
+                                                b"block0.fine_rf"))
+    cfg = write_config(tmp_path, {**TINY, "forecast": {"checkpoint": str(ckpt)}})
+    assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == code
+    prefix = "data error: " if code == 3 else "error: "
+    assert capsys.readouterr().err.startswith(prefix)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergent_training_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {**TINY,

@@ -36,6 +36,14 @@ def test_load_csv_rejects_nan_by_default(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "1e999"])
+def test_load_csv_rejects_infinite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b\n1.0,2.0\n3.0,{cell}\n")
+    with pytest.raises(DataError, match="line 3, column 2"):
+        load_csv(path, impute="ffill")
+
+
 def test_load_csv_ffill_imputation(tmp_path):
     path = tmp_path / "gappy.csv"
     path.write_text("1.0,2.0\nnan,3.0\n5.0,4.0\n")

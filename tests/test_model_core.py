@@ -69,6 +69,11 @@ def test_config_dict_roundtrip():
     assert back == config
     with pytest.raises(ConfigError):
         mc.ModelConfig.from_dict({**config.to_dict(), "wormhole": 1})
+    assert mc.ModelConfig.from_dict({"alpha": 2, "use_relu": None}).alpha == 2
+    for key, value in (("degree", True), ("degree", 2.0), ("alpha", "1"),
+                       ("use_relu", 1), ("basis", 3), ("jacobi_a", [0.5])):
+        with pytest.raises(ConfigError, match=f"model.{key} must be"):
+            mc.ModelConfig.from_dict({key: value})
 
 
 def test_variant_defaults():
@@ -319,6 +324,16 @@ def test_forward_rejects_node_count_mismatch():
             mc.forward(batch_input(28, 2, 6, 8, 2), state, config)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_windows(bad):
+    for mode in ("provided", "learned"):
+        state, config = small_state(seed=29, n=5, adjacency_mode=mode)
+        x = batch_input(29, 3, 5, 8, 2)
+        x[2, 4, 6, 1] = bad
+        with pytest.raises(DataError, match="window 2, node 4"):
+            mc.forward(x, state, config)
+
+
 def test_reported_loss_scales_out_width():
     predicted = np.ones((2, 3, 4))
     actual = np.zeros((2, 3, 4))
@@ -422,6 +437,17 @@ CORRUPTIONS = {
     "fractional mode index": lambda raw: _poke(raw, "meta.modes1.coarse", 1.5),
     "missing mode array": lambda raw: _rewrite_header(
         raw, lambda h: h["arrays"].remove(_entry(h, "meta.modes1.coarse"))),
+    "renamed parameter": lambda raw: raw.replace(b"block0.fine_re", b"block0.fine_rf"),
+    "extra parameter": lambda raw: _rewrite_header(
+        raw, lambda h: h["arrays"].append({**_entry(h, "head.weight"),
+                                           "name": "head.bias"})),
+    "parameter shape disagrees with config": lambda raw: _rewrite_header(
+        raw, lambda h: _entry(h, "head.weight").update(
+            shape=[_entry(h, "head.weight")["count"], 1])),
+    "mode count disagrees with config": lambda raw: _rewrite_header(
+        raw, lambda h: _entry(h, "meta.modes0.fine").update(shape=[2], count=2)),
+    "adjacency missing": lambda raw: _rewrite_header(
+        raw, lambda h: h["arrays"].remove(_entry(h, "meta.a_hat"))),
 }
 
 

@@ -1,0 +1,148 @@
+"""Property tests: permutation equivariance of the forecaster, relabelling
+invariance of the temporal WL test, and checkpoint byte fuzzing.
+
+Hypothesis runs derandomized with a small example budget, so the suite
+stays deterministic and fast."""
+
+import functools
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spectemp import model_core as mc
+from spectemp.errors import DataError, SpectempError
+from spectemp.experiments import BASIS_ORDER
+from spectemp.temporal_wl import DTDG, wl_test
+
+PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# permutation equivariance
+# ---------------------------------------------------------------------------
+
+@st.composite
+def permuted_problem(draw):
+    n = draw(st.integers(3, 6))
+    perm = np.array(draw(st.permutations(range(n))))
+    seed = draw(st.integers(0, 2 ** 16))
+    return n, perm, seed
+
+
+@PROPERTY
+@given(problem=permuted_problem(), basis=st.sampled_from(BASIS_ORDER),
+       variant=st.sampled_from(["linear", "nonlinear"]),
+       mode=st.sampled_from(["provided", "learned"]))
+def test_forward_is_permutation_equivariant(problem, basis, variant, mode):
+    """Relabelling the nodes of the window (and of the provided adjacency)
+    relabels the forecast the same way when the temporal filters are
+    shared across nodes."""
+    n, perm, seed = problem
+    config = mc.ModelConfig(lookback=8, horizon=2, n_dims=2, blocks=2, degree=3,
+                            n_modes=4, basis=basis, variant=variant,
+                            adjacency_mode=mode, share_filter_vars=True)
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+    adjacency = upper + upper.T
+    x = rng.standard_normal((3, n, 8, 2))
+    state = mc.init_state(config, n, rng=seed, adjacency=adjacency)
+    permuted = mc.init_state(config, n, rng=seed,
+                             adjacency=adjacency[perm][:, perm])
+    np.testing.assert_allclose(mc.forward(x[:, perm], permuted, config),
+                               mc.forward(x, state, config)[:, perm],
+                               rtol=1e-9, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# temporal WL under relabelling
+# ---------------------------------------------------------------------------
+
+@st.composite
+def dynamic_graph_pair(draw):
+    n = draw(st.integers(2, 6))
+    steps = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def graph():
+        edges = tuple(tuple(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+                      for _ in range(steps))
+        features = None
+        if draw(st.booleans()):
+            features = np.array(draw(st.lists(st.integers(0, 1),
+                                              min_size=n * steps,
+                                              max_size=n * steps)),
+                                dtype=float).reshape(n, steps)
+        return DTDG(n, edges, features)
+
+    g1 = graph()
+    g2 = graph() if draw(st.booleans()) else g1
+    perm = np.array(draw(st.permutations(range(n))))
+    return g1, g2, perm
+
+
+@PROPERTY
+@given(graphs=dynamic_graph_pair())
+def test_wl_verdict_is_invariant_under_relabelling(graphs):
+    g1, g2, perm = graphs
+    report = wl_test(g1, g2)
+    assert wl_test(g1.permuted(perm), g2) == report
+    assert wl_test(g1, g2.permuted(perm)) == report
+
+
+# ---------------------------------------------------------------------------
+# checkpoint fuzzing
+# ---------------------------------------------------------------------------
+
+CHECKPOINT_CONFIG = mc.ModelConfig(lookback=8, horizon=2, n_dims=1, blocks=2,
+                                   degree=2, n_modes=3, adjacency_mode="provided")
+
+
+@functools.lru_cache(maxsize=1)
+def checkpoint_bytes() -> bytes:
+    adjacency = np.ones((4, 4)) - np.eye(4)
+    state = mc.init_state(CHECKPOINT_CONFIG, 4, rng=0, adjacency=adjacency)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "model.stck")
+        mc.save_checkpoint(path, state, CHECKPOINT_CONFIG)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@st.composite
+def mutated_checkpoint(draw):
+    """A truncated checkpoint, or one with one to three bytes flipped;
+    half the flips land in the JSON header (names, shapes, config)."""
+    raw = checkpoint_bytes()
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    header_end = 16 + int.from_bytes(raw[8:16], "little")
+    data = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        position = draw(st.one_of(st.integers(0, header_end - 1),
+                                  st.integers(0, len(raw) - 1)))
+        data[position] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw=mutated_checkpoint())
+def test_mutated_checkpoints_fail_only_with_data_error(raw):
+    """Truncated or byte-flipped checkpoints either raise DataError or load
+    into a state that forecasts (or fails with a package error)."""
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "model.stck")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        try:
+            state, config = mc.load_checkpoint(path)
+        except DataError:
+            return
+    x = np.random.default_rng(1).standard_normal((2, 4, config.lookback,
+                                                  config.n_dims))
+    try:
+        mc.forward(x, state, config)
+    except SpectempError:
+        pass
