@@ -9,11 +9,17 @@ real/imaginary parts by the caller.
 The op set is exactly what the forecasting model needs: broadcast
 elementwise arithmetic, relu/softmax, safe reciprocal square root for
 degree normalization, and bilinear contractions, each one ``_contract``
-call that derives its VJP subscripts from its einsum subscripts. Shapes
-follow the model convention (batch, node, time, dim).
+call that derives its VJP subscripts from its einsum subscripts. Every
+contraction, forward or VJP, runs as one broadcasting ``np.matmul``: a plan
+made once per subscript string sorts the axes into batch, summed and free
+axes and says how to transpose and reshape the operands into
+(batch..., M, K) @ (batch..., K, N) and the product back to the output
+order. Shapes follow the model convention (batch, node, time, dim).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -93,9 +99,9 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = vjp(node.grad)
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad = parent.grad + contrib
+                # The first contribution may be a view another parent also
+                # holds, so every later one is added out of place.
+                parent.grad = contrib if parent.grad is None else parent.grad + contrib
         return self
 
     def __repr__(self):
@@ -230,20 +236,66 @@ def rsqrt_safe(a):
 # bilinear contractions for the (batch, node, time, dim) layout
 # ---------------------------------------------------------------------------
 
-def _contract(spec, a, b):
-    """Einsum ``spec`` ("sa,sb->so") of two operands as one tape node.
+_PLANS = {}
 
-    Its VJPs, einsum("so,sb->sa", g, b) and einsum("sa,so->sb", a, g), are
-    summed back to each operand's shape, so size-1 axes broadcast. Every
-    operand axis must appear in the other operand or in the output.
+
+def _plan(spec):
+    """Matmul plan for the two-operand contraction ``spec`` ("sa,sb->so").
+
+    Batch axes are in both operands and the output, summed axes in both
+    operands only, free axes in one operand and the output. Returns the
+    permutations that bring ``a`` to (batch, free_a, summed) and ``b`` to
+    (batch, summed, free_b), the three axis counts, and the permutation
+    from (batch, free_a, free_b) to the output order. Plans are cached by
+    ``spec``; each is a tuple, so sharing one is safe.
+    """
+    plan = _PLANS.get(spec)
+    if plan is None:
+        a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
+        batch = [c for c in out_sub if c in a_sub and c in b_sub]
+        free_a = [c for c in out_sub if c in a_sub and c not in b_sub]
+        free_b = [c for c in out_sub if c in b_sub and c not in a_sub]
+        summed = [c for c in a_sub if c in b_sub and c not in out_sub]
+        plan = _PLANS[spec] = (
+            tuple(a_sub.index(c) for c in batch + free_a + summed),
+            tuple(b_sub.index(c) for c in batch + summed + free_b),
+            len(batch), len(free_a), len(summed),
+            tuple((batch + free_a + free_b).index(c) for c in out_sub),
+        )
+    return plan
+
+
+def _matmul(spec, a, b):
+    """Arrays ``a`` and ``b`` contracted by ``spec`` as one ``np.matmul``.
+
+    Batch axes stay unflattened, so size-1 batch axes broadcast as in
+    numpy; free and summed axes are flattened into the M, K and N axes.
+    """
+    perm_a, perm_b, n_batch, n_free_a, n_summed, perm_out = _plan(spec)
+    a, b = a.transpose(perm_a), b.transpose(perm_b)
+    free_a = a.shape[n_batch:n_batch + n_free_a]
+    free_b = b.shape[n_batch + n_summed:]
+    k = math.prod(a.shape[n_batch + n_free_a:])
+    out = np.matmul(a.reshape(a.shape[:n_batch] + (math.prod(free_a), k)),
+                    b.reshape(b.shape[:n_batch] + (k, math.prod(free_b))))
+    return out.reshape(out.shape[:n_batch] + free_a + free_b).transpose(perm_out)
+
+
+def _contract(spec, a, b):
+    """Contraction ``spec`` ("sa,sb->so") of two operands as one tape node.
+
+    Its VJPs contract by "so,sb->sa" (with ``g`` and ``b``) and "sa,so->sb"
+    (with ``a`` and ``g``) and are summed back to each operand's shape, so
+    size-1 axes broadcast. Forward and VJPs each run as one ``_matmul``.
+    Every operand axis must appear in the other operand or in the output.
     """
     a, b = as_tensor(a), as_tensor(b)
     a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
-    return _node(np.einsum(spec, a.data, b.data), [
+    return _node(_matmul(spec, a.data, b.data), [
         (a, lambda g: _unbroadcast(
-            np.einsum(f"{out_sub},{b_sub}->{a_sub}", g, b.data), a.data.shape)),
+            _matmul(f"{out_sub},{b_sub}->{a_sub}", g, b.data), a.data.shape)),
         (b, lambda g: _unbroadcast(
-            np.einsum(f"{a_sub},{out_sub}->{b_sub}", a.data, g), b.data.shape)),
+            _matmul(f"{a_sub},{out_sub}->{b_sub}", a.data, g), b.data.shape)),
     ])
 
 

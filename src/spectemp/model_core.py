@@ -41,6 +41,7 @@ __all__ = [
     "windowed_mean_correlation",
     "init_state",
     "forward",
+    "require_finite_windows",
     "embed",
     "tggc_block",
     "loss",
@@ -393,6 +394,15 @@ def _attention_stage(trend, seasonal, params, prefix, mats, config: ModelConfig,
     return ad.add(trend, rebuilt)
 
 
+def require_finite_windows(x: np.ndarray) -> None:
+    """Raise DataError naming the window and node of the first non-finite
+    value in a (B, N, T, D) window stack."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        window, node = np.argwhere(~finite)[0][:2]
+        raise DataError(f"window {window}, node {node} holds a non-finite value")
+
+
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
                    config: ModelConfig):
     """Tape forward; returns (prediction node, final representation node)."""
@@ -403,10 +413,7 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
     if n != state.n_nodes:
         raise ShapeError(f"window has {n} variables but the model state was "
                          f"built for {state.n_nodes}")
-    finite = np.isfinite(x)
-    if not finite.all():
-        window, node = np.argwhere(~finite)[0][:2]
-        raise DataError(f"window {window}, node {node} holds a non-finite value")
+    require_finite_windows(x)
     if config.adjacency_mode == "learned":
         operator, laplacian = _learned_operators(params, x, config)
     else:

@@ -145,6 +145,7 @@ def evaluate(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
     """
     if windows.count == 0:
         raise DataError("cannot evaluate on an empty window set")
+    mc.require_finite_windows(windows.inputs)
     preds = []
     for start in range(0, windows.count, chunk):
         preds.append(mc.forward(windows.inputs[start:start + chunk], state, config))
@@ -178,6 +179,9 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     """
     if train_windows.count == 0:
         raise DataError("cannot train on an empty window set")
+    # Checked here, not per batch, so an error names the window's index in
+    # the set passed in; `evaluate` does the same for the validation set.
+    mc.require_finite_windows(train_windows.inputs)
     rng = np.random.default_rng(tc.seed)
     if state is None:
         n_nodes = train_windows.inputs.shape[1]

@@ -1,5 +1,7 @@
 """Finite-difference checks for every reverse-mode op, plus tape mechanics."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,67 @@ def test_embed_map_and_pair_scores():
     check_op(lambda t: ad.embed_map(t[0], t[1]), [x, w])
     e = rng_arrays(17, (2, 5, 3))[0]
     check_op(lambda t: ad.pair_scores(t[0]), [e])
+
+
+# (spec, {subscripts: shape override}) for every contraction the tape runs;
+# overrides give the size-1 axes of shared mode-filter weights.
+SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5)
+CONTRACTIONS = [
+    ("ij,bjtd->bitd", {}),
+    ("bij,bjtd->bitd", {}),
+    ("ij,bnjd->bnid", {}),
+    ("bnid,ndij->bnjd", {}),
+    ("bnid,ndij->bnjd", {"ndij": (1, 2, 5, 6)}),
+    ("bnid,ndij->bnjd", {"ndij": (4, 1, 5, 6)}),
+    ("bnid,ndij->bnjd", {"ndij": (1, 1, 5, 6)}),
+    ("bnid,bnjd->bnij", {}),
+    ("bnij,bnjd->bnid", {}),
+    ("bnk,kl->bnl", {}),
+    ("bne,bme->bnm", {}),
+]
+
+
+def _contraction_specs(spec):
+    """The forward spec and the two VJP specs `_contract` derives from it."""
+    a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
+    return [(spec, a_sub, b_sub),
+            (f"{out_sub},{b_sub}->{a_sub}", out_sub, b_sub),
+            (f"{a_sub},{out_sub}->{b_sub}", a_sub, out_sub)]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("spec,overrides", CONTRACTIONS)
+def test_matmul_plan_matches_einsum(spec, overrides, transposed):
+    rng = np.random.default_rng(31)
+
+    def operand(sub):
+        shape = overrides.get(sub, tuple(SIZES[c] for c in sub))
+        if transposed:   # a non-contiguous view
+            return rng.standard_normal(shape[::-1]).T
+        return rng.standard_normal(shape)
+
+    for contraction, x_sub, y_sub in _contraction_specs(spec):
+        x, y = operand(x_sub), operand(y_sub)
+        want = np.einsum(contraction, x, y)
+        got = ad._matmul(contraction, x, y)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_matmul_plan_pair_scores_with_one_operand_twice():
+    e = rng_arrays(32, (3, 4, 5))[0]
+    want = np.einsum("bne,bme->bnm", e, e)
+    t = ad.Tensor(e, requires_grad=True)
+    out = ad.pair_scores(t)
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+    probe = rng_arrays(33, (3, 4, 4))[0]
+    ad.sum_all(ad.mul(out, probe)).backward()
+    grad = np.einsum("bnm,bme->bne", probe, e) + np.einsum("bnm,bne->bme", probe, e)
+    assert np.abs(t.grad - grad).max() <= 1e-12 * np.abs(grad).max()
+
+
+def test_tape_contractions_never_call_einsum():
+    assert "np.einsum" not in inspect.getsource(ad)
 
 
 def test_gradient_accumulates_over_reused_nodes():

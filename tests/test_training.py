@@ -87,6 +87,27 @@ def test_gradients_return_loss_value():
     assert set(grads) == set(state.trainable())
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"variant": "nonlinear"}, {"adjacency_mode": "learned", "embed_dim": 4},
+    {"use_attention": True, "n_dims": 2},
+], ids=["linear", "nonlinear", "learned", "attention"])
+def test_gradients_share_no_memory(overrides):
+    # the tape stores a parent's first gradient contribution as is, and that
+    # can be a view another parent also holds
+    config = tiny_config(**overrides)
+    d = config.n_dims
+    rng = np.random.default_rng(8)
+    state = mc.init_state(config, 3, rng=8, adjacency=TRIANGLE,
+                          train_values=rng.standard_normal((3, 60, d)))
+    x = rng.standard_normal((4, 3, 8, d))
+    y = rng.standard_normal((4, 3, 2, d))
+    grads, _ = tr.gradients(state, (x, y), config)
+    arrays = list(grads.values())
+    for i, grad in enumerate(arrays):
+        for other in arrays[i + 1:] + list(state.params.values()):
+            assert not np.shares_memory(grad, other)
+
+
 # ---------------------------------------------------------------------------
 # optimizer update rule
 # ---------------------------------------------------------------------------
@@ -212,6 +233,29 @@ def test_evaluate_chunking_consistent():
     b = tr.evaluate(state, config, windows, chunk=256)
     assert a["mae"] == pytest.approx(b["mae"])
     assert a["rmse"] == pytest.approx(b["rmse"])
+
+
+def _windows_with_nan(count, at):
+    windows = random_windows(34, count, 3, 8, 2, 1)
+    windows.inputs[at, 1, 5, 0] = np.nan
+    return windows
+
+
+def test_evaluate_names_the_non_finite_window_in_the_set():
+    config = tiny_config()
+    state = tiny_state(config, seed=35)
+    with pytest.raises(DataError, match="window 280, node 1"):
+        tr.evaluate(state, config, _windows_with_nan(351, 280))
+
+
+def test_train_names_the_non_finite_window_in_the_set():
+    config = tiny_config()
+    tc = tr.TrainConfig(batch_size=32, epochs=1, seed=36)
+    with pytest.raises(DataError, match="window 280, node 1"):
+        tr.train(config, tc, _windows_with_nan(351, 280), adjacency=TRIANGLE)
+    with pytest.raises(DataError, match="window 280, node 1"):
+        tr.train(config, tc, random_windows(37, 64, 3, 8, 2, 1),
+                 val_windows=_windows_with_nan(351, 280), adjacency=TRIANGLE)
 
 
 # ---------------------------------------------------------------------------
