@@ -6,15 +6,17 @@ result node, so a forward pass builds a tape implicitly (the DAG of nodes);
 real arrays are supported; complex quantities are carried as separate
 real/imaginary parts by the caller.
 
-The op set is exactly what the forecasting model needs: broadcast
-elementwise arithmetic, relu/softmax, safe reciprocal square root for
-degree normalization, and bilinear contractions, each one ``_contract``
-call that derives its VJP subscripts from its einsum subscripts. Every
-contraction, forward or VJP, runs as one broadcasting ``np.matmul``: a plan
-made once per subscript string sorts the axes into batch, summed and free
-axes and says how to transpose and reshape the operands into
-(batch..., M, K) @ (batch..., K, N) and the product back to the output
-order. Shapes follow the model convention (batch, node, time, dim).
+The op set is what the forecasting model needs: broadcast elementwise
+arithmetic, relu/softmax, safe reciprocal square root for degree
+normalization, stacking, and bilinear contractions, each one ``contract``
+call that derives its VJP subscripts from its einsum subscripts. (``neg``
+and ``mode_filter`` have no caller in the model; the benchmark's tracer
+still wraps them by name.) Every contraction, forward or VJP, runs as
+one broadcasting ``np.matmul``: a plan made once per subscript string
+sorts the axes into batch, summed and free axes and says how to
+transpose and reshape the operands into (batch..., M, K) @ (batch..., K,
+N) and the product back to the output order. Shapes follow the model
+convention (batch, node, time, dim).
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ __all__ = [
     "transpose_last2",
     "sum_all",
     "sum_last",
-    "take_row",
+    "stack",
     "rsqrt_safe",
+    "contract",
     "graph_mix",
     "time_mix",
     "mode_filter",
@@ -200,16 +203,11 @@ def sum_all(a):
                  [(a, lambda g: np.broadcast_to(g, shape).copy())])
 
 
-def take_row(a, k):
-    """Select row k of a 2-D tensor."""
-    a = as_tensor(a)
-
-    def vjp(g):
-        out = np.zeros_like(a.data)
-        out[k] = g
-        return out
-
-    return _node(a.data[k], [(a, vjp)])
+def stack(tensors):
+    """Stack equally shaped tensors along a new leading axis."""
+    tensors = [as_tensor(t) for t in tensors]
+    return _node(np.stack([t.data for t in tensors]),
+                 [(t, lambda g, k=k: g[k]) for k, t in enumerate(tensors)])
 
 
 def sum_last(a):
@@ -281,7 +279,7 @@ def _matmul(spec, a, b):
     return out.reshape(out.shape[:n_batch] + free_a + free_b).transpose(perm_out)
 
 
-def _contract(spec, a, b):
+def contract(spec, a, b):
     """Contraction ``spec`` ("sa,sb->so") of two operands as one tape node.
 
     Its VJPs contract by "so,sb->sa" (with ``g`` and ``b``) and "sa,so->sb"
@@ -299,18 +297,28 @@ def _contract(spec, a, b):
     ])
 
 
+_GRAPH_MIX = {2: "ij,bjtd->bitd", 3: "dij,bjtd->bitd", 4: "bdij,bjtd->bitd"}
+
+
 def graph_mix(m, x):
     """Mix along the node axis: out[b,i,t,d] = sum_j m[i,j] x[b,j,t,d].
 
-    ``m`` is either a shared (N, N) operator or a per-sample (B, N, N) stack.
+    ``m`` is a shared (N, N) operator, a per-dimension (D|1, N, N) stack or
+    a per-sample (B, D|1, N, N) stack; a size-1 dimension axis is shared by
+    every dimension.
     """
     m = as_tensor(m)
-    return _contract("ij,bjtd->bitd" if m.data.ndim == 2 else "bij,bjtd->bitd", m, x)
+    return contract(_GRAPH_MIX[m.data.ndim], m, x)
 
 
 def time_mix(a, x):
-    """Mix along the time axis: out[b,n,i,d] = sum_j a[i,j] x[b,n,j,d]."""
-    return _contract("ij,bnjd->bnid", a, x)
+    """Mix along the time axis: out[b,n,i,d] = sum_j a[i,j] x[b,n,j,d].
+
+    ``a`` is a shared (T, T) operator or an (N|1, D|1, T, T) stack of one
+    operator per variable and dimension, whose size-1 axes are shared.
+    """
+    a = as_tensor(a)
+    return contract("ij,bnjd->bnid" if a.data.ndim == 2 else "ndij,bnjd->bnid", a, x)
 
 
 def mode_filter(x, w):
@@ -319,28 +327,28 @@ def mode_filter(x, w):
     out[b,n,j,d] = sum_i x[b,n,i,d] w[n,d,i,j]; the first two axes of ``w``
     may be 1 for weight sharing across variables and/or dimensions.
     """
-    return _contract("bnid,ndij->bnjd", x, w)
+    return contract("bnid,ndij->bnjd", x, w)
 
 
 def node_scores(q, k):
     """Pairwise mode scores per node: out[b,n,i,j] = sum_d q[b,n,i,d] k[b,n,j,d]."""
-    return _contract("bnid,bnjd->bnij", q, k)
+    return contract("bnid,bnjd->bnij", q, k)
 
 
 def node_apply(a, v):
     """Apply per-node mixing weights: out[b,n,i,d] = sum_j a[b,n,i,j] v[b,n,j,d]."""
-    return _contract("bnij,bnjd->bnid", a, v)
+    return contract("bnij,bnjd->bnid", a, v)
 
 
 def embed_map(x, w):
     """Shared linear map on the last axis: out[b,n,l] = sum_k x[b,n,k] w[k,l]."""
-    return _contract("bnk,kl->bnl", x, w)
+    return contract("bnk,kl->bnl", x, w)
 
 
 def pair_scores(e):
     """Dot products between all variable pairs: out[b,n,m] = e[b,n,:] . e[b,m,:]."""
     e = as_tensor(e)
-    return _contract("bne,bme->bnm", e, e)
+    return contract("bne,bme->bnm", e, e)
 
 
 def check_finite_gradients(named_params):

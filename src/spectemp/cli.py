@@ -221,6 +221,10 @@ def cmd_train(run: Run) -> None:
     source = run.read("data", ex.DataSource)
     model_cfg = run.read("model", ModelConfig, lookback=task.lookback,
                          horizon=task.horizon, n_dims=1)
+    for key in ("lookback", "horizon"):
+        if getattr(model_cfg, key) != getattr(task, key):
+            raise ConfigError(f"model.{key}={getattr(model_cfg, key)} differs from "
+                              f"task.{key}={getattr(task, key)}, which cuts the windows")
     tc = run.read("train", TrainConfig, seed=run.seed)
     bundle = ex.prepare_data(task, run.seed, source)
     state, history = ex.fit(model_cfg, tc, bundle, run.seed)

@@ -10,6 +10,21 @@ Blocks stack with additive residual connections, and a shared linear head
 maps each variable's flattened representation (T*D) to its forecast
 (H*D).
 
+Every stage of a linear block is a linear operator, and the forward pass
+applies it as one. With a fixed graph operator M (provided or pearson
+adjacency), the block's graph filter is G = sum_k theta_k P_k(M): the
+(K+1, N, N) stack P_k(M) is built once per state, and a step forms G
+with one parameter-sized contraction and applies it with one
+``graph_mix``. The two temporal stages are one real T x T operator per
+variable and dimension, M_t = F C with coarse C = Re(R W^T S) and fine
+F = A + Re(R' W'^T S')(I - A), where S and R select and rebuild the kept
+modes and A is the moving average; M_t is built from the mode weights
+and applied with one ``time_mix``. The nonlinear variant applies G before
+its relu and C before its attention stage. Learned adjacency differs per
+sample, so there the polynomial stack runs on the signal. The stack,
+the S/R kernels, A and the folded S'(I - A) are derived from the state
+and the config and cached on the state, never checkpointed.
+
 The forward pass is written against the tape ops in `autodiff`, so the
 same code serves inference (constant parameters) and training (parameters
 wrapped with gradients enabled). Complex filter weights are stored as
@@ -137,6 +152,9 @@ class ModelState:
     laplacian: np.ndarray | None = None
     projector_matrix: np.ndarray | None = None  # orthogonal rows, random projector
     frozen: frozenset = frozenset()
+    # config -> operators derived from the arrays above (see `_operators`);
+    # copies made with dataclasses.replace share it.
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def trainable(self) -> dict:
         return {k: v for k, v in self.params.items() if k not in self.frozen}
@@ -274,27 +292,27 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
                adjacency: np.ndarray | Adjacency | None = None) -> ModelState:
     """Identity-plus-noise initialization; adjacency resolved per config.
 
-    pearson mode requires ``train_values`` (training-split series);
-    provided mode requires ``adjacency``; learned mode adds an embedding
-    parameter instead of a fixed operator.
+    provided mode requires ``adjacency``; pearson mode takes ``adjacency``
+    when given (the ``windowed_mean_correlation`` of the training split)
+    and otherwise computes it from ``train_values`` (training-split
+    series); learned mode adds an embedding parameter instead of a fixed
+    operator.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     a_hat = lap = None
-    if config.adjacency_mode == "provided":
+    if config.adjacency_mode != "learned":
+        if adjacency is None and config.adjacency_mode == "pearson":
+            if train_values is None:
+                raise ConfigError("pearson adjacency mode needs training values")
+            adjacency = windowed_mean_correlation(train_values, config.lookback)
+            if adjacency.n_nodes != n_nodes:
+                raise ShapeError("training values variable count does not match n_nodes")
         if adjacency is None:
             raise ConfigError("provided adjacency mode needs an adjacency")
         adj = adjacency if isinstance(adjacency, Adjacency) else Adjacency(adjacency)
         if adj.n_nodes != n_nodes:
             raise ShapeError("adjacency size does not match n_nodes")
-        lap = normalized_laplacian(adj)
-        a_hat = np.eye(n_nodes) - lap
-    elif config.adjacency_mode == "pearson":
-        if train_values is None:
-            raise ConfigError("pearson adjacency mode needs training values")
-        adj = windowed_mean_correlation(train_values, config.lookback)
-        if adj.n_nodes != n_nodes:
-            raise ShapeError("training values variable count does not match n_nodes")
         lap = normalized_laplacian(adj)
         a_hat = np.eye(n_nodes) - lap
 
@@ -318,28 +336,88 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
 
 
 # ---------------------------------------------------------------------------
-# spectral constants
+# derived operators (per state)
 # ---------------------------------------------------------------------------
 
-def _stage_matrices(config: ModelConfig, state: ModelState, indices: np.ndarray):
-    """(select_re, select_im, rebuild_re, rebuild_im) for one temporal stage.
+@dataclass(frozen=True)
+class _Operators:
+    """The constants a forward pass needs, derived from the config and the
+    state's arrays; never written to checkpoints.
 
-    With the Fourier projector these fold mode selection into the transform:
-    select_* are the S x T forward kernels and rebuild_* the T x S inverse
-    kernels of the real/imaginary parts. The state's random orthogonal
-    projector has no imaginary part.
+    ``graph`` is the (K+1, N, N) stack P_k(M) of a fixed graph operator (None
+    with learned adjacency). ``blocks`` holds per block (coarse, fine), each
+    None when that stage is off: a linear stage as its (K_re, K_im) kernel
+    pair (see ``_fold``), the attention stage as its (select_re, select_im,
+    rebuild_re, rebuild_im) kernels. ``trend`` is the moving-average matrix
+    A that the linear fine stage adds (None otherwise).
+    """
+
+    sources: tuple                  # the state arrays these were built from
+    graph: np.ndarray | None
+    trend: np.ndarray | None
+    blocks: tuple
+
+
+def _sources(state: ModelState) -> tuple:
+    return (state.a_hat, state.laplacian, state.projector_matrix, state.mode_sets)
+
+
+def _mode_kernels(config: ModelConfig, state: ModelState, indices: np.ndarray):
+    """Complex (S x T select, T x S rebuild) kernels of one temporal stage.
+
+    With the Fourier projector, select keeps the listed modes of the
+    forward transform and rebuild scatters them back through the inverse;
+    the state's random orthogonal projector has no imaginary part.
     """
     t = config.lookback
     if config.projector == "dft":
-        grid = 2.0 * np.pi * np.outer(indices, np.arange(t)) / t
-        select_re = np.cos(grid)
-        select_im = -np.sin(grid)
-        rebuild_re = select_re.T / t
-        rebuild_im = -select_im.T / t
-        return select_re, select_im, rebuild_re, rebuild_im
-    rows = state.projector_matrix[indices, :]
-    zero = np.zeros_like(rows)
-    return rows, zero, rows.T, zero.T
+        select = np.exp(-2j * np.pi * np.outer(indices, np.arange(t)) / t)
+        return select, select.conj().T / t
+    rows = state.projector_matrix[indices, :].astype(np.complex128)
+    return rows, rows.T
+
+
+def _fold(select: np.ndarray, rebuild: np.ndarray) -> tuple:
+    """(K_re, K_im), each (S, S, T, T), such that the stage's real T x T
+    operator Re(R W^T S) for complex mode weights W = W_re + i W_im is
+    sum_ij W_re[i,j] K_re[i,j] + W_im[i,j] K_im[i,j]."""
+    k = rebuild.T[None, :, :, None] * select[:, None, None, :]   # R[p,j] S[i,q]
+    return np.ascontiguousarray(k.real), -k.imag
+
+
+def _build_operators(state: ModelState, config: ModelConfig) -> _Operators:
+    graph = None
+    if config.adjacency_mode != "learned":
+        rec = config.recurrence()
+        op = state.laplacian if rec.on_laplacian else state.a_hat
+        graph = np.stack(polynomial_stack(rec, np.eye(state.n_nodes), lambda v: op @ v))
+    linear_fine = config.use_fine and not config.attention_enabled
+    trend = (moving_average_matrix(config.lookback, config.decomp_window)
+             if linear_fine else None)
+    blocks = []
+    for coarse_idx, fine_idx in state.mode_sets:
+        coarse = fine = None
+        if config.use_coarse:
+            coarse = _fold(*_mode_kernels(config, state, coarse_idx))
+        if config.use_fine:
+            select, rebuild = _mode_kernels(config, state, fine_idx)
+            if linear_fine:
+                # F = A + Re(R' W'^T S')(I - A): fold S'(I - A) into select.
+                fine = _fold(select - select @ trend, rebuild)
+            else:
+                fine = tuple(np.ascontiguousarray(part) for part in (
+                    select.real, select.imag, rebuild.real, rebuild.imag))
+        blocks.append((coarse, fine))
+    return _Operators(_sources(state), graph, trend, tuple(blocks))
+
+
+def _operators(state: ModelState, config: ModelConfig) -> _Operators:
+    """The state's operators for ``config``, built on first use and kept in
+    ``state.cache`` until one of the arrays they come from is replaced."""
+    ops = state.cache.get(config)
+    if ops is None or any(a is not b for a, b in zip(ops.sources, _sources(state))):
+        ops = state.cache[config] = _build_operators(state, config)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +443,11 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     return a_hat, lap
 
 
-def _filter_stage(z, weights_re, weights_im, mats):
-    """transform -> complex per-variable weights -> inverse, on the tape."""
-    select_re, select_im, rebuild_re, rebuild_im = mats
-    f_re = ad.time_mix(select_re, z)
-    f_im = ad.time_mix(select_im, z)
-    g_re = ad.sub(ad.mode_filter(f_re, weights_re), ad.mode_filter(f_im, weights_im))
-    g_im = ad.add(ad.mode_filter(f_re, weights_im), ad.mode_filter(f_im, weights_re))
-    return ad.sub(ad.time_mix(rebuild_re, g_re), ad.time_mix(rebuild_im, g_im))
+def _stage_operator(params: dict, name: str, kernels: tuple):
+    """A linear stage's (N|1, D|1, T, T) operator from its mode weights."""
+    k_re, k_im = kernels
+    return ad.add(ad.contract("ndij,ijpq->ndpq", params[f"{name}_re"], k_re),
+                  ad.contract("ndij,ijpq->ndpq", params[f"{name}_im"], k_im))
 
 
 def _attention_stage(trend, seasonal, params, prefix, mats, config: ModelConfig, d: int):
@@ -403,9 +478,16 @@ def require_finite_windows(x: np.ndarray) -> None:
         raise DataError(f"window {window}, node {node} holds a non-finite value")
 
 
-def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
-                   config: ModelConfig):
-    """Tape forward; returns (prediction node, final representation node)."""
+def _representation(params: dict, x: np.ndarray, state: ModelState,
+                    config: ModelConfig, blocks, residual: bool):
+    """Tape forward through ``blocks`` (block indices) of the model.
+
+    Each block applies one graph filter G = sum_k theta_k P_k(M) and then
+    one real T x T temporal operator per variable and dimension, the fine
+    stage's F = A + Re(R' W'^T S')(I - A) times the coarse stage's
+    C = Re(R W^T S); the nonlinear variant puts a relu after G and runs the
+    attention fine stage after C instead of F.
+    """
     b, n, t, d = x.shape
     if t != config.lookback or d != config.n_dims:
         raise ShapeError(f"window shape {x.shape[1:]} does not match config "
@@ -414,42 +496,52 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
         raise ShapeError(f"window has {n} variables but the model state was "
                          f"built for {state.n_nodes}")
     require_finite_windows(x)
+    ops = _operators(state, config)
     if config.adjacency_mode == "learned":
-        operator, laplacian = _learned_operators(params, x, config)
-    else:
-        operator, laplacian = state.a_hat, state.laplacian
-    rec = config.recurrence()
-    graph_operator = laplacian if rec.on_laplacian else operator
+        rec = config.recurrence()
+        a_hat, lap = _learned_operators(params, x, config)
+        learned = ad.reshape(lap if rec.on_laplacian else a_hat, (b, 1, n, n))
+    attention = config.use_fine and config.attention_enabled
+    trend_matrix = moving_average_matrix(t, config.decomp_window) if attention else None
 
-    trend_matrix = moving_average_matrix(t, config.decomp_window)
     z = ad.as_tensor(x)
-    for m in range(config.blocks):
+    for m in blocks:
         prefix = f"block{m}"
-        stack = polynomial_stack(rec, z, lambda v: ad.graph_mix(graph_operator, v),
-                                 ad.mul, ad.add, ad.sub)
         theta = params[f"{prefix}.theta"]
-        mixed = ad.mul(stack[0], ad.take_row(theta, 0))
-        for k in range(1, config.degree + 1):
-            mixed = ad.add(mixed, ad.mul(stack[k], ad.take_row(theta, k)))
+        if ops.graph is None:
+            # A per-sample operator: the stack runs on the signal, which
+            # costs B K N^2 T D against B K N^3 for a per-sample G.
+            terms = polynomial_stack(rec, z, lambda v: ad.graph_mix(learned, v),
+                                     ad.mul, ad.add, ad.sub)
+            mixed = ad.contract("kd,kbntd->bntd", theta, ad.stack(terms))
+        else:
+            mixed = ad.graph_mix(ad.contract("kd,kij->dij", theta, ops.graph), z)
         if config.relu_enabled:
             mixed = ad.relu(mixed)
 
-        if config.use_coarse:
-            mats = _stage_matrices(config, state, state.mode_sets[m][0])
-            mixed = _filter_stage(mixed, params[f"{prefix}.coarse_re"],
-                                  params[f"{prefix}.coarse_im"], mats)
-        if config.use_fine:
+        coarse, fine = ops.blocks[m]
+        operator = None if coarse is None else _stage_operator(
+            params, f"{prefix}.coarse", coarse)
+        if fine is not None and not attention:
+            fine_op = ad.add(ops.trend, _stage_operator(params, f"{prefix}.fine", fine))
+            operator = fine_op if operator is None else ad.contract(
+                "ndpr,ndrq->ndpq", fine_op, operator)
+        if operator is not None:
+            mixed = ad.time_mix(operator, mixed)
+        if attention:
             trend = ad.time_mix(trend_matrix, mixed)
-            seasonal = ad.sub(mixed, trend)
-            mats = _stage_matrices(config, state, state.mode_sets[m][1])
-            if config.attention_enabled:
-                mixed = _attention_stage(trend, seasonal, params, prefix, mats, config, d)
-            else:
-                filtered = _filter_stage(seasonal, params[f"{prefix}.fine_re"],
-                                         params[f"{prefix}.fine_im"], mats)
-                mixed = ad.add(trend, filtered)
-        z = ad.add(mixed, z) if config.residual else mixed
+            mixed = _attention_stage(trend, ad.sub(mixed, trend), params, prefix,
+                                     fine, config, d)
+        z = ad.add(mixed, z) if residual else mixed
+    return z
 
+
+def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
+                   config: ModelConfig):
+    """Tape forward; returns (prediction node, final representation node)."""
+    b, n, t, d = x.shape
+    z = _representation(params, x, state, config, range(config.blocks),
+                        config.residual)
     flat = ad.reshape(z, (b, n, t * d))
     out = ad.embed_map(flat, params["head.weight"])
     prediction = ad.reshape(out, (b, n, config.horizon, d))
@@ -502,15 +594,10 @@ def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
 def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
                block: int = 0) -> np.ndarray:
     """Run a single block (no residual, no head) on an (N, T, D) window."""
-    single = dataclasses.replace(config, blocks=1, residual=False)
-    sub_state = ModelState(
-        params={key.replace(f"block{block}.", "block0."): value
-                for key, value in state.params.items()},
-        n_nodes=state.n_nodes,
-        mode_sets=(state.mode_sets[block],),
-        a_hat=state.a_hat, laplacian=state.laplacian,
-        projector_matrix=state.projector_matrix, frozen=state.frozen)
-    return embed(x, sub_state, single)
+    arr, squeeze = _promote(x)
+    rep = _representation(wrap_params(state, False), arr, state, config, (block,),
+                          residual=False)
+    return rep.data[0] if squeeze else rep.data
 
 
 def loss(prediction: np.ndarray, targets: np.ndarray) -> float:

@@ -98,13 +98,12 @@ def test_reshape_transpose_sums():
     check_op(lambda t: ad.mul(ad.sum_all(t[0]), ad.sum_all(t[0])), [a])
 
 
-def test_take_row():
-    a = rng_arrays(7, (4, 5))[0]
-    check_op(lambda t: ad.take_row(t[0], 2), [a])
-    t = ad.Tensor(a, requires_grad=True)
-    ad.sum_all(ad.take_row(t, 1)).backward()
-    assert np.allclose(t.grad[1], 1.0)
-    assert np.allclose(np.delete(t.grad, 1, axis=0), 0.0)
+def test_stack():
+    a, b, c = rng_arrays(7, (4, 5), (4, 5), (4, 5))
+    check_op(lambda t: ad.stack(t), [a, b, c])
+    check_op(lambda t: ad.mul(ad.stack([t[0], t[1], t[0]]), c), [a, b])
+    out = ad.stack([ad.Tensor(a), b])
+    assert np.array_equal(out.data, np.stack([a, b]))
 
 
 def test_rsqrt_safe():
@@ -122,15 +121,27 @@ def test_rsqrt_safe_clamps_tiny_inputs_with_zero_gradient():
 
 
 def test_graph_mix():
-    m, x = rng_arrays(9, (4, 4), (2, 4, 3, 2))
-    check_op(lambda t: ad.graph_mix(t[0], t[1]), [m, x])
-    batched_m = rng_arrays(10, (2, 4, 4))[0]
-    check_op(lambda t: ad.graph_mix(t[0], t[1]), [batched_m, x])
+    # shared, per-dimension, shared by dimensions, per-sample (and dimension)
+    x = rng_arrays(9, (2, 4, 3, 2))[0]
+    for seed, shape in ((9, (4, 4)), (10, (2, 4, 4)), (18, (1, 4, 4)),
+                        (19, (2, 2, 4, 4)), (20, (2, 1, 4, 4))):
+        m = rng_arrays(seed, shape)[0]
+        check_op(lambda t: ad.graph_mix(t[0], t[1]), [m, x])
+        full = np.broadcast_to(m.reshape((1,) * (4 - m.ndim) + m.shape), (2, 2, 4, 4))
+        want = np.einsum("bdij,bjtd->bitd", full, x)
+        assert np.abs(ad.graph_mix(m, x).data - want).max() < 1e-12
 
 
 def test_time_mix():
-    a, x = rng_arrays(11, (3, 3), (2, 4, 3, 2))
-    check_op(lambda t: ad.time_mix(t[0], t[1]), [a, x])
+    # one shared operator, or one per variable and dimension (size-1 axes shared)
+    x = rng_arrays(11, (2, 4, 3, 2))[0]
+    for seed, shape in ((11, (3, 3)), (21, (4, 2, 3, 3)), (22, (1, 2, 3, 3)),
+                        (25, (4, 1, 3, 3)), (26, (1, 1, 3, 3))):
+        a = rng_arrays(seed, shape)[0]
+        check_op(lambda t: ad.time_mix(t[0], t[1]), [a, x])
+        full = np.broadcast_to(a, (4, 2, 3, 3))
+        want = np.einsum("ndij,bnjd->bnid", full, x)
+        assert np.abs(ad.time_mix(a, x).data - want).max() < 1e-12
 
 
 def test_mode_filter():
@@ -174,7 +185,7 @@ def test_embed_map_and_pair_scores():
 
 # (spec, {subscripts: shape override}) for every contraction the tape runs;
 # overrides give the size-1 axes of shared mode-filter weights.
-SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5)
+SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5, p=3, q=4, r=2)
 CONTRACTIONS = [
     ("ij,bjtd->bitd", {}),
     ("bij,bjtd->bitd", {}),
@@ -187,11 +198,21 @@ CONTRACTIONS = [
     ("bnij,bnjd->bnid", {}),
     ("bnk,kl->bnl", {}),
     ("bne,bme->bnm", {}),
+    ("dij,bjtd->bitd", {}),
+    ("dij,bjtd->bitd", {"dij": (1, 5, 6)}),
+    ("bdij,bjtd->bitd", {}),
+    ("bdij,bjtd->bitd", {"bdij": (3, 1, 5, 6)}),
+    ("kd,kij->dij", {}),
+    ("kd,kbntd->bntd", {"kd": (7, 1)}),
+    ("ndij,bnjd->bnid", {}),
+    ("ndij,bnjd->bnid", {"ndij": (1, 1, 5, 6)}),
+    ("ndij,ijpq->ndpq", {}),
+    ("ndpr,ndrq->ndpq", {}),
 ]
 
 
 def _contraction_specs(spec):
-    """The forward spec and the two VJP specs `_contract` derives from it."""
+    """The forward spec and the two VJP specs `contract` derives from it."""
     a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
     return [(spec, a_sub, b_sub),
             (f"{out_sub},{b_sub}->{a_sub}", out_sub, b_sub),

@@ -7,6 +7,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -229,15 +230,32 @@ def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
     assert capsys.readouterr().err.startswith(prefix)
 
 
+@pytest.mark.parametrize("key,value", [("lookback", 12), ("horizon", 3)])
+def test_model_window_geometry_differing_from_task_exits_2(tmp_path, capsys,
+                                                            key, value):
+    cfg = write_config(tmp_path, TINY)
+    code = cli.main(["train", "--config", cfg, "--set", f"model.{key}={value}",
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"model.{key}={value}" in err and f"task.{key}={TINY['task'][key]}" in err
+    assert not (tmp_path / "run" / "checkpoint.stck").exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergent_training_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {**TINY,
                                   "train": {"epochs": 6, "batch_size": 64,
                                             "lr": 1e160}})
-    code = cli.main(["train", "--config", cfg,
-                     "--out", str(tmp_path / "run")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--config", cfg,
+                         "--out", str(tmp_path / "run")])
     assert code == 4
     assert "numerical error" in capsys.readouterr().err
+    # The non-finite gradient check reports the divergence; numpy stays quiet.
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,21 @@
 loss, and the checkpoint container."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from spectemp import experiments as ex
 from spectemp import model_core as mc
+from spectemp import training
 from spectemp.errors import ConfigError, DataError, ShapeError
-from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm,
+from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm, decompose,
                                          fine_fdm, spectral_attention)
-from spectemp.spectral_graph import Adjacency, FilterBank, graph_conv
+from spectemp.spectral_graph import (Adjacency, FilterBank, graph_conv,
+                                     normalized_laplacian)
 
 BASE = dict(lookback=8, horizon=3, n_dims=2, blocks=2, degree=3, n_modes=4,
             decomp_window=3, adjacency_mode="provided")
@@ -268,6 +272,166 @@ def test_nonlinear_block_matches_composed_public_operations():
                    state.params["block0.attn_v"])))
     ours = mc.tggc_block(x, state, config, block=0)
     assert np.abs(ours - attn).max() < 1e-12
+
+
+def _oracle_blocks(x, state, config, blocks, residual):
+    """The listed blocks on one (N, T, D) window through the public numpy
+    operators: graph_conv, then coarse_fdm and fine_fdm (or
+    spectral_attention), or the random projector's real transform."""
+    if config.adjacency_mode == "learned":
+        lap = normalized_laplacian(mc.latent_correlation(
+            x, embedding=state.params["adjacency.embed"]))
+    else:
+        lap = state.laplacian
+
+    def stage(z, indices, w):
+        if config.projector == "dft":
+            return coarse_fdm(z, TemporalFDMParams(mode_indices=indices, weights=w))
+        rows = state.projector_matrix[indices]
+        kept = np.einsum("st,ntd->nsd", rows, z)
+        w_re = np.broadcast_to(w.real, (z.shape[0], z.shape[2]) + w.shape[2:])
+        return np.einsum("ts,nsd->ntd", rows.T, np.einsum("nid,ndij->njd", kept, w_re))
+
+    z = x
+    for m in blocks:
+        param = lambda name: state.params[f"block{m}.{name}"]
+        bank = FilterBank(basis=config.basis, degree=config.degree,
+                          coefficients=param("theta"), alpha=config.alpha,
+                          jacobi_a=config.jacobi_a, jacobi_b=config.jacobi_b,
+                          monomial_on_laplacian=config.monomial_on_laplacian)
+        out = graph_conv(bank, lap, z)
+        if config.relu_enabled:
+            out = np.maximum(out, 0.0)
+        coarse_idx, fine_idx = state.mode_sets[m]
+        if config.use_coarse:
+            out = stage(out, coarse_idx, param("coarse_re") + 1j * param("coarse_im"))
+        if config.use_fine:
+            trend, seasonal = decompose(out, config.decomp_window)
+            if config.attention_enabled:
+                out = spectral_attention(trend, seasonal, TemporalFDMParams(
+                    mode_indices=fine_idx,
+                    weights=np.zeros((1, 1, fine_idx.size, fine_idx.size)),
+                    decomp_window=config.decomp_window,
+                    attention=(param("attn_q"), param("attn_k"), param("attn_v"))))
+            elif config.projector == "dft":
+                out = fine_fdm(out, TemporalFDMParams(
+                    mode_indices=fine_idx, weights=param("fine_re") + 1j * param("fine_im"),
+                    decomp_window=config.decomp_window))
+            else:
+                out = trend + stage(seasonal, fine_idx,
+                                    param("fine_re") + 1j * param("fine_im"))
+        z = out + z if residual else out
+    return z
+
+
+ORACLE_GRID = [
+    dict(variant=variant, adjacency_mode=adjacency, n_dims=d, **basis)
+    for (variant, adjacency, d), basis in zip(
+        [(v, a, d) for v in ("linear", "nonlinear")
+         for a in ("provided", "pearson", "learned") for d in (1, 2)],
+        BLOCK_BASES * 2)
+] + [
+    dict(share_theta_dims=True), dict(share_filter_dims=True),
+    dict(share_filter_vars=True), dict(projector="random"),
+    dict(projector="random", adjacency_mode="learned", n_dims=1),
+    dict(use_coarse=False), dict(use_fine=False), dict(use_coarse=False, use_fine=False),
+    dict(variant="nonlinear", use_coarse=False), dict(variant="nonlinear", use_fine=False),
+    dict(variant="nonlinear", use_attention=False), dict(mode_policy="random"),
+]
+
+
+@pytest.mark.parametrize("overrides", ORACLE_GRID,
+                         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_operator_form_matches_public_numpy_operations(overrides):
+    """forward, embed and tggc_block against the numpy oracles, with the
+    parameters moved off the identity so every term counts."""
+    n = 5
+    config = mc.ModelConfig(**{**BASE, **overrides})
+    rng = np.random.default_rng(42)
+    state = mc.init_state(config, n, rng=43, adjacency=ring_adjacency(n),
+                          train_values=rng.standard_normal((n, 60, config.n_dims)))
+    for name, value in state.params.items():
+        state.params[name] = value + 0.2 * rng.standard_normal(value.shape)
+    x = rng.standard_normal((3, n, config.lookback, config.n_dims))
+
+    def close(ours, want):
+        assert np.abs(ours - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    embedded = mc.embed(x, state, config)
+    predicted = mc.forward(x, state, config)
+    for b in range(x.shape[0]):
+        want = _oracle_blocks(x[b], state, config, range(config.blocks), True)
+        close(embedded[b], want)
+        head = want.reshape(n, -1) @ state.params["head.weight"]
+        close(predicted[b], head.reshape(n, config.horizon, config.n_dims))
+        close(mc.tggc_block(x[b], state, config, block=1),
+              _oracle_blocks(x[b], state, config, (1,), False))
+
+
+def test_graph_stack_is_built_once_per_state(monkeypatch):
+    built = []
+    stack = mc.polynomial_stack
+    monkeypatch.setattr(mc, "polynomial_stack",
+                        lambda *args, **kw: built.append(args[1]) or stack(*args, **kw))
+    state, config = small_state(seed=44)
+    x = batch_input(45, 4, 5, 8, 2)
+    y = batch_input(46, 4, 5, 3, 2)
+    for _ in range(2):
+        training.gradients(state, (x, y), config)
+    assert len(built) == 1 and np.array_equal(built[0], np.eye(5))
+    # forecasts, representations, single blocks and replaced copies reuse it
+    mc.forward(x, state, config)
+    mc.embed(x, state, config)
+    mc.tggc_block(x[0], state, config, block=1)
+    copy = dataclasses.replace(state, params={k: v + 1.0 for k, v in state.params.items()})
+    mc.forward(x, copy, config)
+    assert len(built) == 1
+    # a state whose operator is replaced builds its own
+    state.laplacian = state.laplacian.copy()
+    mc.forward(x, state, config)
+    assert len(built) == 2
+
+
+# sha256 of checkpoints saved before the operators were cached on the state
+CHECKPOINT_SHA256 = {
+    "linear": "caabdac65d0a5200d4cee7f8e78a7218ace0ed35bd4556e563e00d1740b515a2",
+    "nonlinear": "6b56e362233a54082fc1cca25e9e4a4a56f8dfe3543a74e64a16a074bc2b9f44",
+    "learned": "a559e5fdc325259f9fc6fb009b103504fcfce399c5f7596b2dd586fed05856a4",
+}
+
+
+@pytest.mark.parametrize("label,overrides", [
+    ("linear", {}), ("nonlinear", {"variant": "nonlinear"}),
+    ("learned", {"adjacency_mode": "learned"})])
+def test_checkpoint_bytes_leave_out_the_derived_operators(tmp_path, label, overrides):
+    state, config = small_state(seed=40, **overrides)
+    mc.forward(batch_input(41, 2, 5, 8, 2), state, config)   # fills the cache
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[label]
+
+
+def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
+    task = ex.SynthTask(n_per_group=3, length=200, lookback=8, horizon=2)
+    bundle = ex.prepare_data(task, 0)
+    config = ex.task_model_config(task, adjacency_mode="pearson", blocks=1,
+                                  degree=2, n_modes=3)
+    n = bundle.dataset.n_variables
+    recomputed = mc.init_state(config, n, rng=0, train_values=bundle.train_values)
+    calls = []
+    correlation = mc.windowed_mean_correlation
+    monkeypatch.setattr(mc, "windowed_mean_correlation",
+                        lambda *a, **k: calls.append(a) or correlation(*a, **k))
+    supplied = mc.init_state(config, n, rng=0, train_values=bundle.train_values,
+                             adjacency=bundle.adjacency)
+    for name in ("a_hat", "laplacian"):
+        assert np.array_equal(getattr(supplied, name), getattr(recomputed, name))
+    assert supplied.params.keys() == recomputed.params.keys()
+    assert all(np.array_equal(supplied.params[k], recomputed.params[k])
+               for k in supplied.params)
+    fitted, _ = ex.fit(config, training.TrainConfig(epochs=1, batch_size=64), bundle, 0)
+    assert np.array_equal(fitted.a_hat, recomputed.a_hat)
+    assert calls == []
 
 
 def test_residual_toggle():

@@ -49,6 +49,26 @@ def test_gradients_match_finite_differences_linear():
         assert err < 1e-4, f"{name}: {err}"
 
 
+@pytest.mark.parametrize("basis", [
+    dict(basis="monomial"), dict(basis="monomial", monomial_on_laplacian=True),
+    dict(basis="bernstein"), dict(basis="chebyshev2"),
+    dict(basis="gegenbauer", alpha=1.7), dict(basis="jacobi", jacobi_a=0.3, jacobi_b=-0.4),
+], ids=lambda b: "-".join(str(v) for v in b.values()))
+def test_gradients_match_finite_differences_every_basis(basis):
+    config = tiny_config(n_dims=2, blocks=2, **basis)
+    state = tiny_state(config, seed=9)
+    rng = np.random.default_rng(10)
+    # away from the identity, so every polynomial term and mode weight counts
+    for name, value in state.params.items():
+        state.params[name] = value + 0.1 * rng.standard_normal(value.shape)
+    x = rng.standard_normal((4, 3, 8, 2))
+    y = rng.standard_normal((4, 3, 2, 2))
+    worst = tr.finite_difference_check(state, config, x, y)
+    assert set(worst) == set(state.trainable())
+    for name, err in worst.items():
+        assert err < 1e-4, f"{name}: {err}"
+
+
 def test_gradients_match_finite_differences_nonlinear():
     config = tiny_config(variant="nonlinear")
     state = tiny_state(config, seed=2)
