@@ -10,8 +10,19 @@ block. Refinement colors every (node, time) cell:
 * one round recolors (v, t) by the tuple (own color, color of (v, t-1),
   sorted multiset of neighbor colors at time t); at t = 0, and when T = 1,
   the previous-time entry is omitted;
-* fresh ids come from a palette keyed by canonical tuples, so two graphs
-  refined against a shared palette are directly comparable.
+* fresh ids come from a palette keyed by canonical byte strings and are
+  assigned in the order the keys first occur, cells visited t-major
+  (t*N + v), so two graphs refined against a shared palette are directly
+  comparable.
+
+A round is one array relabel (the sorting-based 1-WL of Shervashidze et
+al. 2011): every cell's key becomes one int64 row (tag, own color,
+previous color or -1, neighbor colors sorted within the cell), cells of
+equal degree share one exact-width block of rows, `np.unique` dedupes
+each block, and only the distinct keys touch the palette. A round holds
+O(cells + E) integers for E edges over all snapshots, costs
+O((cells + E)*log(cells + E)) array work whatever the degree spread, and
+makes one dict lookup per distinct key.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -23,6 +34,9 @@ N*T rounds, which is the default cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +67,18 @@ NON_ISOMORPHIC = "non_isomorphic"
 INCONCLUSIVE = "inconclusive"
 
 _FEATURE_GRID = 1e-9
+# First entry of every key row; keeps init and refinement keys apart.
+_FEATURE_TAG, _REFINE_TAG = 0, 1
+
+
+class _CellIndex(NamedTuple):
+    """Adjacency of a DTDG over its cells c = t*N + v."""
+
+    owner: np.ndarray      # (2E,) cell of each edge end, ascending
+    neighbour: np.ndarray  # (2E,) cell across that edge, same snapshot
+    # one (cells, entries) pair per distinct degree d: the cells of degree
+    # d, ascending, and the (m, d) positions of their runs in `owner`
+    groups: tuple
 
 
 @dataclass(frozen=True)
@@ -99,12 +125,26 @@ class DTDG:
     def topology_fixed(self) -> bool:
         return all(snapshot == self.edges[0] for snapshot in self.edges)
 
-    def neighbor_lists(self, t: int) -> list[list[int]]:
-        out = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges[t]:
-            out[u].append(v)
-            out[v].append(u)
-        return out
+    @cached_property
+    def _cells(self) -> _CellIndex:
+        """Built on first refinement, not in the constructor: most graphs
+        are only parsed, formatted or permuted."""
+        n = self.n_nodes
+        sizes = [len(snapshot) for snapshot in self.edges]
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(self.edges)),
+                           dtype=np.int64, count=2 * sum(sizes)).reshape(-1, 2)
+        ends += np.repeat(np.arange(self.n_steps) * n, sizes)[:, None]
+        owner = np.concatenate([ends[:, 0], ends[:, 1]])
+        neighbour = np.concatenate([ends[:, 1], ends[:, 0]])
+        order = np.argsort(owner, kind="stable")
+        owner, neighbour = owner[order], neighbour[order]
+        degree = np.bincount(owner, minlength=n * self.n_steps)
+        start = np.cumsum(degree) - degree
+        by_degree = np.argsort(degree, kind="stable")
+        bounds = np.flatnonzero(np.diff(degree[by_degree])) + 1
+        groups = tuple((cells, start[cells][:, None] + np.arange(degree[cells[0]]))
+                       for cells in np.split(by_degree, bounds))
+        return _CellIndex(owner, neighbour, groups)
 
     def permuted(self, perm: np.ndarray) -> "DTDG":
         """Relabel nodes by perm (node i becomes perm[i])."""
@@ -130,44 +170,89 @@ class ColoringState:
         return len(np.unique(self.colors))
 
 
-def _palette_id(palette: dict, key) -> int:
-    if key not in palette:
-        palette[key] = len(palette)
-    return palette[key]
+def _assign_ids(groups, size: int, palette: dict) -> np.ndarray:
+    """Palette id of every cell, assigned like a cell-by-cell loop.
+
+    ``groups`` holds (cells, rows) pairs: ascending cell indices and one
+    int64 key row per cell, all rows of a pair equally wide. The key of a
+    cell is the bytes of its row, so equal rows from two graphs share a
+    key. Distinct keys are looked up in the order their first cell occurs
+    and fresh ones get consecutive ids in that order.
+    """
+    keys, first, inverses = [], [], []
+    for cells, rows in groups:
+        void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        distinct, at, inverse = np.unique(rows.view(void).ravel(),
+                                          return_index=True, return_inverse=True)
+        inverses.append((cells, inverse + len(keys)))
+        keys.extend(distinct.tolist())
+        first.append(cells[at])
+    order = np.argsort(np.concatenate(first))
+    keys = [keys[i] for i in order.tolist()]
+    ids = np.fromiter(map(palette.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
+    fresh = ids < 0
+    base, count = len(palette), int(fresh.sum())
+    palette.update(zip(compress(keys, fresh), range(base, base + count)))
+    ids[fresh] = np.arange(base, base + count)
+    by_key = np.empty_like(ids)
+    by_key[order] = ids
+    out = np.empty(size, dtype=np.int64)
+    for cells, inverse in inverses:
+        out[cells] = by_key[inverse]
+    return out
+
+
+def _cell_grid(ids: np.ndarray, n: int, t: int) -> np.ndarray:
+    """(N, T) colors from ids listed t-major."""
+    return np.ascontiguousarray(ids.reshape(t, n).T)
 
 
 def init_colors(graph: DTDG, palette: dict | None = None) -> ColoringState:
-    """Feature-hash initialization (monochrome when featureless)."""
+    """Feature-hash initialization (monochrome when featureless).
+
+    Features are quantized to the 1e-9 grid as float64 integers (never a
+    fixed-width int, which would wrap past 9.2e9), with -0.0 folded to
+    0.0, so equal quantized values give equal key bytes.
+    """
     palette = {} if palette is None else palette
     n, t = graph.n_nodes, graph.n_steps
-    colors = np.zeros((n, t), dtype=np.int64)
-    for step in range(t):
-        for v in range(n):
-            if graph.features is None:
-                key = ("feat", ())
-            else:
-                quantized = tuple(int(round(x / _FEATURE_GRID))
-                                  for x in graph.features[v, step])
-                key = ("feat", quantized)
-            colors[v, step] = _palette_id(palette, key)
-    return ColoringState(colors=colors, palette=palette)
+    if graph.features is None:
+        key = np.int64(_FEATURE_TAG).tobytes()
+        return ColoringState(np.full((n, t), palette.setdefault(key, len(palette)),
+                                     dtype=np.int64), palette=palette)
+    d = graph.features.shape[2]
+    rows = np.empty((t * n, 1 + d), dtype=np.int64)
+    rows[:, 0] = _FEATURE_TAG
+    quantized = np.rint(graph.features / _FEATURE_GRID) + 0.0
+    rows[:, 1:] = quantized.transpose(1, 0, 2).reshape(t * n, d).view(np.int64)
+    ids = _assign_ids([(np.arange(t * n), rows)], t * n, palette)
+    return ColoringState(colors=_cell_grid(ids, n, t), palette=palette)
 
 
 def refine_step(graph: DTDG, state: ColoringState) -> ColoringState:
-    """One refinement round; fresh ids are drawn from the shared palette."""
-    colors = state.colors
-    n, t = colors.shape
-    new_colors = np.zeros_like(colors)
-    for step in range(t):
-        neighbors = graph.neighbor_lists(step)
-        for v in range(n):
-            multiset = tuple(sorted(colors[u, step] for u in neighbors[v]))
-            if step == 0:
-                key = ("ref", int(colors[v, step]), multiset)
-            else:
-                key = ("ref", int(colors[v, step]), int(colors[v, step - 1]), multiset)
-            new_colors[v, step] = _palette_id(state.palette, key)
-    return ColoringState(colors=new_colors, palette=state.palette,
+    """One refinement round; fresh ids are drawn from the shared palette.
+
+    Cell (v, t) is keyed by the row (tag, own color, color of (v, t-1) or
+    -1 at t = 0, its neighbor colors sorted ascending); cells of degree d
+    get rows of exactly 3 + d entries.
+    """
+    cells = graph._cells
+    n, t = state.colors.shape
+    own = state.colors.T.ravel()
+    previous = np.concatenate([np.full(n, -1, dtype=np.int64), own[:-n]])
+    # sorting owner*span + color sorts each owner's run by color in place
+    offset = cells.owner * (int(own.max()) + 1)
+    neighbours = np.sort(offset + own[cells.neighbour]) - offset
+    blocks = []
+    for group, entries in cells.groups:
+        rows = np.empty((group.size, 3 + entries.shape[1]), dtype=np.int64)
+        rows[:, 0] = _REFINE_TAG
+        rows[:, 1] = own[group]
+        rows[:, 2] = previous[group]
+        rows[:, 3:] = neighbours[entries]
+        blocks.append((group, rows))
+    ids = _assign_ids(blocks, n * t, state.palette)
+    return ColoringState(colors=_cell_grid(ids, n, t), palette=state.palette,
                          rounds=state.rounds + 1)
 
 
@@ -177,11 +262,13 @@ def refine_to_stable(graph: DTDG, state: ColoringState | None = None,
     if state is None:
         state = init_colors(graph)
     cap = graph.n_nodes * graph.n_steps if max_rounds is None else max_rounds
+    count = state.color_count()
     for _ in range(cap):
         refined = refine_step(graph, state)
-        if refined.color_count() == state.color_count():
+        refined_count = refined.color_count()
+        if refined_count == count:
             return refined
-        state = refined
+        state, count = refined, refined_count
     return state
 
 
@@ -194,6 +281,10 @@ class WLReport:
 
 def _end_multiset(colors: np.ndarray) -> tuple:
     return tuple(sorted(colors[:, -1].tolist()))
+
+
+def _joint_count(s1: ColoringState, s2: ColoringState) -> int:
+    return len(np.unique(np.concatenate([s1.colors.ravel(), s2.colors.ravel()])))
 
 
 def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
@@ -211,17 +302,16 @@ def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
     s2 = init_colors(g2, palette)
     if _end_multiset(s1.colors) != _end_multiset(s2.colors):
         return WLReport(NON_ISOMORPHIC, rounds=0, diverged_at=0)
+    joint_before = _joint_count(s1, s2)
     for round_index in range(1, cap + 1):
-        joint_before = len(np.unique(np.concatenate([s1.colors.ravel(),
-                                                     s2.colors.ravel()])))
         s1 = refine_step(g1, s1)
         s2 = refine_step(g2, s2)
         if _end_multiset(s1.colors) != _end_multiset(s2.colors):
             return WLReport(NON_ISOMORPHIC, rounds=round_index, diverged_at=round_index)
-        joint_after = len(np.unique(np.concatenate([s1.colors.ravel(),
-                                                    s2.colors.ravel()])))
+        joint_after = _joint_count(s1, s2)
         if joint_after == joint_before:
             return WLReport(INCONCLUSIVE, rounds=round_index, diverged_at=None)
+        joint_before = joint_after
     return WLReport(INCONCLUSIVE, rounds=cap, diverged_at=None)
 
 
@@ -229,13 +319,18 @@ def distinguishable(graph: DTDG, u: int, v: int, t: int,
                     steps: int | None = None) -> bool:
     """True when refinement (at most ``steps`` rounds) separates cells
     (u, t) and (v, t). Refinement never merges colors, so checking the last
-    partition is the same as checking every round."""
+    partition is the same as checking every round. The partition is
+    computed once per (graph, steps) and kept on the graph, so querying
+    many pairs refines once."""
     if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
         raise ParameterError("node indices out of range")
     if not 0 <= t < graph.n_steps:
         raise ParameterError("time index out of range")
-    state = refine_to_stable(graph, max_rounds=steps)
-    return bool(state.colors[u, t] != state.colors[v, t])
+    partitions = graph.__dict__.setdefault("_partitions", {})
+    if steps not in partitions:
+        partitions[steps] = refine_to_stable(graph, max_rounds=steps).colors
+    colors = partitions[steps]
+    return bool(colors[u, t] != colors[v, t])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Color refinement on dynamic graphs: fixtures, file format, and the
-soundness/monotonicity property suites."""
+"""Color refinement on dynamic graphs: fixtures, file format, the
+soundness/monotonicity property suites, and the per-cell reference loop
+the array refinement is checked against."""
 
 import numpy as np
 import pytest
 
+from spectemp import temporal_wl
 from spectemp.errors import DataError, ParameterError, ShapeError
 from spectemp.temporal_wl import (DTDG, check_spectral_conditions,
                                   distinguishable, fixture_path, format_dtdg,
@@ -44,6 +46,280 @@ def refines(finer, coarser):
     """Every cell of `finer` sits inside one cell of `coarser`."""
     return all(any(cell <= big for big in coarse)
                for fine, coarse in zip(finer, coarser) for cell in fine)
+
+
+# ---------------------------------------------------------------------------
+# reference refinement: one palette lookup per (node, time) cell
+# ---------------------------------------------------------------------------
+#
+# Keys are nested tuples and cells are visited t-major, so palette ids are
+# assigned in first-occurrence order. `init_colors`/`refine_step` must give
+# the same colors and palette sizes bitwise on every round.
+
+def reference_neighbor_lists(graph, t):
+    out = [[] for _ in range(graph.n_nodes)]
+    for u, v in graph.edges[t]:
+        out[u].append(v)
+        out[v].append(u)
+    return out
+
+
+def reference_palette_id(palette, key):
+    if key not in palette:
+        palette[key] = len(palette)
+    return palette[key]
+
+
+def reference_init_colors(graph, palette):
+    n, t = graph.n_nodes, graph.n_steps
+    colors = np.zeros((n, t), dtype=np.int64)
+    for step in range(t):
+        for v in range(n):
+            if graph.features is None:
+                key = ("feat", ())
+            else:
+                key = ("feat", tuple(int(round(x / 1e-9))
+                                     for x in graph.features[v, step]))
+            colors[v, step] = reference_palette_id(palette, key)
+    return colors
+
+
+def reference_refine_step(graph, colors, palette):
+    n, t = colors.shape
+    new_colors = np.zeros_like(colors)
+    for step in range(t):
+        neighbors = reference_neighbor_lists(graph, step)
+        for v in range(n):
+            multiset = tuple(sorted(colors[u, step] for u in neighbors[v]))
+            if step == 0:
+                key = ("ref", int(colors[v, step]), multiset)
+            else:
+                key = ("ref", int(colors[v, step]), int(colors[v, step - 1]), multiset)
+            new_colors[v, step] = reference_palette_id(palette, key)
+    return new_colors
+
+
+def reference_wl_test(g1, g2, steps=None):
+    """wl_test's verdict rule over the reference loop."""
+    cap = g1.n_nodes * g1.n_steps if steps is None else steps
+    palette = {}
+    c1 = reference_init_colors(g1, palette)
+    c2 = reference_init_colors(g2, palette)
+
+    def end(colors):
+        return sorted(colors[:, -1].tolist())
+
+    if end(c1) != end(c2):
+        return ("non_isomorphic", 0, 0)
+    for round_index in range(1, cap + 1):
+        before = len(np.unique(np.concatenate([c1.ravel(), c2.ravel()])))
+        c1 = reference_refine_step(g1, c1, palette)
+        c2 = reference_refine_step(g2, c2, palette)
+        if end(c1) != end(c2):
+            return ("non_isomorphic", round_index, round_index)
+        if len(np.unique(np.concatenate([c1.ravel(), c2.ravel()]))) == before:
+            return ("inconclusive", round_index, None)
+    return ("inconclusive", cap, None)
+
+
+def assert_matches_reference(graphs, rounds):
+    """Refine `graphs` against one shared palette, as wl_test does, and
+    compare with the reference after init and after every round."""
+    palette, reference = {}, {}
+    states, expected = [], []
+    for g in graphs:
+        states.append(init_colors(g, palette))
+        expected.append(reference_init_colors(g, reference))
+        assert states[-1].colors.dtype == np.int64
+        assert np.array_equal(states[-1].colors, expected[-1])
+        assert len(palette) == len(reference)
+    for _ in range(rounds):
+        for i, g in enumerate(graphs):
+            states[i] = refine_step(g, states[i])
+            expected[i] = reference_refine_step(g, expected[i], reference)
+            assert states[i].colors.dtype == np.int64
+            assert np.array_equal(states[i].colors, expected[i])
+            assert len(palette) == len(reference)
+
+
+def oracle_dtdg(rng, n, t, density, features=None):
+    """One snapshot per entry of `density` cycling; 0 gives an empty
+    snapshot, 1 a complete one."""
+    snapshots = []
+    for step in range(t):
+        p = density[step % len(density)]
+        snapshots.append(tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p))
+    return DTDG(n, tuple(snapshots), features)
+
+
+def test_refinement_matches_reference_loop_random_graphs():
+    rng = np.random.default_rng(110)
+    for trial in range(150):
+        g = random_dtdg(rng, max_nodes=10, max_steps=5, with_features=bool(trial % 2))
+        assert_matches_reference([g], rounds=g.n_nodes * g.n_steps // 2 + 2)
+
+
+def test_refinement_matches_reference_loop_edge_cases():
+    rng = np.random.default_rng(111)
+    cases = [
+        DTDG(1, ((),)),                                    # one cell
+        DTDG(5, ((), (), ())),                             # every snapshot empty
+        DTDG(4, (((0, 1),),)),                             # T = 1, isolated nodes
+        oracle_dtdg(rng, 9, 6, (0.0, 0.3, 1.0, 0.5)),     # empty and complete snapshots
+        oracle_dtdg(rng, 7, 1, (0.5,), rng.integers(0, 2, size=(7, 1, 2)).astype(float)),
+        # continuous, repeated and signed-zero features
+        oracle_dtdg(rng, 8, 4, (0.3, 0.0),
+                    rng.choice([-0.0, 0.0, 1.5e-9, -2.5e-9, 0.1, 1e12, 7.3e15],
+                               size=(8, 4, 3))),
+        oracle_dtdg(rng, 6, 3, (0.6,), rng.standard_normal((6, 3, 1))),
+    ]
+    for g in cases:
+        assert_matches_reference([g], rounds=g.n_nodes * g.n_steps + 1)
+
+
+def test_shared_palette_matches_reference_across_max_degrees():
+    # a star (max degree 7) and a path (max degree 2) refined against one
+    # palette: keys must not depend on how wide a graph pads its rows
+    star = tuple((0, v) for v in range(1, 8))
+    path = tuple((v, v + 1) for v in range(7))
+    rng = np.random.default_rng(112)
+    pairs = [(DTDG(8, (star, path, ())), DTDG(8, (path, path, star))),
+             (DTDG(8, (path,)), DTDG(8, (star,)))]
+    for _ in range(20):
+        n, t = int(rng.integers(3, 10)), int(rng.integers(1, 5))
+        feats = rng.integers(0, 2, size=(n, t, 1)).astype(float)
+        pairs.append((oracle_dtdg(rng, n, t, (0.2,), feats),
+                      oracle_dtdg(rng, n, t, (0.8,), feats[::-1])))
+    for g1, g2 in pairs:
+        assert_matches_reference([g1, g2], rounds=g1.n_nodes * g1.n_steps + 1)
+
+
+def test_wl_test_reports_match_reference():
+    rng = np.random.default_rng(113)
+    for trial in range(120):
+        g = random_dtdg(rng, max_nodes=9, max_steps=4, with_features=bool(trial % 3))
+        other = (g.permuted(rng.permutation(g.n_nodes)) if trial % 2
+                 else oracle_dtdg(rng, g.n_nodes, g.n_steps, (0.4,), g.features))
+        for steps in (None, 1):
+            report = wl_test(g, other, steps)
+            assert ((report.verdict, report.rounds, report.diverged_at)
+                    == reference_wl_test(g, other, steps)), trial
+
+
+def with_hub(graph, hub=0, steps=None):
+    """`graph` with node `hub` joined to every other node in `steps`
+    (default: every snapshot)."""
+    steps = range(graph.n_steps) if steps is None else steps
+    spokes = {(min(hub, v), max(hub, v)) for v in range(graph.n_nodes) if v != hub}
+    return DTDG(graph.n_nodes,
+                tuple(tuple(set(snap) | spokes) if t in steps else snap
+                      for t, snap in enumerate(graph.edges)),
+                graph.features)
+
+
+def test_hub_graphs_match_reference():
+    # one high-degree cell beside many low-degree ones, alone and against a
+    # graph without a hub on one shared palette
+    rng = np.random.default_rng(115)
+    for trial in range(12):
+        n, t = int(rng.integers(20, 60)), int(rng.integers(1, 5))
+        feats = rng.integers(0, 2, size=(n, t, 1)).astype(float) if trial % 2 else None
+        plain = oracle_dtdg(rng, n, t, (0.05, 0.0, 0.1), feats)
+        hubbed = with_hub(plain, int(rng.integers(n)), steps=range(0, t, 2))
+        assert_matches_reference([hubbed], rounds=4)
+        assert_matches_reference([plain, hubbed], rounds=4)
+        report = wl_test(hubbed, hubbed.permuted(rng.permutation(n)))
+        assert ((report.verdict, report.rounds, report.diverged_at)
+                == reference_wl_test(hubbed, hubbed.permuted(rng.permutation(n))))
+
+
+@pytest.mark.parametrize("n, t", [(1000, 5), (5000, 100)])
+def test_star_refinement_memory_is_linear_in_cells_and_edges(n, t):
+    # A star in every snapshot: one cell of degree N-1 per snapshot beside
+    # N-1 leaves. A layout that pads every cell to the largest degree would
+    # hold N*T*(N+2) entries, 20 GB at N=5000, T=100; a round must stay
+    # within a constant number of bytes per cell and edge end.
+    import tracemalloc
+
+    star = tuple((0, v) for v in range(1, n))
+    graph = DTDG(n, (star,) * t)
+    state = init_colors(graph)
+    graph._cells
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            state = refine_step(graph, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * (n * t + 2 * len(star) * t)
+    # in each snapshot the leaves share one color and the hub has another
+    assert np.array_equal(state.colors[1:], np.broadcast_to(state.colors[1], (n - 1, t)))
+    assert np.all(state.colors[0] != state.colors[1])
+
+
+def test_signed_zero_features_share_a_color():
+    g = DTDG(2, ((),), features=np.array([[-0.0], [0.0]]))
+    state = init_colors(g)
+    assert state.colors[0, 0] == state.colors[1, 0]
+
+
+def test_large_features_stay_distinct():
+    # 1e12 / 1e-9 is past the int64 range; the quantized values must not wrap
+    g = DTDG(3, ((),), features=np.array([[1e12], [2e12], [1e12]]))
+    state = init_colors(g)
+    assert state.colors[0, 0] != state.colors[1, 0]
+    assert state.colors[0, 0] == state.colors[2, 0]
+
+
+def benchmark_shape_dtdg(rng, n, t, n_edges, churn):
+    def fill(edges):
+        while len(edges) < n_edges:
+            u, v = (int(i) for i in rng.integers(0, n, size=2))
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        return sorted(edges)
+
+    snapshots = [fill(set())]
+    for _ in range(1, t):
+        current = snapshots[-1]
+        drop = set(rng.choice(len(current), int(churn * n_edges), replace=False).tolist())
+        snapshots.append(fill({e for i, e in enumerate(current) if i not in drop}))
+    return DTDG(n, tuple(tuple(s) for s in snapshots))
+
+
+def test_moved_edge_diverges_at_last_snapshot_at_benchmark_scale(monkeypatch):
+    # N=500, T=20, 1000 edges per snapshot. Moving one snapshot-0 edge so
+    # the degree multiset changes splits snapshot 0 in round 1; the split
+    # reaches the last snapshot, which wl_test compares, at round T.
+    n, t = 500, 20
+    rng = np.random.default_rng(114)
+    base = benchmark_shape_dtdg(rng, n, t, 1000, 0.1)
+    first = list(base.edges[0])
+    degree = np.bincount(np.asarray(first).ravel(), minlength=n)
+    while True:
+        u, v = first[int(rng.integers(len(first)))]
+        w = int(rng.integers(n))
+        if w not in (u, v) and (min(u, w), max(u, w)) not in first \
+                and degree[v] != degree[w] + 1:
+            break
+    moved = [e for e in first if e != (u, v)] + [(min(u, w), max(u, w))]
+    other = DTDG(n, (tuple(moved),) + base.edges[1:])
+
+    sizes = []
+    step = temporal_wl.refine_step
+
+    def recording_step(graph, state):
+        refined = step(graph, state)
+        sizes.append(len(refined.palette))
+        return refined
+
+    monkeypatch.setattr(temporal_wl, "refine_step", recording_step)
+    report = wl_test(base, other)
+    assert (report.verdict, report.rounds, report.diverged_at) == ("non_isomorphic", t, t)
+    assert len(sizes) == 2 * t
+    assert sizes[-1] > 2 ** 16
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +399,25 @@ def test_triangles_with_different_features_separate():
 def test_distinguishable_same_node_is_false():
     g = read_dtdg(fixture_path("wl_pair_right"))
     assert distinguishable(g, 1, 1, 0) is False
+
+
+def test_distinguishable_refines_once_per_graph_and_cap(monkeypatch):
+    calls = []
+    stable = temporal_wl.refine_to_stable
+
+    def counting(graph, state=None, max_rounds=None):
+        calls.append(max_rounds)
+        return stable(graph, state, max_rounds)
+
+    monkeypatch.setattr(temporal_wl, "refine_to_stable", counting)
+    g = read_dtdg(fixture_path("wl_pair_right"))
+    answers = [distinguishable(g, u, v, 1) for u in range(g.n_nodes)
+               for v in range(g.n_nodes)]
+    assert distinguishable(g, 0, 2, 1, steps=0) is False
+    assert calls == [None, 0]
+    assert answers == [u != v for u in range(g.n_nodes) for v in range(g.n_nodes)]
+    assert distinguishable(g.permuted(np.arange(g.n_nodes)), 0, 1, 1)
+    assert calls == [None, 0, None]
 
 
 def test_distinguishable_validates_indices():
