@@ -142,10 +142,10 @@ def load_config(args) -> dict:
     if args.config is not None:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
-            except json.JSONDecodeError as err:
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
                 raise ConfigError(f"config file is not valid JSON: {err}") from err
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -88,33 +88,38 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
     time_major: rows are time steps, columns variables; variable_major is
     the transpose. NaN/empty cells raise DataError unless impute="ffill",
     which forward-fills per variable (leading gaps take the first valid
-    value). Infinite cells always raise DataError.
+    value). Infinite cells, bytes that are not UTF-8 and unparseable CSV
+    always raise DataError.
     """
     if layout not in ("time_major", "variable_major"):
         raise ParameterError(f"unknown layout {layout!r}")
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            parsed = []
-            for col_no, cell in enumerate(row, start=1):
-                cell = cell.strip()
-                if cell == "" or cell.lower() == "nan":
-                    parsed.append(np.nan)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for line_no, row in enumerate(reader, start=1):
+                if not row or all(not cell.strip() for cell in row):
                     continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    if line_no == 1:
-                        parsed = None  # header row
-                        break
-                    raise DataError(
-                        f"{path}: line {line_no}, column {col_no}: "
-                        f"non-numeric cell {cell!r}") from None
-            if parsed is not None:
-                rows.append((line_no, parsed))
+                parsed = []
+                for col_no, cell in enumerate(row, start=1):
+                    cell = cell.strip()
+                    if cell == "" or cell.lower() == "nan":
+                        parsed.append(np.nan)
+                        continue
+                    try:
+                        parsed.append(float(cell))
+                    except ValueError:
+                        if line_no == 1:
+                            parsed = None  # header row
+                            break
+                        raise DataError(
+                            f"{path}: line {line_no}, column {col_no}: "
+                            f"non-numeric cell {cell!r}") from None
+                if parsed is not None:
+                    rows.append((line_no, parsed))
+    except (UnicodeDecodeError, csv.Error) as err:
+        # bytes that are not UTF-8, or a field past the csv module's limit
+        raise DataError(f"{path}: unreadable CSV: {err}") from None
     if not rows:
         raise DataError(f"{path}: no numeric rows")
     width = len(rows[0][1])
@@ -235,6 +240,9 @@ class WindowSet:
 
 def make_windows(dataset: Dataset, lookback: int, horizon: int,
                  stride: int = 1) -> WindowSet:
+    """Windows starting every ``stride`` steps, as read-only views of
+    ``dataset.values``: no window is copied. Gathering a batch by fancy
+    indexing (``inputs[idx]``) makes the copy."""
     if lookback < 1 or horizon < 1 or stride < 1:
         raise ParameterError("lookback, horizon, and stride must be positive")
     length = dataset.length
@@ -242,11 +250,11 @@ def make_windows(dataset: Dataset, lookback: int, horizon: int,
     if count < 1:
         raise ParameterError(
             f"series of length {length} is too short for T={lookback}, H={horizon}")
-    v = dataset.values
-    inputs = np.stack([v[:, i * stride:i * stride + lookback, :]
-                       for i in range(count)])
-    targets = np.stack([v[:, i * stride + lookback:i * stride + lookback + horizon, :]
-                        for i in range(count)])
+    # (N, L - W + 1, D, W) -> every stride-th start -> (B, N, W, D); no copy
+    spans = np.lib.stride_tricks.sliding_window_view(
+        dataset.values, lookback + horizon, axis=1)
+    spans = spans[:, ::stride].transpose(1, 0, 3, 2)
+    inputs, targets = spans[:, :, :lookback], spans[:, :, lookback:]
     origins = np.arange(count) * stride
     return WindowSet(inputs=inputs, targets=targets, origins=origins)
 

@@ -192,6 +192,13 @@ def latent_correlation(x: np.ndarray, embedding: np.ndarray | None = None) -> Ad
         sym = (attn + attn.T) / 2.0
         np.fill_diagonal(sym, 0.0)
         return Adjacency(sym)
+    return Adjacency(_pearson(flat))
+
+
+def _pearson(flat: np.ndarray) -> np.ndarray:
+    """|Pearson| matrix of the rows of an (N, T*D) array: symmetric, zero
+    diagonal and clipped to [0, 1] by construction, unless the rows hold
+    non-finite values, which pass through as NaN."""
     centered = flat - flat.mean(axis=1, keepdims=True)
     norms = np.sqrt((centered ** 2).sum(axis=1))
     safe = np.where(norms > 1e-12, norms, 1.0)
@@ -200,8 +207,7 @@ def latent_correlation(x: np.ndarray, embedding: np.ndarray | None = None) -> Ad
     corr[norms <= 1e-12, :] = 0.0
     corr[:, norms <= 1e-12] = 0.0
     np.fill_diagonal(corr, 0.0)
-    corr = np.clip((corr + corr.T) / 2.0, 0.0, 1.0)
-    return Adjacency(corr)
+    return np.clip((corr + corr.T) / 2.0, 0.0, 1.0)
 
 
 def windowed_mean_correlation(values: np.ndarray, lookback: int,
@@ -210,7 +216,9 @@ def windowed_mean_correlation(values: np.ndarray, lookback: int,
 
     This is what the trainer feeds the model in pearson mode: window-level
     correlations (which is what the model sees at run time) rather than one
-    whole-split correlation, computed from training data only.
+    whole-split correlation, computed from training data only. Only the
+    mean is validated, so a non-finite value anywhere in the windows raises
+    the ``Adjacency`` error once, at the end.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 2:
@@ -223,7 +231,7 @@ def windowed_mean_correlation(values: np.ndarray, lookback: int,
                                    dtype=int))
     acc = np.zeros((arr.shape[0], arr.shape[0]))
     for s in starts:
-        acc += latent_correlation(arr[:, s:s + lookback, :]).matrix
+        acc += _pearson(arr[:, s:s + lookback, :].reshape(arr.shape[0], -1))
     acc /= len(starts)
     np.fill_diagonal(acc, 0.0)
     return Adjacency(acc)

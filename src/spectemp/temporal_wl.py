@@ -474,7 +474,11 @@ def format_dtdg(graph: DTDG) -> str:
 
 def read_dtdg(path) -> DTDG:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dtdg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: not UTF-8 text: {err}") from None
+    return parse_dtdg(text)
 
 
 def write_dtdg(graph: DTDG, path) -> None:

@@ -165,6 +165,27 @@ def test_unreadable_graph_file_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [b'{"train": {"epochs": "\xb5"}}', b"[" * 200_000],
+                         ids=["not utf8", "nested too deep"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert cli.main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("section,key,name", [("twl", "left", "bad.dtdg"),
+                                              ("data", "csv", "bad.csv")])
+def test_input_file_that_is_not_utf8_exits_3(tmp_path, capsys, section, key, name):
+    garbage = tmp_path / name
+    garbage.write_bytes(b"\xff\xfe1 1\n#\n#\n")
+    cfg = write_config(tmp_path, {**TINY, section: {key: str(garbage)}})
+    command = "twl" if section == "twl" else "train"
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):
     """A checkpoint trained on TINY (4 variables), shared by forecast cases."""

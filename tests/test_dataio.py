@@ -58,6 +58,20 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("1.0,2.0\n3.0,\xb04.0\n".encode("latin-1"))
+    with pytest.raises(DataError, match="unreadable CSV"):
+        load_csv(path)
+
+
+def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text('"' + "1" * 200_000 + '"\n')
+    with pytest.raises(DataError, match="unreadable CSV"):
+        load_csv(path)
+
+
 def test_csv_roundtrip(tmp_path):
     ds = linear_dataset()
     path = tmp_path / "walk.csv"
@@ -157,6 +171,52 @@ def test_windows_align_targets_to_input_end():
 def test_windows_impossible_geometry():
     with pytest.raises(ParameterError):
         make_windows(linear_dataset(length=10), 12, 3)
+
+
+def stacked_windows(values, lookback, horizon, stride):
+    """The copying construction ``make_windows`` replaced, kept as its oracle."""
+    count = (values.shape[1] - lookback - horizon) // stride + 1
+    inputs = np.stack([values[:, i * stride:i * stride + lookback, :]
+                       for i in range(count)])
+    targets = np.stack([values[:, i * stride + lookback:i * stride + lookback + horizon, :]
+                        for i in range(count)])
+    return inputs, targets, np.arange(count) * stride
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("stride", [1, 2, 5])
+@pytest.mark.parametrize("dims", [1, 3])
+@pytest.mark.parametrize("length", [11, 12, 16, 47])
+def test_windows_match_stacked_copies(stride, dims, length):
+    """Length 11 at T=7, H=4 gives exactly one window for every stride."""
+    values = np.random.default_rng(length * dims + stride).standard_normal(
+        (4, length, dims))
+    windows = make_windows(Dataset(values=values), 7, 4, stride=stride)
+    inputs, targets, origins = stacked_windows(values, 7, 4, stride)
+    assert _same_bits(windows.inputs, inputs)
+    assert _same_bits(windows.targets, targets)
+    assert _same_bits(windows.origins, origins)
+    if length == 11:
+        assert windows.count == 1
+
+
+def test_windows_are_read_only_views_of_the_split():
+    train, _, _ = split(linear_dataset(length=60, seed=6), (0.6, 0.2, 0.2))
+    windows = make_windows(train, 6, 2, stride=2)
+    assert np.shares_memory(windows.inputs, train.values)
+    assert np.shares_memory(windows.targets, train.values)
+    before = train.values.copy()
+    with pytest.raises(ValueError):
+        windows.inputs[0, 0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        windows.targets[0, 0, 0, 0] = 1.0
+    assert np.array_equal(train.values, before)
+    # a gathered batch is a writable copy
+    batch = windows.inputs[np.array([2, 0])]
+    assert batch.flags.writeable and not np.shares_memory(batch, train.values)
 
 
 def test_windows_deterministic():

@@ -12,7 +12,7 @@ import pytest
 from spectemp import experiments as ex
 from spectemp import model_core as mc
 from spectemp import training
-from spectemp.errors import ConfigError, DataError, ShapeError
+from spectemp.errors import ConfigError, DataError, ParameterError, ShapeError
 from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm, decompose,
                                          fine_fdm, spectral_attention)
 from spectemp.spectral_graph import (Adjacency, FilterBank, graph_conv,
@@ -147,6 +147,53 @@ def test_windowed_mean_correlation_properties():
     assert np.allclose(m, m.T)
     assert np.all(np.diag(m) == 0.0)
     assert m.max() <= 1.0
+
+
+def looped_mean_correlation(values, lookback, max_windows=64):
+    """The per-window ``latent_correlation`` loop that
+    ``windowed_mean_correlation`` replaced, kept as its oracle."""
+    length = values.shape[1]
+    starts = np.unique(np.linspace(0, length - lookback,
+                                   min(max_windows, length - lookback + 1),
+                                   dtype=int))
+    acc = np.zeros((values.shape[0], values.shape[0]))
+    for s in starts:
+        acc += mc.latent_correlation(values[:, s:s + lookback, :]).matrix
+    acc /= len(starts)
+    np.fill_diagonal(acc, 0.0)
+    return acc, len(starts)
+
+
+def _series(kind):
+    rng = np.random.default_rng(41)
+    if kind == "constant":
+        return np.full((5, 120, 1), 3.25)
+    values = rng.standard_normal((6, 300 if kind != "short" else 30, 2))
+    if kind == "one constant row":
+        values[2] = -1.5
+    return values
+
+
+@pytest.mark.parametrize("kind", ["random", "constant", "one constant row", "short"])
+def test_windowed_mean_correlation_matches_per_window_loop(kind):
+    values = _series(kind)
+    expected, n_starts = looped_mean_correlation(values, 12)
+    got = mc.windowed_mean_correlation(values, 12).matrix
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    if kind == "short":
+        assert n_starts < 64
+    if kind == "constant":
+        assert not got.any()
+
+
+@pytest.mark.parametrize("where", [0, 150, 299])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_windowed_mean_correlation_rejects_non_finite_series(where, bad):
+    values = _series("random")
+    values[3, where, 1] = bad
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ParameterError, match="adjacency contains non-finite entries"):
+        mc.windowed_mean_correlation(values, 12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests: permutation equivariance of the forecaster, relabelling
-invariance of the temporal WL test, and checkpoint byte fuzzing.
+invariance of the temporal WL test, and fuzzing of checkpoint bytes,
+``.dtdg`` text and CSV bytes.
 
 Hypothesis runs derandomized with a small example budget, so the suite
 stays deterministic and fast."""
@@ -9,13 +10,14 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spectemp import model_core as mc
+from spectemp.dataio import load_csv
 from spectemp.errors import DataError, SpectempError
 from spectemp.experiments import BASIS_ORDER
-from spectemp.temporal_wl import DTDG, wl_test
+from spectemp.temporal_wl import DTDG, parse_dtdg, wl_test
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -146,3 +148,46 @@ def test_mutated_checkpoints_fail_only_with_data_error(raw):
         mc.forward(x, state, config)
     except SpectempError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# text and CSV fuzzing: only package errors may escape
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# Fragments of well-formed inputs, so that joined draws reach the parsers'
+# later stages (edge lists, feature blocks, ragged rows, imputation).
+TOKENS = ["0", "1", "2", "3", "-1", "1.5", "-0.0", "nan", "inf", "1e999", "x",
+          "99999999999999999999", "#", " ", ",", '"', "\n", "\r\n", "\t",
+          "\x00", "\x1c", "\u2028", "é", "3 2", "0 1", "1 2"]
+
+
+def fuzz_text():
+    return st.one_of(st.text(), st.lists(st.sampled_from(TOKENS), max_size=40)
+                     .map("".join))
+
+
+@FUZZ
+@given(text=fuzz_text())
+def test_parse_dtdg_fails_only_with_package_errors(text):
+    try:
+        graph = parse_dtdg(text)
+    except SpectempError:
+        return
+    assert graph.n_steps >= 1 and graph.n_nodes >= 1
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(), fuzz_text().map(str.encode)),
+       layout=st.sampled_from(["time_major", "variable_major"]),
+       impute=st.sampled_from([None, "ffill"]))
+def test_load_csv_fails_only_with_package_errors(tmp_path, raw, layout, impute):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(raw)
+    try:
+        dataset = load_csv(path, layout=layout, impute=impute)
+    except SpectempError:
+        return
+    assert dataset.n_dims == 1 and np.isfinite(dataset.values).all()
