@@ -30,7 +30,7 @@ from . import __version__
 from . import experiments as ex
 from . import model_core as mc
 from .config import read_section
-from .dataio import denormalize, mae, rmse
+from .dataio import mae, rmse
 from .errors import (ConfigError, DataError, NumericalError, ParameterError,
                      ShapeError)
 from .frequency_temporal import column_sampling_check
@@ -41,7 +41,7 @@ from .spectral_graph import (Adjacency, eigendecompose, fit_weight_alpha,
 from .temporal_wl import (check_spectral_conditions, distinguishable,
                           fixture_path, init_colors, read_dtdg,
                           refine_to_stable, wl_test)
-from .training import TrainConfig, evaluate, write_history_csv
+from .training import TrainConfig, evaluate, predict, write_history_csv
 
 DEFAULT_SEEDS = 5
 SECTIONS = ("task", "data", "model", "train", "forecast", "ablate", "theory",
@@ -252,11 +252,7 @@ def cmd_forecast(run: Run) -> None:
     state, model_cfg = mc.load_checkpoint(section.checkpoint)
     bundle = ex.prepare_data(task, run.seed, source)
     windows = bundle.test_windows
-    predicted = mc.forward(windows.inputs, state, model_cfg)
-    actual = windows.targets
-    if bundle.stats is not None:
-        predicted = denormalize(predicted, bundle.stats)
-        actual = denormalize(actual, bundle.stats)
+    predicted, actual = predict(state, model_cfg, windows, bundle.stats)
 
     run.write_csv("predictions.csv",
                   ["window_origin", "node_id", "step", "dim", "value"],

@@ -42,7 +42,6 @@ class Dataset:
 
     values: np.ndarray              # (N, L, D)
     name: str = "dataset"
-    adjacency: np.ndarray | None = None
     labels: np.ndarray | None = None      # per-variable group labels
     norm_method: str = "none"
 

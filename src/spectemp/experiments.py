@@ -21,6 +21,7 @@ from .dataio import (Dataset, NormStats, WindowSet, compute_norm_stats,
                      persistence_baseline, rmse, split, synth_signed_groups)
 from .errors import ConfigError, ParameterError
 from .model_core import ModelConfig, ModelState
+from .spectral_graph import BASES as BASIS_ORDER
 from .training import TrainConfig, TrainRun, evaluate, train
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "ABLATION_PRESETS",
 ]
 
-BASIS_ORDER = ("monomial", "bernstein", "chebyshev2", "gegenbauer", "jacobi")
 ORTHOGONAL_BASES = ("chebyshev2", "gegenbauer", "jacobi")
 POWER_BASES = ("monomial", "bernstein")
 
@@ -238,14 +238,18 @@ def embedding_matrix(state: ModelState, config: ModelConfig, windows: WindowSet,
 # experiments
 # ---------------------------------------------------------------------------
 
+def _preset_train_config(preset: dict) -> TrainConfig:
+    return TrainConfig(lr=preset["lr"], epochs=preset["epochs"],
+                       batch_size=preset["batch_size"])
+
+
 def signed_groups_experiment(task: SynthTask, seed: int,
                              tc: TrainConfig | None = None,
                              n_eval: int = 8) -> dict:
     """Train the full model and the frozen low-pass control on the same
     data, then compare silhouette scores of their test-window embeddings
     on the group labels."""
-    tc = dataclasses.replace(tc or TrainConfig(lr=3e-3, epochs=30, batch_size=64),
-                             seed=seed)
+    tc = dataclasses.replace(tc or _preset_train_config(SILHOUETTE_PRESET), seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
 
@@ -307,8 +311,7 @@ def forecast_experiment(task: SynthTask, seed: int,
                         tc: TrainConfig | None = None) -> dict:
     """Full-model forecasting on the synthetic task, judged on the test
     split against the persistence baseline."""
-    tc = dataclasses.replace(tc or TrainConfig(lr=3e-3, epochs=40, batch_size=64),
-                             seed=seed)
+    tc = dataclasses.replace(tc or _preset_train_config(FORECAST_PRESET), seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
     state, run = fit(config, tc, bundle, seed)

@@ -22,7 +22,8 @@ equal degree share one exact-width block of rows, `np.unique` dedupes
 each block, and only the distinct keys touch the palette. A round holds
 O(cells + E) integers for E edges over all snapshots, costs
 O((cells + E)*log(cells + E)) array work whatever the degree spread, and
-makes one dict lookup per distinct key.
+makes one dict lookup per distinct key. The same dedupe yields each
+state's color count, so no pass counts colors again.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -163,15 +164,17 @@ class ColoringState:
     """Colors per (node, time) cell plus the palette that issued them."""
 
     colors: np.ndarray            # (N, T) ints
+    n_colors: int                 # distinct values in colors
     palette: dict = field(default_factory=dict)
     rounds: int = 0
 
     def color_count(self) -> int:
-        return len(np.unique(self.colors))
+        return self.n_colors
 
 
-def _assign_ids(groups, size: int, palette: dict) -> np.ndarray:
-    """Palette id of every cell, assigned like a cell-by-cell loop.
+def _assign_ids(groups, size: int, palette: dict) -> tuple[np.ndarray, int]:
+    """Palette id of every cell, assigned like a cell-by-cell loop, and
+    the number of distinct ids.
 
     ``groups`` holds (cells, rows) pairs: ascending cell indices and one
     int64 key row per cell, all rows of a pair equally wide. The key of a
@@ -199,7 +202,7 @@ def _assign_ids(groups, size: int, palette: dict) -> np.ndarray:
     out = np.empty(size, dtype=np.int64)
     for cells, inverse in inverses:
         out[cells] = by_key[inverse]
-    return out
+    return out, len(keys)
 
 
 def _cell_grid(ids: np.ndarray, n: int, t: int) -> np.ndarray:
@@ -219,14 +222,14 @@ def init_colors(graph: DTDG, palette: dict | None = None) -> ColoringState:
     if graph.features is None:
         key = np.int64(_FEATURE_TAG).tobytes()
         return ColoringState(np.full((n, t), palette.setdefault(key, len(palette)),
-                                     dtype=np.int64), palette=palette)
+                                     dtype=np.int64), 1, palette=palette)
     d = graph.features.shape[2]
     rows = np.empty((t * n, 1 + d), dtype=np.int64)
     rows[:, 0] = _FEATURE_TAG
     quantized = np.rint(graph.features / _FEATURE_GRID) + 0.0
     rows[:, 1:] = quantized.transpose(1, 0, 2).reshape(t * n, d).view(np.int64)
-    ids = _assign_ids([(np.arange(t * n), rows)], t * n, palette)
-    return ColoringState(colors=_cell_grid(ids, n, t), palette=palette)
+    ids, count = _assign_ids([(np.arange(t * n), rows)], t * n, palette)
+    return ColoringState(_cell_grid(ids, n, t), count, palette=palette)
 
 
 def refine_step(graph: DTDG, state: ColoringState) -> ColoringState:
@@ -251,8 +254,8 @@ def refine_step(graph: DTDG, state: ColoringState) -> ColoringState:
         rows[:, 2] = previous[group]
         rows[:, 3:] = neighbours[entries]
         blocks.append((group, rows))
-    ids = _assign_ids(blocks, n * t, state.palette)
-    return ColoringState(colors=_cell_grid(ids, n, t), palette=state.palette,
+    ids, count = _assign_ids(blocks, n * t, state.palette)
+    return ColoringState(_cell_grid(ids, n, t), count, palette=state.palette,
                          rounds=state.rounds + 1)
 
 
@@ -262,13 +265,11 @@ def refine_to_stable(graph: DTDG, state: ColoringState | None = None,
     if state is None:
         state = init_colors(graph)
     cap = graph.n_nodes * graph.n_steps if max_rounds is None else max_rounds
-    count = state.color_count()
     for _ in range(cap):
         refined = refine_step(graph, state)
-        refined_count = refined.color_count()
-        if refined_count == count:
+        if refined.n_colors == state.n_colors:
             return refined
-        state, count = refined, refined_count
+        state = refined
     return state
 
 
@@ -279,20 +280,14 @@ class WLReport:
     diverged_at: int | None  # round index where end-time multisets split
 
 
-def _end_multiset(colors: np.ndarray) -> tuple:
-    return tuple(sorted(colors[:, -1].tolist()))
-
-
-def _joint_count(s1: ColoringState, s2: ColoringState) -> int:
-    return len(np.unique(np.concatenate([s1.colors.ravel(), s2.colors.ravel()])))
-
-
 def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
     """Parallel refinement of two graphs against one shared palette.
 
     Returns NON_ISOMORPHIC as soon as the end-time color multisets differ;
     INCONCLUSIVE if they still agree when both partitions stabilize (or at
-    the round cap).
+    the round cap). The palette is private and every round-r key holds an
+    own color issued in round r-1, so no key repeats an earlier round's:
+    the ids a round issues are the joint colors of both graphs.
     """
     if g1.n_nodes != g2.n_nodes or g1.n_steps != g2.n_steps:
         raise ShapeError("wl_test compares graphs with equal node and step counts")
@@ -300,15 +295,16 @@ def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
     palette: dict = {}
     s1 = init_colors(g1, palette)
     s2 = init_colors(g2, palette)
-    if _end_multiset(s1.colors) != _end_multiset(s2.colors):
+    if not np.array_equal(np.sort(s1.colors[:, -1]), np.sort(s2.colors[:, -1])):
         return WLReport(NON_ISOMORPHIC, rounds=0, diverged_at=0)
-    joint_before = _joint_count(s1, s2)
+    joint_before = len(palette)
     for round_index in range(1, cap + 1):
+        issued = len(palette)
         s1 = refine_step(g1, s1)
         s2 = refine_step(g2, s2)
-        if _end_multiset(s1.colors) != _end_multiset(s2.colors):
+        if not np.array_equal(np.sort(s1.colors[:, -1]), np.sort(s2.colors[:, -1])):
             return WLReport(NON_ISOMORPHIC, rounds=round_index, diverged_at=round_index)
-        joint_after = _joint_count(s1, s2)
+        joint_after = len(palette) - issued
         if joint_after == joint_before:
             return WLReport(INCONCLUSIVE, rounds=round_index, diverged_at=None)
         joint_before = joint_after

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model_core as mc
 from .autodiff import check_finite_gradients
-from .dataio import NormStats, WindowSet, denormalize
+from .dataio import NormStats, WindowSet, denormalize, mae, rmse
 from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "gradients",
     "optimizer_step",
     "train",
+    "predict",
     "evaluate",
     "write_history_csv",
     "finite_difference_check",
@@ -139,26 +140,32 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
     return moments
 
 
+def predict(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
+            stats: NormStats | None = None,
+            chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Forecasts of a window set and its targets, forwarding at most
+    ``chunk`` windows at a time; with ``stats``, both on the raw scale."""
+    if windows.count == 0:
+        raise DataError("cannot evaluate on an empty window set")
+    mc.require_finite_windows(windows.inputs)
+    predicted = np.concatenate([
+        mc.forward(windows.inputs[start:start + chunk], state, config)
+        for start in range(0, windows.count, chunk)])
+    actual = windows.targets
+    if stats is not None:
+        predicted = denormalize(predicted, stats)
+        actual = denormalize(actual, stats)
+    return predicted, actual
+
+
 def evaluate(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
              stats: NormStats | None = None, chunk: int = 256) -> dict:
     """Forecast errors over a window set: MAE and RMSE, averaged over every
     sample, node, step, and dimension. With ``stats``, both predictions and
     targets are mapped back to the raw scale first.
     """
-    if windows.count == 0:
-        raise DataError("cannot evaluate on an empty window set")
-    mc.require_finite_windows(windows.inputs)
-    preds = []
-    for start in range(0, windows.count, chunk):
-        preds.append(mc.forward(windows.inputs[start:start + chunk], state, config))
-    predicted = np.concatenate(preds, axis=0)
-    actual = windows.targets
-    if stats is not None:
-        predicted = denormalize(predicted, stats)
-        actual = denormalize(actual, stats)
-    err = predicted - actual
-    return {"mae": float(np.abs(err).mean()),
-            "rmse": float(np.sqrt((err ** 2).mean()))}
+    predicted, actual = predict(state, config, windows, stats, chunk)
+    return {"mae": mae(predicted, actual), "rmse": rmse(predicted, actual)}
 
 
 def _epoch_batches(count: int, batch_size: int, rng, shuffle: bool):
@@ -258,9 +265,7 @@ def finite_difference_check(state: mc.ModelState, config: mc.ModelConfig,
     report = {}
 
     def loss_at() -> float:
-        arr_x = x if x.ndim == 4 else x[None]
-        arr_y = y if y.ndim == 4 else y[None]
-        return mc.loss(mc.forward(arr_x, state, config), arr_y)
+        return mc.loss(mc.forward(x, state, config), y)
 
     for name, grad in grads.items():
         flat_param = state.params[name].reshape(-1)

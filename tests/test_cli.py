@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 from spectemp import cli
+from spectemp import model_core as mc
 from spectemp.experiments import BASIS_ORDER
 from spectemp.temporal_wl import fixture_path
 
@@ -114,6 +115,31 @@ def test_forecast_reproduces_training_metrics(tmp_path):
     rows = read_rows(fc_out / "predictions.csv")
     assert rows[0] == ["window_origin", "node_id", "step", "dim", "value"]
     assert len(rows) > 1
+
+
+def test_forecast_forwards_at_most_256_windows_at_once(tmp_path, monkeypatch):
+    task = {**TINY["task"], "length": 1600}
+    cfg = write_config(tmp_path, {**TINY, "task": task,
+                                  "train": {**TINY["train"], "epochs": 1}})
+    train_out = tmp_path / "train"
+    assert cli.main(["train", "--config", cfg, "--out", str(train_out)]) == 0
+    checkpoint = str(train_out / "checkpoint.stck")
+    fc_cfg = write_config(tmp_path,
+                          {**TINY, "task": task, "forecast": {"checkpoint": checkpoint}},
+                          name="forecast.json")
+
+    sizes = []
+    forward = mc.forward
+
+    def counting_forward(x, state, config):
+        sizes.append(len(x))
+        return forward(x, state, config)
+
+    monkeypatch.setattr(mc, "forward", counting_forward)
+    fc_out = tmp_path / "fc"
+    assert cli.main(["forecast", "--config", fc_cfg, "--out", str(fc_out)]) == 0
+    assert sum(sizes) == read_json(fc_out / "metrics.json")["windows"] > 256
+    assert max(sizes) <= 256
 
 
 def test_forecast_without_checkpoint_is_config_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Property tests: permutation equivariance of the forecaster, relabelling
-invariance of the temporal WL test, and fuzzing of checkpoint bytes,
-``.dtdg`` text and CSV bytes.
+invariance of the temporal WL test and its color counts, and fuzzing of
+checkpoint bytes, ``.dtdg`` text and CSV bytes.
 
 Hypothesis runs derandomized with a small example budget, so the suite
 stays deterministic and fast."""
@@ -17,7 +17,7 @@ from spectemp import model_core as mc
 from spectemp.dataio import load_csv
 from spectemp.errors import DataError, SpectempError
 from spectemp.experiments import BASIS_ORDER
-from spectemp.temporal_wl import DTDG, parse_dtdg, wl_test
+from spectemp.temporal_wl import DTDG, init_colors, parse_dtdg, refine_step, wl_test
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -92,6 +92,27 @@ def test_wl_verdict_is_invariant_under_relabelling(graphs):
     report = wl_test(g1, g2)
     assert wl_test(g1.permuted(perm), g2) == report
     assert wl_test(g1, g2.permuted(perm)) == report
+
+
+@PROPERTY
+@given(graphs=dynamic_graph_pair())
+def test_color_counts_match_a_recount(graphs):
+    """Refinement counts colors once, in the relabel. After init and after
+    every round, each state's count and the ids the shared palette issued
+    in that round match an `np.unique` recount (the latter is what
+    `wl_test` takes as the joint count)."""
+    g1, g2, perm = graphs
+    graphs = (g1, g2.permuted(perm))
+    palette: dict = {}
+    states = [None, None]
+    for round_index in range(g1.n_nodes * g1.n_steps + 1):
+        issued_before = len(palette)
+        states = [refine_step(g, s) if round_index else init_colors(g, palette)
+                  for g, s in zip(graphs, states)]
+        for state in states:
+            assert state.color_count() == len(np.unique(state.colors))
+        joint = np.concatenate([state.colors.ravel() for state in states])
+        assert len(palette) - issued_before == len(np.unique(joint))
 
 
 # ---------------------------------------------------------------------------
