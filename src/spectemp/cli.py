@@ -30,7 +30,7 @@ from . import __version__
 from . import experiments as ex
 from . import model_core as mc
 from .config import read_section
-from .dataio import mae, rmse
+from .dataio import forecast_errors
 from .errors import (ConfigError, DataError, NumericalError, ParameterError,
                      ShapeError)
 from .frequency_temporal import column_sampling_check
@@ -258,8 +258,7 @@ def cmd_forecast(run: Run) -> None:
                   ["window_origin", "node_id", "step", "dim", "value"],
                   ([int(windows.origins[i]), *rest]
                    for i, *rest in _long_rows(predicted)))
-    _write_json(run.path("metrics.json"), {"mae": mae(predicted, actual),
-                                           "rmse": rmse(predicted, actual),
+    _write_json(run.path("metrics.json"), {**forecast_errors(predicted, actual),
                                            "windows": int(windows.count)})
     run.effective.update(model=model_cfg.to_dict(), dataset=bundle.manifest(run.seed))
     print(f"wrote {windows.count} windows of forecasts")

@@ -30,8 +30,7 @@ __all__ = [
     "make_windows",
     "synth_signed_groups",
     "persistence_baseline",
-    "mae",
-    "rmse",
+    "forecast_errors",
     "dataset_manifest",
 ]
 
@@ -292,18 +291,14 @@ def persistence_baseline(windows: WindowSet) -> np.ndarray:
     return np.repeat(last, horizon, axis=2)
 
 
-def mae(predicted: np.ndarray, actual: np.ndarray) -> float:
+def forecast_errors(predicted: np.ndarray, actual: np.ndarray) -> dict:
+    """MAE and RMSE over every entry, both from one ``predicted - actual``."""
     predicted, actual = np.asarray(predicted), np.asarray(actual)
     if predicted.shape != actual.shape:
         raise ShapeError(f"shape mismatch {predicted.shape} vs {actual.shape}")
-    return float(np.abs(predicted - actual).mean())
-
-
-def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
-    predicted, actual = np.asarray(predicted), np.asarray(actual)
-    if predicted.shape != actual.shape:
-        raise ShapeError(f"shape mismatch {predicted.shape} vs {actual.shape}")
-    return float(np.sqrt(((predicted - actual) ** 2).mean()))
+    error = predicted - actual
+    return {"mae": float(np.abs(error).mean()),
+            "rmse": float(np.sqrt((error ** 2).mean()))}
 
 
 def dataset_manifest(dataset: Dataset, stats: NormStats | None = None,

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import model_core as mc
 from .dataio import (Dataset, NormStats, WindowSet, compute_norm_stats,
-                     dataset_manifest, load_csv, make_windows, mae, normalize,
-                     persistence_baseline, rmse, split, synth_signed_groups)
+                     dataset_manifest, forecast_errors, load_csv, make_windows,
+                     normalize, persistence_baseline, split, synth_signed_groups)
 from .errors import ConfigError, ParameterError
 from .model_core import ModelConfig, ModelState
 from .spectral_graph import BASES as BASIS_ORDER
@@ -160,7 +160,6 @@ def fit(config: ModelConfig, tc: TrainConfig, bundle: SynthBundle, seed: int,
     ``validate`` is False."""
     if state is None:
         state = mc.init_state(config, bundle.dataset.n_variables, rng=seed,
-                              train_values=bundle.train_values,
                               adjacency=bundle.adjacency)
     return train(config, tc, bundle.train_windows,
                  bundle.val_windows if validate else None, state=state)
@@ -316,16 +315,15 @@ def forecast_experiment(task: SynthTask, seed: int,
     config = task_model_config(task)
     state, run = fit(config, tc, bundle, seed)
     scores = evaluate(state, config, bundle.test_windows)
-    naive = persistence_baseline(bundle.test_windows)
-    base_mae = mae(naive, bundle.test_windows.targets)
-    base_rmse = rmse(naive, bundle.test_windows.targets)
+    base = forecast_errors(persistence_baseline(bundle.test_windows),
+                           bundle.test_windows.targets)
     return {
         "seed": seed,
         "model_mae": scores["mae"],
         "model_rmse": scores["rmse"],
-        "persistence_mae": base_mae,
-        "persistence_rmse": base_rmse,
-        "improvement": 1.0 - scores["mae"] / base_mae,
+        "persistence_mae": base["mae"],
+        "persistence_rmse": base["rmse"],
+        "improvement": 1.0 - scores["mae"] / base["mae"],
         "run": run,
         "state": state,
         "config": config,

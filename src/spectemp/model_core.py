@@ -210,8 +210,10 @@ def _pearson(flat: np.ndarray) -> np.ndarray:
     return np.clip((corr + corr.T) / 2.0, 0.0, 1.0)
 
 
-def windowed_mean_correlation(values: np.ndarray, lookback: int,
-                              max_windows: int = 64) -> Adjacency:
+CORRELATION_WINDOWS = 64
+
+
+def windowed_mean_correlation(values: np.ndarray, lookback: int) -> Adjacency:
     """Average of |Pearson| adjacencies over evenly spaced training windows.
 
     This is what the trainer feeds the model in pearson mode: window-level
@@ -227,7 +229,7 @@ def windowed_mean_correlation(values: np.ndarray, lookback: int,
     if length < lookback:
         raise ShapeError("series shorter than one window")
     starts = np.unique(np.linspace(0, length - lookback,
-                                   min(max_windows, length - lookback + 1),
+                                   min(CORRELATION_WINDOWS, length - lookback + 1),
                                    dtype=int))
     acc = np.zeros((arr.shape[0], arr.shape[0]))
     for s in starts:
@@ -312,7 +314,8 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
     if config.adjacency_mode != "learned":
         if adjacency is None and config.adjacency_mode == "pearson":
             if train_values is None:
-                raise ConfigError("pearson adjacency mode needs training values")
+                raise ConfigError("pearson adjacency mode needs an adjacency "
+                                  "or training values")
             adjacency = windowed_mean_correlation(train_values, config.lookback)
             if adjacency.n_nodes != n_nodes:
                 raise ShapeError("training values variable count does not match n_nodes")
@@ -761,6 +764,8 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise malformed(f"{name} has shape {arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise malformed(f"{name} holds non-finite values")
     frozen = header.get("frozen", [])
     if not (isinstance(frozen, list) and all(isinstance(f, str) for f in frozen)):
         raise malformed("frozen must list parameter names")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import model_core as mc
 from .autodiff import check_finite_gradients
-from .dataio import NormStats, WindowSet, denormalize, mae, rmse
+from .dataio import NormStats, WindowSet, denormalize, forecast_errors
 from .errors import ConfigError, DataError, ShapeError
 
 __all__ = [
@@ -164,8 +164,7 @@ def evaluate(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
     sample, node, step, and dimension. With ``stats``, both predictions and
     targets are mapped back to the raw scale first.
     """
-    predicted, actual = predict(state, config, windows, stats, chunk)
-    return {"mae": mae(predicted, actual), "rmse": rmse(predicted, actual)}
+    return forecast_errors(*predict(state, config, windows, stats, chunk))
 
 
 def _epoch_batches(count: int, batch_size: int, rng, shuffle: bool):
@@ -177,14 +176,14 @@ def _epoch_batches(count: int, batch_size: int, rng, shuffle: bool):
 def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
           val_windows: WindowSet | None = None,
           state: mc.ModelState | None = None,
-          adjacency=None, train_values: np.ndarray | None = None,
-          stats: NormStats | None = None) -> tuple[mc.ModelState, TrainRun]:
+          adjacency=None) -> tuple[mc.ModelState, TrainRun]:
     """Minibatch training with per-epoch validation and early stopping.
 
     The returned state carries the best-validation parameters when a
     validation set is given (falling back to the final parameters
     otherwise). Epoch losses are sample-weighted means of the batch
     objective, so the history does not depend on the batch split.
+    Validation scores ``val_windows`` as given, on the normalized scale.
     """
     if train_windows.count == 0:
         raise DataError("cannot train on an empty window set")
@@ -194,8 +193,7 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     rng = np.random.default_rng(tc.seed)
     if state is None:
         n_nodes = train_windows.inputs.shape[1]
-        state = mc.init_state(config, n_nodes, rng=rng,
-                              train_values=train_values, adjacency=adjacency)
+        state = mc.init_state(config, n_nodes, rng=rng, adjacency=adjacency)
     moments = AdamMoments.for_state(state)
     run = TrainRun(seed=tc.seed,
                    config={"model": config.to_dict(), "train": tc.to_dict()})
@@ -217,7 +215,7 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
         run.epoch_losses.append(total / weight)
 
         if val_windows is not None and val_windows.count:
-            scores = evaluate(state, config, val_windows, stats=stats)
+            scores = evaluate(state, config, val_windows)
             run.val_mae.append(scores["mae"])
             run.val_rmse.append(scores["rmse"])
             if scores["mae"] < best_val - 1e-12:

@@ -247,6 +247,18 @@ def test_checkpoint_node_count_mismatch_exits_2(tmp_path, capsys,
     assert "6 variables" in err and "built for 4" in err
 
 
+def test_checkpoint_with_nan_parameter_exits_3(tmp_path, capsys,
+                                               trained_checkpoint):
+    source = tmp_path / "trained.stck"
+    source.write_bytes(trained_checkpoint)
+    state, config = mc.load_checkpoint(source)
+    state.params["block0.theta"][1] = float("nan")
+    mc.save_checkpoint(source, state, config)
+    assert forecast_with(tmp_path, source.read_bytes()) == 3
+    assert "block0.theta holds non-finite values" in capsys.readouterr().err
+    assert not (tmp_path / "fc" / "metrics.json").exists()
+
+
 # Each of these used to end in a traceback (or, for twl.stepz, pass
 # silently); each must now be a typed error with its exit code.
 BAD_RUNS = {

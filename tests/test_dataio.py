@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spectemp.dataio import (Dataset, compute_norm_stats, dataset_manifest,
-                             denormalize, load_csv, mae, make_windows,
-                             normalize, persistence_baseline, rmse, save_csv,
-                             split, synth_signed_groups)
+                             denormalize, forecast_errors, load_csv,
+                             make_windows, normalize, persistence_baseline,
+                             save_csv, split, synth_signed_groups)
 from spectemp.errors import DataError, ParameterError, ShapeError
 
 
@@ -280,7 +280,7 @@ def test_persistence_constant_series():
     values = np.full((2, 20, 1), 5.0)
     windows = make_windows(Dataset(values=values), 6, 3)
     predicted = persistence_baseline(windows)
-    assert mae(predicted, windows.targets) == 0.0
+    assert forecast_errors(predicted, windows.targets)["mae"] == 0.0
 
 
 def test_persistence_ramp_hand_value():
@@ -288,14 +288,13 @@ def test_persistence_ramp_hand_value():
     windows = make_windows(Dataset(values=values), 6, 3)
     predicted = persistence_baseline(windows)
     assert predicted.shape == windows.targets.shape
-    assert mae(predicted, windows.targets) == pytest.approx(2.0)
+    assert forecast_errors(predicted, windows.targets)["mae"] == pytest.approx(2.0)
 
 
 def test_mae_rmse_hand_values():
-    predicted = np.array([1.0, 3.0])
-    actual = np.array([2.0, 5.0])
-    assert mae(predicted, actual) == pytest.approx(1.5)
-    assert rmse(predicted, actual) == pytest.approx(np.sqrt(2.5))
+    scores = forecast_errors(np.array([1.0, 3.0]), np.array([2.0, 5.0]))
+    assert scores["mae"] == pytest.approx(1.5)
+    assert scores["rmse"] == pytest.approx(np.sqrt(2.5))
 
 
 def test_rmse_dominates_mae():
@@ -303,12 +302,24 @@ def test_rmse_dominates_mae():
     for _ in range(10):
         a = rng.standard_normal(50)
         b = rng.standard_normal(50)
-        assert rmse(a, b) >= mae(a, b) - 1e-12
+        scores = forecast_errors(a, b)
+        assert scores["rmse"] >= scores["mae"] - 1e-12
 
 
 def test_metric_shape_mismatch():
     with pytest.raises(ShapeError):
-        mae(np.ones(3), np.ones(4))
+        forecast_errors(np.ones(3), np.ones(4))
+
+
+def test_forecast_errors_on_window_views_match_two_subtractions():
+    rng = np.random.default_rng(9)
+    windows = make_windows(Dataset(values=rng.standard_normal((5, 60, 2))), 8, 3)
+    actual = windows.targets
+    assert not actual.flags.writeable and not actual.flags.c_contiguous
+    predicted = rng.standard_normal(actual.shape)
+    assert forecast_errors(predicted, actual) == {
+        "mae": float(np.abs(predicted - actual).mean()),
+        "rmse": float(np.sqrt(((predicted - actual) ** 2).mean()))}
 
 
 # ---------------------------------------------------------------------------

@@ -672,6 +672,19 @@ def test_checkpoint_rejects_malformed_files(tmp_path, corruption):
         mc.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,bad", [("block0.theta", np.nan),
+                                      ("head.weight", -np.inf),
+                                      ("meta.a_hat", np.inf)])
+def test_checkpoint_rejects_non_finite_arrays(tmp_path, name, bad):
+    state, config = small_state(seed=40)
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    path.write_bytes(_poke(path.read_bytes(), name, bad))
+    with pytest.raises(DataError, match=f"malformed checkpoint .*{name} holds "
+                                        "non-finite values"):
+        mc.load_checkpoint(path)
+
+
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     first, config = small_state(seed=38)
     second, _ = small_state(seed=39)
