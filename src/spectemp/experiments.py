@@ -112,7 +112,6 @@ class SynthBundle:
     test_windows: WindowSet
     adjacency: np.ndarray
     labels: np.ndarray
-    train_values: np.ndarray
     stats: NormStats | None         # training-split normalization, if any
     ratios: tuple
 
@@ -142,8 +141,7 @@ def prepare_data(task: SynthTask, seed: int,
     w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
     return SynthBundle(dataset=ds, train_windows=w(train_ds), val_windows=w(val_ds),
                        test_windows=w(test_ds), adjacency=adjacency,
-                       labels=ds.labels, train_values=train_ds.values,
-                       stats=stats, ratios=ratios)
+                       labels=ds.labels, stats=stats, ratios=ratios)
 
 
 def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:

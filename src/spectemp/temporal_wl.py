@@ -10,20 +10,24 @@ block. Refinement colors every (node, time) cell:
 * one round recolors (v, t) by the tuple (own color, color of (v, t-1),
   sorted multiset of neighbor colors at time t); at t = 0, and when T = 1,
   the previous-time entry is omitted;
-* fresh ids come from a palette keyed by canonical byte strings and are
-  assigned in the order the keys first occur, cells visited t-major
-  (t*N + v), so two graphs refined against a shared palette are directly
+* a round's fresh ids continue the ids issued so far, in the order the
+  keys first occur, cells visited t-major (t*N + v); graphs refined
+  together are visited one after the other, so their colors are directly
   comparable.
 
 A round is one array relabel (the sorting-based 1-WL of Shervashidze et
-al. 2011): every cell's key becomes one int64 row (tag, own color,
-previous color or -1, neighbor colors sorted within the cell), cells of
-equal degree share one exact-width block of rows, `np.unique` dedupes
-each block, and only the distinct keys touch the palette. A round holds
-O(cells + E) integers for E edges over all snapshots, costs
-O((cells + E)*log(cells + E)) array work whatever the degree spread, and
-makes one dict lookup per distinct key. The same dedupe yields each
-state's color count, so no pass counts colors again.
+al. 2011): every cell's key becomes one int64 row (own color, previous
+color or -1, neighbor colors sorted within the cell), cells of
+equal degree share one exact-width block of rows, and `np.unique` dedupes
+each block over every graph refined together. Colors are issued by
+counting, not looked up: every key of a round holds an own color issued
+in the round before, so no key can repeat an earlier round's, and a
+key's id is the number of ids issued so far plus the rank of its first
+cell among the round's distinct keys. A round holds O(cells + E)
+integers for E edges over all snapshots and costs
+O((cells + E)*log(cells + E)) array work whatever the degree spread. The
+same dedupe yields each state's color count, so no pass counts colors
+again.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -34,9 +38,9 @@ N*T rounds, which is the default cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -68,8 +72,6 @@ NON_ISOMORPHIC = "non_isomorphic"
 INCONCLUSIVE = "inconclusive"
 
 _FEATURE_GRID = 1e-9
-# First entry of every key row; keeps init and refinement keys apart.
-_FEATURE_TAG, _REFINE_TAG = 0, 1
 
 
 class _CellIndex(NamedTuple):
@@ -161,102 +163,155 @@ class DTDG:
 
 @dataclass
 class ColoringState:
-    """Colors per (node, time) cell plus the palette that issued them."""
+    """Colors per (node, time) cell and the ids issued so far.
 
-    colors: np.ndarray            # (N, T) ints
-    n_colors: int                 # distinct values in colors
-    palette: dict = field(default_factory=dict)
+    ``colors`` is (N, T) for one graph and (G, N, T) for G graphs refined
+    together; ``n_colors`` counts the distinct colors of the whole state.
+    ``palette`` is ``range(issued)``: the next round's fresh ids follow it.
+    """
+
+    colors: np.ndarray
+    n_colors: int
+    palette: range = range(0)
     rounds: int = 0
 
     def color_count(self) -> int:
         return self.n_colors
 
 
-def _assign_ids(groups, size: int, palette: dict) -> tuple[np.ndarray, int]:
-    """Palette id of every cell, assigned like a cell-by-cell loop, and
-    the number of distinct ids.
+def _merge_by_width(pairs) -> list:
+    """Join the (cells, block) pairs whose blocks are equally wide.
+
+    Pairs listed in ascending cell order keep each joined cell array
+    ascending.
+    """
+    widths: dict = {}
+    for cells, block in pairs:
+        widths.setdefault(block.shape[1], []).append((cells, block))
+    return [(np.concatenate([c for c, _ in same]), np.concatenate([b for _, b in same]))
+            for same in widths.values()]
+
+
+class _Graphs(tuple):
+    """Graphs refined together: equal N and T, cells in (graph, t, v)
+    order. A DTDG stands for the tuple of itself."""
+
+    def __new__(cls, graph):
+        if isinstance(graph, cls):
+            return graph
+        graphs = super().__new__(cls, (graph,) if isinstance(graph, DTDG) else graph)
+        if len({(g.n_nodes, g.n_steps) for g in graphs}) != 1:
+            raise ShapeError("graphs refined together need equal node and step counts")
+        return graphs
+
+    @cached_property
+    def cells(self) -> _CellIndex:
+        """The graphs' own cell indices side by side, built once."""
+        if len(self) == 1:
+            return self[0]._cells
+        indices = [g._cells for g in self]
+        span = self[0].n_nodes * self[0].n_steps
+        shifts = range(0, span * len(self), span)
+        ends = np.cumsum([0] + [index.owner.size for index in indices])
+        return _CellIndex(
+            np.concatenate([index.owner + shift for index, shift in zip(indices, shifts)]),
+            np.concatenate([index.neighbour + shift
+                            for index, shift in zip(indices, shifts)]),
+            tuple(_merge_by_width((cells + shift, entries + end)
+                                  for index, shift, end in zip(indices, shifts, ends)
+                                  for cells, entries in index.groups)))
+
+
+def _assign_ids(groups, size: int, issued: int) -> tuple[np.ndarray, int]:
+    """Id of every cell and the number of distinct keys.
 
     ``groups`` holds (cells, rows) pairs: ascending cell indices and one
-    int64 key row per cell, all rows of a pair equally wide. The key of a
-    cell is the bytes of its row, so equal rows from two graphs share a
-    key. Distinct keys are looked up in the order their first cell occurs
-    and fresh ones get consecutive ids in that order.
+    int64 key row per cell, all rows of a pair equally wide and no width
+    in two pairs, so equal keys are equal rows of one pair. Distinct keys
+    are ranked by the cell where they first occur and get the ids
+    ``issued + rank``: the ids a palette would issue visiting cells in
+    order, as long as no key was issued before. Every refinement key holds
+    an own color issued in the round before, so that holds for a state's
+    next round.
     """
-    keys, first, inverses = [], [], []
+    first, inverses, count = [], [], 0
     for cells, rows in groups:
         void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-        distinct, at, inverse = np.unique(rows.view(void).ravel(),
-                                          return_index=True, return_inverse=True)
-        inverses.append((cells, inverse + len(keys)))
-        keys.extend(distinct.tolist())
+        _, at, inverse = np.unique(rows.view(void).ravel(),
+                                   return_index=True, return_inverse=True)
+        inverses.append((cells, inverse + count))
+        count += at.size
         first.append(cells[at])
-    order = np.argsort(np.concatenate(first))
-    keys = [keys[i] for i in order.tolist()]
-    ids = np.fromiter(map(palette.get, keys, repeat(-1)), dtype=np.int64, count=len(keys))
-    fresh = ids < 0
-    base, count = len(palette), int(fresh.sum())
-    palette.update(zip(compress(keys, fresh), range(base, base + count)))
-    ids[fresh] = np.arange(base, base + count)
-    by_key = np.empty_like(ids)
-    by_key[order] = ids
+    by_key = np.empty(count, dtype=np.int64)
+    by_key[np.argsort(np.concatenate(first))] = np.arange(issued, issued + count)
     out = np.empty(size, dtype=np.int64)
     for cells, inverse in inverses:
         out[cells] = by_key[inverse]
-    return out, len(keys)
+    return out, count
 
 
-def _cell_grid(ids: np.ndarray, n: int, t: int) -> np.ndarray:
-    """(N, T) colors from ids listed t-major."""
-    return np.ascontiguousarray(ids.reshape(t, n).T)
+def _cell_grid(ids: np.ndarray, shape: tuple) -> np.ndarray:
+    """Colors of ``shape`` ((N, T) or (G, N, T)) from ids listed in
+    (graph, t, v) order."""
+    n, t = shape[-2:]
+    return np.ascontiguousarray(ids.reshape(-1, t, n).transpose(0, 2, 1)).reshape(shape)
 
 
-def init_colors(graph: DTDG, palette: dict | None = None) -> ColoringState:
-    """Feature-hash initialization (monochrome when featureless).
+def init_colors(graph: DTDG | tuple) -> ColoringState:
+    """Feature-hash initialization (monochrome when featureless) of one
+    graph, or of a tuple of graphs on one palette.
 
     Features are quantized to the 1e-9 grid as float64 integers (never a
     fixed-width int, which would wrap past 9.2e9), with -0.0 folded to
-    0.0, so equal quantized values give equal key bytes.
+    0.0, so equal quantized values give equal rows. A cell's row is a 0
+    followed by its D features, so a featureless cell's row is not empty
+    and graphs with different D never share a color.
     """
-    palette = {} if palette is None else palette
-    n, t = graph.n_nodes, graph.n_steps
-    if graph.features is None:
-        key = np.int64(_FEATURE_TAG).tobytes()
-        return ColoringState(np.full((n, t), palette.setdefault(key, len(palette)),
-                                     dtype=np.int64), 1, palette=palette)
-    d = graph.features.shape[2]
-    rows = np.empty((t * n, 1 + d), dtype=np.int64)
-    rows[:, 0] = _FEATURE_TAG
-    quantized = np.rint(graph.features / _FEATURE_GRID) + 0.0
-    rows[:, 1:] = quantized.transpose(1, 0, 2).reshape(t * n, d).view(np.int64)
-    ids, count = _assign_ids([(np.arange(t * n), rows)], t * n, palette)
-    return ColoringState(_cell_grid(ids, n, t), count, palette=palette)
+    graphs = _Graphs(graph)
+    n, t = graphs[0].n_nodes, graphs[0].n_steps
+    blocks = []
+    for i, g in enumerate(graphs):
+        d = 0 if g.features is None else g.features.shape[2]
+        rows = np.zeros((t * n, 1 + d), dtype=np.int64)
+        if d:
+            quantized = np.rint(g.features / _FEATURE_GRID) + 0.0
+            rows[:, 1:] = quantized.transpose(1, 0, 2).reshape(t * n, d).view(np.int64)
+        blocks.append((np.arange(i * t * n, (i + 1) * t * n), rows))
+    ids, count = _assign_ids(_merge_by_width(blocks), len(graphs) * t * n, 0)
+    shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
+    return ColoringState(_cell_grid(ids, shape), count, palette=range(count))
 
 
-def refine_step(graph: DTDG, state: ColoringState) -> ColoringState:
-    """One refinement round; fresh ids are drawn from the shared palette.
+def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
+    """One refinement round of one graph, or of a tuple of graphs refined
+    together; fresh ids continue ``state.palette``.
 
-    Cell (v, t) is keyed by the row (tag, own color, color of (v, t-1) or
-    -1 at t = 0, its neighbor colors sorted ascending); cells of degree d
-    get rows of exactly 3 + d entries.
+    Cell (v, t) is keyed by the row (own color, color of (v, t-1) or -1 at
+    t = 0, its neighbor colors sorted ascending); cells of degree d get
+    rows of exactly 2 + d entries.
     """
-    cells = graph._cells
-    n, t = state.colors.shape
-    own = state.colors.T.ravel()
-    previous = np.concatenate([np.full(n, -1, dtype=np.int64), own[:-n]])
+    graphs = _Graphs(graph)
+    cells = graphs.cells
+    n, t = graphs[0].n_nodes, graphs[0].n_steps
+    by_step = state.colors.reshape(-1, n, t).transpose(0, 2, 1)
+    own = by_step.ravel()
+    previous = np.full(by_step.shape, -1, dtype=np.int64)
+    previous[:, 1:] = by_step[:, :-1]
+    previous = previous.ravel()
     # sorting owner*span + color sorts each owner's run by color in place
     offset = cells.owner * (int(own.max()) + 1)
     neighbours = np.sort(offset + own[cells.neighbour]) - offset
     blocks = []
     for group, entries in cells.groups:
-        rows = np.empty((group.size, 3 + entries.shape[1]), dtype=np.int64)
-        rows[:, 0] = _REFINE_TAG
-        rows[:, 1] = own[group]
-        rows[:, 2] = previous[group]
-        rows[:, 3:] = neighbours[entries]
+        rows = np.empty((group.size, 2 + entries.shape[1]), dtype=np.int64)
+        rows[:, 0] = own[group]
+        rows[:, 1] = previous[group]
+        rows[:, 2:] = neighbours[entries]
         blocks.append((group, rows))
-    ids, count = _assign_ids(blocks, n * t, state.palette)
-    return ColoringState(_cell_grid(ids, n, t), count, palette=state.palette,
-                         rounds=state.rounds + 1)
+    issued = len(state.palette)
+    ids, count = _assign_ids(blocks, own.size, issued)
+    return ColoringState(_cell_grid(ids, state.colors.shape), count,
+                         palette=range(issued + count), rounds=state.rounds + 1)
 
 
 def refine_to_stable(graph: DTDG, state: ColoringState | None = None,
@@ -281,33 +336,30 @@ class WLReport:
 
 
 def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
-    """Parallel refinement of two graphs against one shared palette.
+    """Refinement of two graphs together, on one palette.
 
     Returns NON_ISOMORPHIC as soon as the end-time color multisets differ;
-    INCONCLUSIVE if they still agree when both partitions stabilize (or at
-    the round cap). The palette is private and every round-r key holds an
-    own color issued in round r-1, so no key repeats an earlier round's:
-    the ids a round issues are the joint colors of both graphs.
+    INCONCLUSIVE if they still agree when the joint partition stabilizes
+    (or at the round cap). Each round is one ``refine_step`` over both
+    graphs' cells, so its color count is the joint count of both graphs.
     """
-    if g1.n_nodes != g2.n_nodes or g1.n_steps != g2.n_steps:
-        raise ShapeError("wl_test compares graphs with equal node and step counts")
-    cap = g1.n_nodes * g1.n_steps if steps is None else steps
-    palette: dict = {}
-    s1 = init_colors(g1, palette)
-    s2 = init_colors(g2, palette)
-    if not np.array_equal(np.sort(s1.colors[:, -1]), np.sort(s2.colors[:, -1])):
+    graphs = _Graphs((g1, g2))
+
+    def split(state: ColoringState) -> bool:
+        ends = np.sort(state.colors[:, :, -1], axis=1)
+        return not np.array_equal(ends[0], ends[1])
+
+    state = init_colors(graphs)
+    if split(state):
         return WLReport(NON_ISOMORPHIC, rounds=0, diverged_at=0)
-    joint_before = len(palette)
+    cap = g1.n_nodes * g1.n_steps if steps is None else steps
     for round_index in range(1, cap + 1):
-        issued = len(palette)
-        s1 = refine_step(g1, s1)
-        s2 = refine_step(g2, s2)
-        if not np.array_equal(np.sort(s1.colors[:, -1]), np.sort(s2.colors[:, -1])):
+        refined = refine_step(graphs, state)
+        if split(refined):
             return WLReport(NON_ISOMORPHIC, rounds=round_index, diverged_at=round_index)
-        joint_after = len(palette) - issued
-        if joint_after == joint_before:
+        if refined.n_colors == state.n_colors:
             return WLReport(INCONCLUSIVE, rounds=round_index, diverged_at=None)
-        joint_before = joint_after
+        state = refined
     return WLReport(INCONCLUSIVE, rounds=cap, diverged_at=None)
 
 

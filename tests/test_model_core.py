@@ -12,6 +12,7 @@ import pytest
 from spectemp import experiments as ex
 from spectemp import model_core as mc
 from spectemp import training
+from spectemp.dataio import split
 from spectemp.errors import ConfigError, DataError, ParameterError, ShapeError
 from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm, decompose,
                                          fine_fdm, spectral_attention)
@@ -464,12 +465,13 @@ def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
     config = ex.task_model_config(task, adjacency_mode="pearson", blocks=1,
                                   degree=2, n_modes=3)
     n = bundle.dataset.n_variables
-    recomputed = mc.init_state(config, n, rng=0, train_values=bundle.train_values)
+    train_values = split(bundle.dataset, bundle.ratios)[0].values
+    recomputed = mc.init_state(config, n, rng=0, train_values=train_values)
     calls = []
     correlation = mc.windowed_mean_correlation
     monkeypatch.setattr(mc, "windowed_mean_correlation",
                         lambda *a, **k: calls.append(a) or correlation(*a, **k))
-    supplied = mc.init_state(config, n, rng=0, train_values=bundle.train_values,
+    supplied = mc.init_state(config, n, rng=0, train_values=train_values,
                              adjacency=bundle.adjacency)
     for name in ("a_hat", "laplacian"):
         assert np.array_equal(getattr(supplied, name), getattr(recomputed, name))

@@ -98,21 +98,27 @@ def test_wl_verdict_is_invariant_under_relabelling(graphs):
 @given(graphs=dynamic_graph_pair())
 def test_color_counts_match_a_recount(graphs):
     """Refinement counts colors once, in the relabel. After init and after
-    every round, each state's count and the ids the shared palette issued
-    in that round match an `np.unique` recount (the latter is what
-    `wl_test` takes as the joint count)."""
+    every round, each graph's own count, and the joint count of both
+    graphs refined together (what `wl_test` compares), match an
+    `np.unique` recount. A joint round issues one id per joint color and
+    splits each graph's cells as refining it alone does."""
     g1, g2, perm = graphs
     graphs = (g1, g2.permuted(perm))
-    palette: dict = {}
-    states = [None, None]
+    alone = [init_colors(g) for g in graphs]
+    joint = init_colors(graphs)
+    issued_before = 0
     for round_index in range(g1.n_nodes * g1.n_steps + 1):
-        issued_before = len(palette)
-        states = [refine_step(g, s) if round_index else init_colors(g, palette)
-                  for g, s in zip(graphs, states)]
-        for state in states:
+        if round_index:
+            issued_before = len(joint.palette)
+            alone = [refine_step(g, s) for g, s in zip(graphs, alone)]
+            joint = refine_step(graphs, joint)
+        for state in alone + [joint]:
             assert state.color_count() == len(np.unique(state.colors))
-        joint = np.concatenate([state.colors.ravel() for state in states])
-        assert len(palette) - issued_before == len(np.unique(joint))
+        assert len(joint.palette) - issued_before == joint.color_count()
+        for state, colors in zip(alone, joint.colors):
+            pairs = np.stack([state.colors.ravel(), colors.ravel()])
+            assert (np.unique(pairs, axis=1).shape[1] == state.color_count()
+                    == len(np.unique(colors)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,23 +123,22 @@ def reference_wl_test(g1, g2, steps=None):
 
 
 def assert_matches_reference(graphs, rounds):
-    """Refine `graphs` against one shared palette, as wl_test does, and
-    compare with the reference after init and after every round."""
-    palette, reference = {}, {}
-    states, expected = [], []
-    for g in graphs:
-        states.append(init_colors(g, palette))
-        expected.append(reference_init_colors(g, reference))
-        assert states[-1].colors.dtype == np.int64
-        assert np.array_equal(states[-1].colors, expected[-1])
-        assert len(palette) == len(reference)
-    for _ in range(rounds):
-        for i, g in enumerate(graphs):
-            states[i] = refine_step(g, states[i])
-            expected[i] = reference_refine_step(g, expected[i], reference)
-            assert states[i].colors.dtype == np.int64
-            assert np.array_equal(states[i].colors, expected[i])
-            assert len(palette) == len(reference)
+    """Refine `graphs` (one graph alone, several together as wl_test
+    does) and compare with the reference, run graph by graph on one
+    palette, after init and after every round."""
+    joint = graphs[0] if len(graphs) == 1 else tuple(graphs)
+    reference = {}
+    state = init_colors(joint)
+    expected = [reference_init_colors(g, reference) for g in graphs]
+    for round_index in range(rounds + 1):
+        if round_index:
+            state = refine_step(joint, state)
+            expected = [reference_refine_step(g, colors, reference)
+                        for g, colors in zip(graphs, expected)]
+        assert state.colors.dtype == np.int64
+        assert np.array_equal(state.colors,
+                              expected[0] if len(graphs) == 1 else np.stack(expected))
+        assert len(state.palette) == len(reference)
 
 
 def oracle_dtdg(rng, n, t, density, features=None):
@@ -205,6 +204,27 @@ def test_wl_test_reports_match_reference():
             report = wl_test(g, other, steps)
             assert ((report.verdict, report.rounds, report.diverged_at)
                     == reference_wl_test(g, other, steps)), trial
+
+
+def test_mixed_feature_pairs_match_reference():
+    # init dedupes the feature rows of both graphs together, grouped by
+    # width: a featureless graph (rows of the tag alone) against a featured
+    # one, and D=1 against D=2 features, must keep their colors apart
+    rng = np.random.default_rng(116)
+    for trial in range(30):
+        n, t = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        one = rng.integers(0, 2, size=(n, t, 1)).astype(float)
+        two = np.concatenate([one, rng.integers(0, 2, size=(n, t, 1))], axis=2)
+        plain = oracle_dtdg(rng, n, t, (0.4,))
+        pairs = [(plain, DTDG(n, plain.edges, one)),
+                 (DTDG(n, plain.edges, two), plain),
+                 (DTDG(n, plain.edges, one), oracle_dtdg(rng, n, t, (0.4,), two))]
+        for g1, g2 in pairs:
+            assert_matches_reference([g1, g2], rounds=3)
+            for steps in (None, 1):
+                report = wl_test(g1, g2, steps)
+                assert ((report.verdict, report.rounds, report.diverged_at)
+                        == reference_wl_test(g1, g2, steps)), trial
 
 
 def with_hub(graph, hub=0, steps=None):
@@ -318,7 +338,7 @@ def test_moved_edge_diverges_at_last_snapshot_at_benchmark_scale(monkeypatch):
     monkeypatch.setattr(temporal_wl, "refine_step", recording_step)
     report = wl_test(base, other)
     assert (report.verdict, report.rounds, report.diverged_at) == ("non_isomorphic", t, t)
-    assert len(sizes) == 2 * t
+    assert len(sizes) == t  # one call per round refines both graphs
     assert sizes[-1] > 2 ** 16
 
 
