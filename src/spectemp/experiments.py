@@ -104,14 +104,13 @@ class DataSource:
 
 @dataclass
 class SynthBundle:
-    """A prepared task: splits, windows, adjacency, labels."""
+    """A prepared task: splits, windows, adjacency."""
 
     dataset: Dataset
     train_windows: WindowSet
     val_windows: WindowSet
     test_windows: WindowSet
     adjacency: np.ndarray
-    labels: np.ndarray
     stats: NormStats | None         # training-split normalization, if any
     ratios: tuple
 
@@ -141,7 +140,7 @@ def prepare_data(task: SynthTask, seed: int,
     w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
     return SynthBundle(dataset=ds, train_windows=w(train_ds), val_windows=w(val_ds),
                        test_windows=w(test_ds), adjacency=adjacency,
-                       labels=ds.labels, stats=stats, ratios=ratios)
+                       stats=stats, ratios=ratios)
 
 
 def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:
@@ -261,11 +260,11 @@ def signed_groups_experiment(task: SynthTask, seed: int,
                                    bundle.test_windows, n_eval)
     return {
         "seed": seed,
-        "labels": bundle.labels,
+        "labels": bundle.dataset.labels,
         "model_embeddings": model_emb,
         "control_embeddings": control_emb,
-        "model_silhouette": silhouette_score(model_emb, bundle.labels),
-        "control_silhouette": silhouette_score(control_emb, bundle.labels),
+        "model_silhouette": silhouette_score(model_emb, bundle.dataset.labels),
+        "control_silhouette": silhouette_score(control_emb, bundle.dataset.labels),
         "model_run": model_run,
         "control_run": control_run,
         "model_state": model_state,

@@ -143,13 +143,13 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """Parameters plus the static operators derived from config and data."""
+    """Parameters plus the static operators derived from config and data.
+    The graph is kept only as L; I - L is derived from it and cached."""
 
     params: dict                    # name -> float64 ndarray
     n_nodes: int
     mode_sets: tuple                # per block: (coarse indices, fine indices)
-    a_hat: np.ndarray | None = None       # I - L for pearson/provided modes
-    laplacian: np.ndarray | None = None
+    laplacian: np.ndarray | None = None   # L for pearson/provided modes
     projector_matrix: np.ndarray | None = None  # orthogonal rows, random projector
     frozen: frozenset = frozenset()
     # config -> operators derived from the arrays above (see `_operators`);
@@ -235,7 +235,6 @@ def windowed_mean_correlation(values: np.ndarray, lookback: int) -> Adjacency:
     for s in starts:
         acc += _pearson(arr[:, s:s + lookback, :].reshape(arr.shape[0], -1))
     acc /= len(starts)
-    np.fill_diagonal(acc, 0.0)
     return Adjacency(acc)
 
 
@@ -310,7 +309,7 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
-    a_hat = lap = None
+    lap = None
     if config.adjacency_mode != "learned":
         if adjacency is None and config.adjacency_mode == "pearson":
             if train_values is None:
@@ -325,7 +324,6 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
         if adj.n_nodes != n_nodes:
             raise ShapeError("adjacency size does not match n_nodes")
         lap = normalized_laplacian(adj)
-        a_hat = np.eye(n_nodes) - lap
 
     params: dict[str, np.ndarray] = {}
     mode_sets = []
@@ -343,7 +341,7 @@ def init_state(config: ModelConfig, n_nodes: int, rng: np.random.Generator | int
         projector_matrix = projector_matrix.T  # rows analyze, transpose reconstructs
 
     return ModelState(params=params, n_nodes=n_nodes, mode_sets=tuple(mode_sets),
-                      a_hat=a_hat, laplacian=lap, projector_matrix=projector_matrix)
+                      laplacian=lap, projector_matrix=projector_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ class _Operators:
 
 
 def _sources(state: ModelState) -> tuple:
-    return (state.a_hat, state.laplacian, state.projector_matrix, state.mode_sets)
+    return (state.laplacian, state.projector_matrix, state.mode_sets)
 
 
 def _mode_kernels(config: ModelConfig, state: ModelState, indices: np.ndarray):
@@ -400,7 +398,8 @@ def _build_operators(state: ModelState, config: ModelConfig) -> _Operators:
     graph = None
     if config.adjacency_mode != "learned":
         rec = config.recurrence()
-        op = state.laplacian if rec.on_laplacian else state.a_hat
+        lap = state.laplacian
+        op = lap if rec.on_laplacian else np.eye(state.n_nodes) - lap
         graph = np.stack(polynomial_stack(rec, np.eye(state.n_nodes), lambda v: op @ v))
     linear_fine = config.use_fine and not config.attention_enabled
     trend = (moving_average_matrix(config.lookback, config.decomp_window)
@@ -436,7 +435,8 @@ def _operators(state: ModelState, config: ModelConfig) -> _Operators:
 # ---------------------------------------------------------------------------
 
 def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
-    """Per-sample (B, N, N) operators A_hat and L from the embedding weights."""
+    """The per-sample (B, N, N) operator M from the embedding weights: L
+    when the basis runs on the Laplacian, I - L otherwise."""
     b, n, t, d = x.shape
     xf = ad.reshape(ad.as_tensor(x), (b, n, t * d))
     emb = ad.embed_map(xf, params["adjacency.embed"])
@@ -450,8 +450,7 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     left = ad.reshape(inv_sqrt, (b, n, 1))
     right = ad.reshape(inv_sqrt, (b, 1, n))
     a_hat = ad.mul(ad.mul(adj, left), right)
-    lap = ad.sub(np.eye(n), a_hat)
-    return a_hat, lap
+    return ad.sub(np.eye(n), a_hat) if config.recurrence().on_laplacian else a_hat
 
 
 def _stage_operator(params: dict, name: str, kernels: tuple):
@@ -510,8 +509,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
     ops = _operators(state, config)
     if config.adjacency_mode == "learned":
         rec = config.recurrence()
-        a_hat, lap = _learned_operators(params, x, config)
-        learned = ad.reshape(lap if rec.on_laplacian else a_hat, (b, 1, n, n))
+        learned = ad.reshape(_learned_operators(params, x, config), (b, 1, n, n))
     attention = config.use_fine and config.attention_enabled
     trend_matrix = moving_average_matrix(t, config.decomp_window) if attention else None
 
@@ -612,16 +610,12 @@ def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
 
 
 def loss(prediction: np.ndarray, targets: np.ndarray) -> float:
-    """Squared-error objective averaged over the horizon (and batch)."""
-    p = np.asarray(prediction, dtype=np.float64)
-    y = np.asarray(targets, dtype=np.float64)
+    """The training objective ``loss_node`` of an (N, H, D) or (B, N, H, D) forecast."""
+    p, _ = _promote(prediction)
+    y, _ = _promote(targets)
     if p.shape != y.shape:
         raise ShapeError(f"shape mismatch {p.shape} vs {y.shape}")
-    if p.ndim == 3:
-        return float(((p - y) ** 2).sum() / p.shape[1])
-    if p.ndim == 4:
-        return float(((p - y) ** 2).sum() / (p.shape[0] * p.shape[2]))
-    raise ShapeError(f"expected (N, H, D) or (B, N, H, D), got {p.shape}")
+    return float(loss_node(p, y).data)
 
 
 def reported_loss(prediction: np.ndarray, targets: np.ndarray) -> float:
@@ -641,8 +635,8 @@ def _state_arrays(state: ModelState) -> dict:
     for m, (coarse, fine) in enumerate(state.mode_sets):
         arrays[f"meta.modes{m}.coarse"] = np.asarray(coarse, dtype=np.float64)
         arrays[f"meta.modes{m}.fine"] = np.asarray(fine, dtype=np.float64)
-    if state.a_hat is not None:
-        arrays["meta.a_hat"] = state.a_hat
+    if state.laplacian is not None:
+        arrays["meta.a_hat"] = np.eye(state.n_nodes) - state.laplacian
         arrays["meta.laplacian"] = state.laplacian
     if state.projector_matrix is not None:
         arrays["meta.projector"] = state.projector_matrix
@@ -766,6 +760,9 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
             raise malformed(f"{name} has shape {arrays[name].shape}, expected {shape}")
         if not np.isfinite(arrays[name]).all():
             raise malformed(f"{name} holds non-finite values")
+    if config.adjacency_mode != "learned" and not np.array_equal(
+            arrays["meta.a_hat"], np.eye(n_nodes) - arrays["meta.laplacian"]):
+        raise malformed("meta.a_hat is not I - meta.laplacian")
     frozen = header.get("frozen", [])
     if not (isinstance(frozen, list) and all(isinstance(f, str) for f in frozen)):
         raise malformed("frozen must list parameter names")
@@ -784,7 +781,6 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     return (ModelState(params=params,
                        n_nodes=n_nodes,
                        mode_sets=tuple(mode_sets),
-                       a_hat=arrays.get("meta.a_hat"),
                        laplacian=arrays.get("meta.laplacian"),
                        projector_matrix=arrays.get("meta.projector"),
                        frozen=frozenset(frozen)),

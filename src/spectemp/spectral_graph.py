@@ -170,6 +170,8 @@ def normalized_laplacian(adj: Adjacency | np.ndarray) -> np.ndarray:
 
 
 def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
+    """Eigenpairs of a symmetric Laplacian in the ascending order
+    ``np.linalg.eigh`` returns them, signs fixed as ``GraphSpectrum`` says."""
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ShapeError(f"laplacian must be square, got {lap.shape}")
@@ -179,14 +181,12 @@ def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
         eigenvalues, eigenvectors = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed to converge: {exc}") from exc
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
-    for j in range(eigenvectors.shape[1]):
-        col = eigenvectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > _SIGN_EPS)
-        if nz.size and col[nz[0]] < 0:
-            eigenvectors[:, j] = -col
+    # A column with no entry above _SIGN_EPS keeps its sign; argmax over an
+    # empty axis raises, hence N = 0 apart. U is returned column-major
+    # because products with U round differently in another layout.
+    first = np.argmax(np.abs(eigenvectors) > _SIGN_EPS, axis=0) if len(lap) else []
+    signs = np.where(eigenvectors[first, np.arange(len(lap))] < -_SIGN_EPS, -1.0, 1.0)
+    eigenvectors = np.multiply(eigenvectors, signs, order="F")
     return GraphSpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, laplacian=lap)
 
 

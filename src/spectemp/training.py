@@ -100,12 +100,8 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
     batch. Returns ({name: gradient}, loss value); raises a numerical error
     naming the first parameter with a non-finite gradient.
     """
-    x, y = batch
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 3:
-        x, y = x[None], y[None]
-    if x.ndim != 4 or y.ndim != 4 or x.shape[:2] != y.shape[:2]:
+    (x, _), (y, _) = map(mc._promote, batch)
+    if x.shape[:2] != y.shape[:2]:
         raise ShapeError(f"bad batch shapes {x.shape} / {y.shape}")
     params = mc.wrap_params(state, requires_grad=True)
     # A diverging run overflows here; the finite-gradient check reports it.
@@ -187,9 +183,11 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     """
     if train_windows.count == 0:
         raise DataError("cannot train on an empty window set")
-    # Checked here, not per batch, so an error names the window's index in
-    # the set passed in; `evaluate` does the same for the validation set.
+    # Checked here, not per batch or per epoch, so an error names the
+    # window's index in the set passed in before any parameter is stepped.
     mc.require_finite_windows(train_windows.inputs)
+    if val_windows is not None:
+        mc.require_finite_windows(val_windows.inputs)
     rng = np.random.default_rng(tc.seed)
     if state is None:
         n_nodes = train_windows.inputs.shape[1]

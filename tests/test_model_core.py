@@ -133,7 +133,7 @@ def test_learned_mode_matches_internal_operator():
     x = rng.standard_normal((4, config.lookback, config.n_dims))
     public = mc.latent_correlation(x, embedding=state.params["adjacency.embed"])
     params = mc.wrap_params(state, requires_grad=False)
-    a_hat, _ = mc._learned_operators(params, x[None], config)
+    a_hat = mc._learned_operators(params, x[None], config)
     degrees = public.matrix.sum(axis=1)
     inv = np.where(degrees > 1e-12, degrees ** -0.5, 0.0)
     expected = inv[:, None] * public.matrix * inv[None, :]
@@ -473,14 +473,30 @@ def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
                         lambda *a, **k: calls.append(a) or correlation(*a, **k))
     supplied = mc.init_state(config, n, rng=0, train_values=train_values,
                              adjacency=bundle.adjacency)
-    for name in ("a_hat", "laplacian"):
-        assert np.array_equal(getattr(supplied, name), getattr(recomputed, name))
+    assert np.array_equal(supplied.laplacian, recomputed.laplacian)
     assert supplied.params.keys() == recomputed.params.keys()
     assert all(np.array_equal(supplied.params[k], recomputed.params[k])
                for k in supplied.params)
     fitted, _ = ex.fit(config, training.TrainConfig(epochs=1, batch_size=64), bundle, 0)
-    assert np.array_equal(fitted.a_hat, recomputed.a_hat)
+    assert np.array_equal(fitted.laplacian, recomputed.laplacian)
     assert calls == []
+
+
+# sha256 of the forward output when the learned forward built both I - L
+# and L and the basis read L
+LEARNED_ON_LAPLACIAN_SHA256 = (
+    "57e4dcd7ee2d6849bd61dff01c17561f8b846a8642782e45c711ff2e58b76636")
+
+
+def test_learned_forward_on_the_laplacian_is_unchanged():
+    config = mc.ModelConfig(**{**BASE, "adjacency_mode": "learned", "basis": "monomial",
+                               "monomial_on_laplacian": True})
+    state = mc.init_state(config, 5, rng=47)
+    rng = np.random.default_rng(48)
+    for name, value in state.params.items():
+        state.params[name] = value + 0.2 * rng.standard_normal(value.shape)
+    out = mc.forward(rng.standard_normal((3, 5, 8, 2)), state, config)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == LEARNED_ON_LAPLACIAN_SHA256
 
 
 def test_residual_toggle():
@@ -523,6 +539,17 @@ def test_loss_nonnegative_and_batch_averaged():
     assert total >= 0.0
     per_sample = np.mean([mc.loss(a[i], b[i]) for i in range(4)])
     assert total == pytest.approx(per_sample)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_loss_is_the_training_objective(batched):
+    state, config = small_state(seed=26)
+    x = batch_input(27, 3, 5, 8, 2)
+    y = batch_input(28, 3, 5, 3, 2)
+    if not batched:
+        x, y = x[0], y[0]
+    _, objective = training.gradients(state, (x, y), config)
+    assert mc.loss(mc.forward(x, state, config), y) == objective
 
 
 def test_loss_shape_mismatch():
@@ -661,6 +688,8 @@ CORRUPTIONS = {
         raw, lambda h: _entry(h, "meta.modes0.fine").update(shape=[2], count=2)),
     "adjacency missing": lambda raw: _rewrite_header(
         raw, lambda h: h["arrays"].remove(_entry(h, "meta.a_hat"))),
+    # the next double above a_hat[0, 0] = 1 - L[0, 0] = 0 on the ring
+    "a_hat is not I - L": lambda raw: _poke(raw, "meta.a_hat", 5e-324),
 }
 
 

@@ -89,6 +89,56 @@ def test_eigendecompose_reconstruction_and_orthonormality():
     assert np.all(np.diff(lam) >= -1e-12)
 
 
+def _reference_eigendecompose(lap):
+    """eigh, a stable argsort of the eigenvalues, and a per-column sign loop."""
+    eigenvalues, eigenvectors = np.linalg.eigh(lap)
+    order = np.argsort(eigenvalues, kind="stable")
+    eigenvalues = eigenvalues[order]
+    eigenvectors = eigenvectors[:, order]
+    for j in range(eigenvectors.shape[1]):
+        col = eigenvectors[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            eigenvectors[:, j] = -col
+    return eigenvalues, eigenvectors
+
+
+def _reference_laplacians():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        yield normalized_laplacian(random_adjacency(rng, int(rng.integers(2, 40))))
+    isolated = random_adjacency(rng, 12).matrix
+    isolated[[2, 7], :] = isolated[:, [2, 7]] = 0.0
+    yield normalized_laplacian(Adjacency(isolated))
+    yield normalized_laplacian(Adjacency(np.zeros((6, 6))))    # eigenvalue 0, six times
+    yield normalized_laplacian(Adjacency(np.zeros((1, 1))))
+    yield np.zeros((0, 0))
+
+
+def test_eigendecompose_matches_the_sorting_reference_bitwise():
+    for lap in _reference_laplacians():
+        spectrum = eigendecompose(lap)
+        eigenvalues, eigenvectors = _reference_eigendecompose(lap)
+        assert spectrum.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert spectrum.eigenvectors.tobytes() == eigenvectors.tobytes()
+        # same layout, so products with the eigenvectors round the same
+        assert spectrum.eigenvectors.strides == eigenvectors.strides
+
+
+def test_eigendecompose_signs_skip_entries_up_to_1e_12(monkeypatch):
+    # columns: tiny positive before a negative pivot; tiny negative before a
+    # positive pivot; no entry above 1e-12; exact zero before a negative pivot
+    vectors = np.array([[1e-13, -1e-13, -1e-12, 0.0],
+                        [-0.5, 0.5, -1e-13, -0.3],
+                        [0.2, -0.1, 0.0, 0.1],
+                        [0.1, 0.0, 1e-14, 0.0]])
+    monkeypatch.setattr(np.linalg, "eigh", lambda lap: (np.arange(4.0), vectors.copy()))
+    spectrum = eigendecompose(np.zeros((4, 4)))
+    assert np.array_equal(spectrum.eigenvectors, vectors * [-1.0, 1.0, 1.0, -1.0])
+    assert (spectrum.eigenvectors.tobytes()
+            == _reference_eigendecompose(np.zeros((4, 4)))[1].tobytes())
+
+
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(ShapeError):
         eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -278,6 +278,18 @@ def test_train_names_the_non_finite_window_in_the_set():
                  val_windows=_windows_with_nan(351, 280), adjacency=TRIANGLE)
 
 
+def test_train_checks_validation_windows_before_any_step(monkeypatch):
+    config = tiny_config()
+    calls = []
+    monkeypatch.setattr(tr, "gradients", lambda *a: calls.append(a))
+    with pytest.raises(DataError, match="window 280, node 1"):
+        tr.train(config, tr.TrainConfig(batch_size=32, epochs=1, seed=39),
+                 random_windows(40, 64, 3, 8, 2, 1),
+                 val_windows=_windows_with_nan(351, 280),
+                 state=tiny_state(config, seed=38))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the training loop
 # ---------------------------------------------------------------------------
