@@ -39,8 +39,7 @@ from .spectral_graph import (Adjacency, eigendecompose, fit_weight_alpha,
                              normalized_laplacian, orthogonality_residual,
                              signal_density)
 from .temporal_wl import (check_spectral_conditions, distinguishable,
-                          fixture_path, init_colors, read_dtdg,
-                          refine_to_stable, wl_test)
+                          fixture_path, read_dtdg, refine_to_stable, wl_test)
 from .training import TrainConfig, evaluate, predict, write_history_csv
 
 DEFAULT_SEEDS = 5
@@ -216,15 +215,20 @@ class Run:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_window_geometry(model_cfg: ModelConfig, task: ex.SynthTask) -> None:
+    """The model's lookback and horizon must be those the task cuts."""
+    for key in ("lookback", "horizon"):
+        if getattr(model_cfg, key) != getattr(task, key):
+            raise ConfigError(f"model.{key}={getattr(model_cfg, key)} differs from "
+                              f"task.{key}={getattr(task, key)}, which cuts the windows")
+
+
 def cmd_train(run: Run) -> None:
     task = run.read("task", ex.SynthTask)
     source = run.read("data", ex.DataSource)
     model_cfg = run.read("model", ModelConfig, lookback=task.lookback,
                          horizon=task.horizon, n_dims=1)
-    for key in ("lookback", "horizon"):
-        if getattr(model_cfg, key) != getattr(task, key):
-            raise ConfigError(f"model.{key}={getattr(model_cfg, key)} differs from "
-                              f"task.{key}={getattr(task, key)}, which cuts the windows")
+    _check_window_geometry(model_cfg, task)
     tc = run.read("train", TrainConfig, seed=run.seed)
     bundle = ex.prepare_data(task, run.seed, source)
     state, history = ex.fit(model_cfg, tc, bundle, run.seed)
@@ -250,6 +254,7 @@ def cmd_forecast(run: Run) -> None:
     if not os.path.exists(section.checkpoint):
         raise ConfigError(f"checkpoint not found: {section.checkpoint}")
     state, model_cfg = mc.load_checkpoint(section.checkpoint)
+    _check_window_geometry(model_cfg, task)
     bundle = ex.prepare_data(task, run.seed, source)
     windows = bundle.test_windows
     predicted, actual = predict(state, model_cfg, windows, bundle.stats)
@@ -312,8 +317,7 @@ def cmd_theory(run: Run) -> None:
     seeds = section.race.seeds or [run.seed]
     race_task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
     race = ex.convergence_race(race_task, seeds, epochs=section.race.epochs,
-                               lr=section.race.lr,
-                               batch_size=ex.RACE_PRESET["batch_size"])
+                               lr=section.race.lr)
     curves = [np.mean(race["curves"][b], axis=0) for b in race["bases"]]
     run.write_csv("race.csv", ["epoch"] + list(race["bases"]),
                   ([epoch] + [repr(float(c[epoch])) for c in curves]
@@ -349,7 +353,7 @@ def cmd_twl(run: Run) -> None:
     lines = [f"wl_test: {report.verdict} (round {report.rounds})"]
 
     for name, graph in (("left", left), ("right", right)):
-        state = refine_to_stable(graph, init_colors(graph), max_rounds=steps)
+        state = refine_to_stable(graph, max_rounds=steps)
         per_snapshot = [len(set(state.colors[:, t].tolist()))
                         for t in range(graph.n_steps)]
         lines.append(f"{name}: stable colors per snapshot {per_snapshot}")

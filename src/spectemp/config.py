@@ -3,15 +3,16 @@
 Every JSON config section (``task``, ``model``, ``train``, ``data`` and the
 per-command sections) is declared as a dataclass whose fields carry the
 keys, their types and their defaults. ``read_section`` builds one from a
-plain dict: unknown keys, values of the wrong type and empty lists raise
-``ConfigError`` naming the dotted key, so the command line can exit 2
-instead of failing later inside the run.
+plain dict: unknown keys, values of the wrong type, numbers that are not
+finite floats and empty lists raise ``ConfigError`` naming the dotted key,
+so the command line can exit 2 instead of failing later inside the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 import types
 import typing
 
@@ -60,5 +61,8 @@ def _check(hint, value, where: str):
         kinds = args if origin is tuple else args * len(value)
         return origin(_check(kind, item, where) for kind, item in zip(kinds, value))
     if isinstance(value, _SCALARS[hint]) and (hint is bool or not isinstance(value, bool)):
+        # NaN fails both comparisons; an int past the float range fails one
+        if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ConfigError(f"{where} must be a finite float, got {value!r}")
         return value
     raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")

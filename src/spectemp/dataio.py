@@ -42,7 +42,6 @@ class Dataset:
     values: np.ndarray              # (N, L, D)
     name: str = "dataset"
     labels: np.ndarray | None = None      # per-variable group labels
-    norm_method: str = "none"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -193,7 +192,7 @@ def compute_norm_stats(train: Dataset, method: str) -> NormStats:
 
 def normalize(dataset: Dataset, stats: NormStats) -> Dataset:
     values = (dataset.values - stats.loc) / stats.scale
-    return replace(dataset, values=values, norm_method=stats.method)
+    return replace(dataset, values=values)
 
 
 def denormalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
@@ -308,7 +307,7 @@ def dataset_manifest(dataset: Dataset, stats: NormStats | None = None,
         "n_variables": dataset.n_variables,
         "length": dataset.length,
         "n_dims": dataset.n_dims,
-        "normalization": stats.method if stats else dataset.norm_method,
+        "normalization": stats.method if stats else "none",
     }
     if stats is not None and stats.degenerate:
         manifest["degenerate_variables"] = list(stats.degenerate)

@@ -72,7 +72,10 @@ ABLATION_PRESETS = {
 
 @dataclass(frozen=True)
 class SynthTask:
-    """Geometry of the synthetic seasonal forecasting problem."""
+    """Geometry of the forecasting problem. ``lookback``, ``horizon``,
+    ``stride`` and the train/val/test ``ratios`` cut the windows of any
+    source, a CSV file included; the other fields shape the synthetic
+    series."""
 
     n_per_group: int = 4
     length: int = 2000
@@ -91,15 +94,14 @@ class SynthTask:
 @dataclass(frozen=True)
 class DataSource:
     """Where the series come from: the synthetic task when ``csv`` is
-    unset, otherwise a CSV file (see ``dataio.load_csv``). ``ratios``
-    overrides the task's split; ``normalize`` is "none", "zscore" or
-    "minmax", with statistics from the training split."""
+    unset, otherwise a CSV file (see ``dataio.load_csv``), split by the
+    task's ``ratios``. ``normalize`` is "none", "zscore" or "minmax", with
+    statistics from the training split."""
 
     csv: str | None = None
     layout: str = "time_major"
     impute: str | None = None
     normalize: str = "none"
-    ratios: tuple[float, float, float] | None = None
 
 
 @dataclass
@@ -129,8 +131,7 @@ def prepare_data(task: SynthTask, seed: int,
                                  periods=task.periods)
     else:
         ds = load_csv(source.csv, layout=source.layout, impute=source.impute)
-    ratios = tuple(source.ratios or task.ratios)
-    parts = split(ds, ratios)
+    parts = split(ds, task.ratios)
     stats = None
     if source.normalize != "none":
         stats = compute_norm_stats(parts[0], source.normalize)
@@ -140,7 +141,7 @@ def prepare_data(task: SynthTask, seed: int,
     w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
     return SynthBundle(dataset=ds, train_windows=w(train_ds), val_windows=w(val_ds),
                        test_windows=w(test_ds), adjacency=adjacency,
-                       stats=stats, ratios=ratios)
+                       stats=stats, ratios=task.ratios)
 
 
 def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:
@@ -234,18 +235,12 @@ def embedding_matrix(state: ModelState, config: ModelConfig, windows: WindowSet,
 # experiments
 # ---------------------------------------------------------------------------
 
-def _preset_train_config(preset: dict) -> TrainConfig:
-    return TrainConfig(lr=preset["lr"], epochs=preset["epochs"],
-                       batch_size=preset["batch_size"])
-
-
-def signed_groups_experiment(task: SynthTask, seed: int,
-                             tc: TrainConfig | None = None,
+def signed_groups_experiment(task: SynthTask, seed: int, tc: TrainConfig,
                              n_eval: int = 8) -> dict:
     """Train the full model and the frozen low-pass control on the same
     data, then compare silhouette scores of their test-window embeddings
-    on the group labels."""
-    tc = dataclasses.replace(tc or _preset_train_config(SILHOUETTE_PRESET), seed=seed)
+    on the group labels. ``tc`` is run with ``seed``."""
+    tc = dataclasses.replace(tc, seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
 
@@ -275,10 +270,12 @@ def signed_groups_experiment(task: SynthTask, seed: int,
     }
 
 
-def convergence_race(task: SynthTask, seeds, bases=BASIS_ORDER, epochs: int = 20,
-                     lr: float = 3e-3, batch_size: int = 64) -> dict:
+def convergence_race(task: SynthTask, seeds, bases=BASIS_ORDER,
+                     epochs: int = RACE_PRESET["epochs"], lr: float = RACE_PRESET["lr"],
+                     batch_size: int = RACE_PRESET["batch_size"]) -> dict:
     """Same data, same init noise, same shuffling; only the polynomial
-    family changes. Returns per-basis per-seed epoch-loss curves."""
+    family changes. Returns per-basis per-seed epoch-loss curves. The
+    training settings default to ``RACE_PRESET``."""
     curves = {basis: [] for basis in bases}
     for seed in seeds:
         bundle = prepare_synth(task, seed)
@@ -303,11 +300,10 @@ def race_passes(race: dict) -> list[bool]:
     return verdicts
 
 
-def forecast_experiment(task: SynthTask, seed: int,
-                        tc: TrainConfig | None = None) -> dict:
+def forecast_experiment(task: SynthTask, seed: int, tc: TrainConfig) -> dict:
     """Full-model forecasting on the synthetic task, judged on the test
-    split against the persistence baseline."""
-    tc = dataclasses.replace(tc or _preset_train_config(FORECAST_PRESET), seed=seed)
+    split against the persistence baseline. ``tc`` is run with ``seed``."""
+    tc = dataclasses.replace(tc, seed=seed)
     bundle = prepare_synth(task, seed)
     config = task_model_config(task)
     state, run = fit(config, tc, bundle, seed)

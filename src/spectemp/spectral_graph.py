@@ -102,7 +102,6 @@ class GraphSpectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    laplacian: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,7 +186,7 @@ def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
     first = np.argmax(np.abs(eigenvectors) > _SIGN_EPS, axis=0) if len(lap) else []
     signs = np.where(eigenvectors[first, np.arange(len(lap))] < -_SIGN_EPS, -1.0, 1.0)
     eigenvectors = np.multiply(eigenvectors, signs, order="F")
-    return GraphSpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, laplacian=lap)
+    return GraphSpectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 # ---------------------------------------------------------------------------

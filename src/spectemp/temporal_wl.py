@@ -173,10 +173,6 @@ class ColoringState:
     colors: np.ndarray
     n_colors: int
     palette: range = range(0)
-    rounds: int = 0
-
-    def color_count(self) -> int:
-        return self.n_colors
 
 
 def _merge_by_width(pairs) -> list:
@@ -311,14 +307,13 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     issued = len(state.palette)
     ids, count = _assign_ids(blocks, own.size, issued)
     return ColoringState(_cell_grid(ids, state.colors.shape), count,
-                         palette=range(issued + count), rounds=state.rounds + 1)
+                         palette=range(issued + count))
 
 
-def refine_to_stable(graph: DTDG, state: ColoringState | None = None,
-                     max_rounds: int | None = None) -> ColoringState:
-    """Refine until the partition stops changing (at most N*T rounds)."""
-    if state is None:
-        state = init_colors(graph)
+def refine_to_stable(graph: DTDG, max_rounds: int | None = None) -> ColoringState:
+    """Refine ``init_colors(graph)`` until the partition stops changing (at
+    most N*T rounds)."""
+    state = init_colors(graph)
     cap = graph.n_nodes * graph.n_steps if max_rounds is None else max_rounds
     for _ in range(cap):
         refined = refine_step(graph, state)

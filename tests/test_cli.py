@@ -4,7 +4,10 @@ throwaway directories; one test drives the installed module entry point
 through a subprocess."""
 
 import csv
+import dataclasses
 import json
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -12,6 +15,7 @@ import warnings
 import pytest
 
 from spectemp import cli
+from spectemp import experiments as ex
 from spectemp import model_core as mc
 from spectemp.experiments import BASIS_ORDER
 from spectemp.temporal_wl import fixture_path
@@ -302,6 +306,32 @@ def test_model_window_geometry_differing_from_task_exits_2(tmp_path, capsys,
     assert not (tmp_path / "run" / "checkpoint.stck").exists()
 
 
+@pytest.mark.parametrize("key,value", [("lookback", 12), ("horizon", 5)])
+def test_forecast_task_window_geometry_differing_from_checkpoint_exits_2(
+        tmp_path, capsys, trained_checkpoint, key, value):
+    assert forecast_with(tmp_path, trained_checkpoint, {key: value}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"model.{key}={TINY['task'][key]}" in err and f"task.{key}={value}" in err
+    assert not (tmp_path / "fc" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("key,raw", [("train.lr", "NaN"), ("train.lr", "Infinity"),
+                                     ("model.alpha", "Infinity"),
+                                     ("train.lr", "1" + "0" * 400)])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, raw):
+    cfg = write_config(tmp_path, TINY)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--config", cfg, "--set", f"{key}={raw}",
+                         "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be a finite float" in err
+    assert not caught
+    assert not (tmp_path / "run" / "checkpoint.stck").exists()
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_divergent_training_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, {**TINY,
@@ -436,3 +466,30 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+# The `model` and `train` rows name a selection of their keys on purpose.
+TABLE_SECTIONS = {"task": ex.SynthTask, "data": ex.DataSource,
+                  "forecast": cli.ForecastSection, "ablate": cli.AblateSection,
+                  "theory.column_sampling": cli.ColumnSamplingSection,
+                  "theory.race": cli.RaceSection, "twl": cli.TwlSection,
+                  "synth": cli.SynthSection}
+
+
+def table_keys(cell: str) -> set:
+    """The backticked names of a config-table cell outside parentheses."""
+    while (stripped := re.sub(r"\([^()]*\)", "", cell)) != cell:
+        cell = stripped
+    return set(re.findall(r"`(\w+)`", cell))
+
+
+def test_readme_config_table_lists_exactly_each_section_key():
+    rows = dict(re.findall(r"^\| `([\w.]+)` \| (.*) \|$",
+                           README.read_text(encoding="utf-8"), re.MULTILINE))
+    for name, cls in TABLE_SECTIONS.items():
+        assert table_keys(rows[name]) == {f.name for f in dataclasses.fields(cls)}, name

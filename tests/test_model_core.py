@@ -688,6 +688,8 @@ CORRUPTIONS = {
         raw, lambda h: _entry(h, "meta.modes0.fine").update(shape=[2], count=2)),
     "adjacency missing": lambda raw: _rewrite_header(
         raw, lambda h: h["arrays"].remove(_entry(h, "meta.a_hat"))),
+    "non-finite config value": lambda raw: _rewrite_header(
+        raw, lambda h: h["config"].update(alpha=float("inf"))),
     # the next double above a_hat[0, 0] = 1 - L[0, 0] = 0 on the ring
     "a_hat is not I - L": lambda raw: _poke(raw, "meta.a_hat", 5e-324),
 }

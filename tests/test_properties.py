@@ -1,23 +1,31 @@
 """Property tests: permutation equivariance of the forecaster, relabelling
-invariance of the temporal WL test and its color counts, and fuzzing of
-checkpoint bytes, ``.dtdg`` text and CSV bytes.
+invariance of the temporal WL test and its color counts, checkpoint round
+trips, and fuzzing of checkpoint bytes, ``.dtdg`` text, CSV bytes and
+config sections.
 
 Hypothesis runs derandomized with a small example budget, so the suite
 stays deterministic and fast."""
 
+import dataclasses
 import functools
 import os
 import tempfile
+import types
+import typing
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spectemp import cli
+from spectemp import experiments as ex
 from spectemp import model_core as mc
+from spectemp.config import read_section
 from spectemp.dataio import load_csv
-from spectemp.errors import DataError, SpectempError
+from spectemp.errors import ConfigError, DataError, SpectempError
 from spectemp.experiments import BASIS_ORDER
 from spectemp.temporal_wl import DTDG, init_colors, parse_dtdg, refine_step, wl_test
+from spectemp.training import TrainConfig
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
 
@@ -113,11 +121,11 @@ def test_color_counts_match_a_recount(graphs):
             alone = [refine_step(g, s) for g, s in zip(graphs, alone)]
             joint = refine_step(graphs, joint)
         for state in alone + [joint]:
-            assert state.color_count() == len(np.unique(state.colors))
-        assert len(joint.palette) - issued_before == joint.color_count()
+            assert state.n_colors == len(np.unique(state.colors))
+        assert len(joint.palette) - issued_before == joint.n_colors
         for state, colors in zip(alone, joint.colors):
             pairs = np.stack([state.colors.ravel(), colors.ravel()])
-            assert (np.unique(pairs, axis=1).shape[1] == state.color_count()
+            assert (np.unique(pairs, axis=1).shape[1] == state.n_colors
                     == len(np.unique(colors)))
 
 
@@ -177,6 +185,58 @@ def test_mutated_checkpoints_fail_only_with_data_error(raw):
         pass
 
 
+@st.composite
+def checkpoint_case(draw):
+    """A freshly initialized state over every checkpointed variation: the
+    adjacency modes, projectors, nonlinearities, sharing flags, a missing
+    coarse or fine stage, two bases, both mode policies, and the frozen
+    low-pass control."""
+    nonlinearity = draw(st.sampled_from([{}, {"variant": "nonlinear"},
+                                         {"use_relu": True, "use_attention": False}]))
+    stages = draw(st.sampled_from([{}, {"use_coarse": False}, {"use_fine": False}]))
+    config = mc.ModelConfig(
+        lookback=8, horizon=2, n_dims=2, blocks=2, degree=3, n_modes=3,
+        basis=draw(st.sampled_from(["gegenbauer", "bernstein"])),
+        adjacency_mode=draw(st.sampled_from(["provided", "pearson", "learned"])),
+        projector=draw(st.sampled_from(["dft", "random"])),
+        mode_policy=draw(st.sampled_from(["lowest", "random"])),
+        share_theta_dims=draw(st.booleans()), share_filter_dims=draw(st.booleans()),
+        share_filter_vars=draw(st.booleans()), **nonlinearity, **stages)
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(0.0, 1.0, (5, 5)), 1)
+    adjacency = upper + upper.T
+    if draw(st.booleans()):
+        state, config = ex.low_pass_control_state(config, 5, seed, adjacency)
+    else:
+        state = mc.init_state(config, 5, rng=seed, adjacency=adjacency)
+    return config, state, seed
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=checkpoint_case())
+def test_checkpoint_round_trip_is_exact(case):
+    """``load_checkpoint(save_checkpoint(state))`` gives back an equal config,
+    bitwise-equal parameters, the same mode sets and frozen set, and a
+    bitwise-equal forward pass."""
+    config, state, seed = case
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "model.stck")
+        mc.save_checkpoint(path, state, config)
+        loaded, loaded_config = mc.load_checkpoint(path)
+    assert loaded_config == config
+    assert loaded.params.keys() == state.params.keys()
+    for name, value in state.params.items():
+        assert loaded.params[name].tobytes() == value.tobytes(), name
+    assert len(loaded.mode_sets) == len(state.mode_sets)
+    for got, want in zip(loaded.mode_sets, state.mode_sets):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert loaded.frozen == state.frozen
+    x = np.random.default_rng(seed + 1).standard_normal((3, 5, 8, 2))
+    assert (mc.forward(x, loaded, loaded_config).tobytes()
+            == mc.forward(x, state, config).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # text and CSV fuzzing: only package errors may escape
 # ---------------------------------------------------------------------------
@@ -218,3 +278,86 @@ def test_load_csv_fails_only_with_package_errors(tmp_path, raw, layout, impute):
     except SpectempError:
         return
     assert dataset.n_dims == 1 and np.isfinite(dataset.values).all()
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: only ConfigError may escape
+# ---------------------------------------------------------------------------
+
+SECTION_CLASSES = [ex.SynthTask, ex.DataSource, mc.ModelConfig, TrainConfig,
+                   cli.ForecastSection, cli.AblateSection, cli.TheorySection,
+                   cli.ColumnSamplingSection, cli.RaceSection, cli.TwlSection,
+                   cli.SynthSection]
+# Integers stay small: reading a ModelConfig tabulates `degree` recurrence rows.
+FLOATS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats())
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1000, 1000),
+                         FLOATS, st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                          st.dictionaries(st.text(max_size=6), inner,
+                                                          max_size=4)),
+    max_leaves=8)
+# Valid choices of the string fields, so drawn sections reach validation.
+CHOICES = st.sampled_from([*BASIS_ORDER, "lowest", "random", "linear", "nonlinear",
+                           "pearson", "learned", "provided", "dft", "zscore",
+                           "minmax", "none", "time_major", "variable_major",
+                           "ffill", "basis", "structure", ""])
+
+
+def typed_value(hint):
+    """Values of the declared type, including the non-finite floats."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return st.one_of(*(st.none() if arg is type(None) else typed_value(arg)
+                           for arg in args))
+    if dataclasses.is_dataclass(hint):
+        return section_data(hint)
+    if origin is list:
+        return st.lists(typed_value(args[0]), max_size=4)
+    if origin is tuple:
+        return st.tuples(*map(typed_value, args)).map(list)
+    return {bool: st.booleans(), int: st.integers(-1000, 1000), str: CHOICES,
+            float: st.one_of(FLOATS, st.integers(-1000, 1000))}[hint]
+
+
+def section_data(cls):
+    """A mapping of some of ``cls``'s keys to their default, to a value of
+    their type or, rarely, to any JSON value; sometimes with a key ``cls``
+    does not have."""
+    hints = typing.get_type_hints(cls)
+
+    @st.composite
+    def draw_section(draw):
+        data = {}
+        for f in dataclasses.fields(cls):
+            if not draw(st.booleans()):
+                continue
+            typed = typed_value(hints[f.name])
+            if f.default is not dataclasses.MISSING:
+                typed = st.one_of(st.just(f.default), typed)
+            data[f.name] = draw(JSON_VALUES if draw(st.integers(0, 9)) == 0 else typed)
+        if draw(st.integers(0, 9)) == 0:
+            data[draw(st.text(max_size=6))] = draw(JSON_VALUES)
+        return data
+    return draw_section()
+
+
+@FUZZ
+@given(cls=st.sampled_from(SECTION_CLASSES), data=st.data())
+def test_read_section_fails_only_with_config_error(cls, data):
+    value = data.draw(JSON_VALUES if data.draw(st.integers(0, 9)) == 0
+                      else section_data(cls))
+    try:
+        section = read_section(cls, value, "fuzz")
+    except ConfigError:
+        return
+    assert isinstance(section, cls)
+    leaves = []
+    pending = [dataclasses.asdict(section)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (dict, list, tuple)):
+            pending.extend(item.values() if isinstance(item, dict) else item)
+        else:
+            leaves.append(item)
+    assert all(np.isfinite(v) for v in leaves if isinstance(v, float))

@@ -425,9 +425,9 @@ def test_distinguishable_refines_once_per_graph_and_cap(monkeypatch):
     calls = []
     stable = temporal_wl.refine_to_stable
 
-    def counting(graph, state=None, max_rounds=None):
+    def counting(graph, max_rounds=None):
         calls.append(max_rounds)
-        return stable(graph, state, max_rounds)
+        return stable(graph, max_rounds)
 
     monkeypatch.setattr(temporal_wl, "refine_to_stable", counting)
     g = read_dtdg(fixture_path("wl_pair_right"))
@@ -460,7 +460,7 @@ def test_refinement_monotonicity_200_random_graphs():
         for _ in range(g.n_nodes * g.n_steps):
             nxt = refine_step(g, state)
             assert refines(partition_of(nxt.colors), partition_of(state.colors))
-            if nxt.color_count() == state.color_count():
+            if nxt.n_colors == state.n_colors:
                 break
             state = nxt
 
@@ -482,7 +482,7 @@ def test_distinguishable_matches_any_round_separation_150_random_graphs():
                 if round_index == cap:
                     break
                 nxt = refine_step(g, state)
-                if nxt.color_count() == state.color_count():
+                if nxt.n_colors == state.n_colors:
                     break
                 state = nxt
             for u in range(g.n_nodes):
