@@ -16,18 +16,25 @@ block. Refinement colors every (node, time) cell:
   comparable.
 
 A round is one array relabel (the sorting-based 1-WL of Shervashidze et
-al. 2011): every cell's key becomes one int64 row (own color, previous
-color or -1, neighbor colors sorted within the cell), cells of
-equal degree share one exact-width block of rows, and `np.unique` dedupes
-each block over every graph refined together. Colors are issued by
-counting, not looked up: every key of a round holds an own color issued
-in the round before, so no key can repeat an earlier round's, and a
-key's id is the number of ids issued so far plus the rank of its first
-cell among the round's distinct keys. A round holds O(cells + E)
-integers for E edges over all snapshots and costs
-O((cells + E)*log(cells + E)) array work whatever the degree spread. The
-same dedupe yields each state's color count, so no pass counts colors
-again.
+al. 2011). A cell's key is a row of digits: its own color, its color at
+t-1 (a digit for "none" at t = 0) and its neighbor colors sorted within
+the cell, each color shifted so that every digit lies in [1, radix) for
+a radix just above the state's color span. Cells of equal degree share
+one exact-width block of rows. Each run of digits that fits 62 bits is
+read as one int64; while a row needs more than one number, the
+numbers of all such rows are ranked jointly by one sort, and the ranks
+are the next level's digits, so a row of width w takes O(log w) levels.
+The rows that became one number are deduped by one argsort per level,
+across every block and every graph refined together: no digit is 0, so
+a number also tells how many digits it read, and rows of different
+widths never share a key. Colors are issued by counting, not looked up:
+every key of a round holds an own color issued in the round before, so
+no key can repeat an earlier round's, and a key's id is the number of
+ids issued so far plus the rank of its first cell among the round's
+distinct keys. A round holds O(cells + E) integers for E edges over all
+snapshots and costs O((cells + E)*log(cells + E)) array work whatever
+the degree spread. The same dedupe yields each state's color count, so
+no pass counts colors again.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -75,13 +82,30 @@ _FEATURE_GRID = 1e-9
 
 
 class _CellIndex(NamedTuple):
-    """Adjacency of a DTDG over its cells c = t*N + v."""
+    """Adjacency of a DTDG over its cells c = t*N + v, laid out by degree.
 
-    owner: np.ndarray      # (2E,) cell of each edge end, ascending
+    A cell's slot is its place in ``order``. Edge ends are listed by the
+    slot of the cell that owns them, so the ends of the ``count`` cells of
+    one degree d are one run of count*d entries.
+    """
+
+    order: np.ndarray      # (cells,) the cells by degree, then by cell
+    slot: np.ndarray       # (2E,) slot of each edge end's owner, ascending
     neighbour: np.ndarray  # (2E,) cell across that edge, same snapshot
-    # one (cells, entries) pair per distinct degree d: the cells of degree
-    # d, ascending, and the (m, d) positions of their runs in `owner`
-    groups: tuple
+    degrees: tuple         # (degree d, count) per run of ``order``, d ascending
+
+
+def _cell_index(owner: np.ndarray, neighbour: np.ndarray, size: int) -> _CellIndex:
+    """The index of ``size`` cells from both ends of every edge."""
+    degree = np.bincount(owner, minlength=size)
+    order = np.argsort(degree, kind="stable")
+    slot = np.empty(size, dtype=np.int64)
+    slot[order] = np.arange(size)
+    owner_slot = slot[owner]
+    by_slot = np.argsort(owner_slot)
+    degrees, counts = np.unique(degree, return_counts=True)
+    return _CellIndex(order, owner_slot[by_slot], neighbour[by_slot],
+                      tuple(zip(degrees.tolist(), counts.tolist())))
 
 
 @dataclass(frozen=True)
@@ -137,17 +161,7 @@ class DTDG:
         ends = np.fromiter(chain.from_iterable(chain.from_iterable(self.edges)),
                            dtype=np.int64, count=2 * sum(sizes)).reshape(-1, 2)
         ends += np.repeat(np.arange(self.n_steps) * n, sizes)[:, None]
-        owner = np.concatenate([ends[:, 0], ends[:, 1]])
-        neighbour = np.concatenate([ends[:, 1], ends[:, 0]])
-        order = np.argsort(owner, kind="stable")
-        owner, neighbour = owner[order], neighbour[order]
-        degree = np.bincount(owner, minlength=n * self.n_steps)
-        start = np.cumsum(degree) - degree
-        by_degree = np.argsort(degree, kind="stable")
-        bounds = np.flatnonzero(np.diff(degree[by_degree])) + 1
-        groups = tuple((cells, start[cells][:, None] + np.arange(degree[cells[0]]))
-                       for cells in np.split(by_degree, bounds))
-        return _CellIndex(owner, neighbour, groups)
+        return _cell_index(ends.T.ravel(), ends[:, ::-1].T.ravel(), n * self.n_steps)
 
     def permuted(self, perm: np.ndarray) -> "DTDG":
         """Relabel nodes by perm (node i becomes perm[i])."""
@@ -175,19 +189,6 @@ class ColoringState:
     palette: range = range(0)
 
 
-def _merge_by_width(pairs) -> list:
-    """Join the (cells, block) pairs whose blocks are equally wide.
-
-    Pairs listed in ascending cell order keep each joined cell array
-    ascending.
-    """
-    widths: dict = {}
-    for cells, block in pairs:
-        widths.setdefault(block.shape[1], []).append((cells, block))
-    return [(np.concatenate([c for c, _ in same]), np.concatenate([b for _, b in same]))
-            for same in widths.values()]
-
-
 class _Graphs(tuple):
     """Graphs refined together: equal N and T, cells in (graph, t, v)
     order. A DTDG stands for the tuple of itself."""
@@ -208,42 +209,89 @@ class _Graphs(tuple):
         indices = [g._cells for g in self]
         span = self[0].n_nodes * self[0].n_steps
         shifts = range(0, span * len(self), span)
-        ends = np.cumsum([0] + [index.owner.size for index in indices])
-        return _CellIndex(
-            np.concatenate([index.owner + shift for index, shift in zip(indices, shifts)]),
-            np.concatenate([index.neighbour + shift
+        return _cell_index(
+            np.concatenate([index.order[index.slot] + shift
                             for index, shift in zip(indices, shifts)]),
-            tuple(_merge_by_width((cells + shift, entries + end)
-                                  for index, shift, end in zip(indices, shifts, ends)
-                                  for cells, entries in index.groups)))
+            np.concatenate([index.neighbour + shift for index, shift in zip(indices, shifts)]),
+            span * len(self))
 
 
-def _assign_ids(groups, size: int, issued: int) -> tuple[np.ndarray, int]:
+def _powers(radix: int) -> np.ndarray:
+    """radix**(k-1), ..., radix, 1: a number of k digits below ``radix``,
+    b bits each for b = radix.bit_length(), fits 62 bits for k = 62 // b."""
+    return radix ** np.arange(62 // radix.bit_length() - 1, -1, -1, dtype=np.int64)
+
+
+def _fold(rows: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Each row's runs of k = ``powers.size`` digits, the last run maybe
+    shorter, read as one base-radix number each: (m, ceil(w / k)). An
+    empty row reads as 0."""
+    (m, width), step = rows.shape, powers.size
+    full, rest = divmod(width, step)
+    keys = np.zeros((m, max(1, -(-width // step))), dtype=np.int64)
+    np.matmul(rows[:, :full * step].reshape(m, full, step), powers, out=keys[:, :full])
+    if rest:
+        np.matmul(rows[:, full * step:], powers[step - rest:], out=keys[:, full])
+    return keys
+
+
+def _runs(values: np.ndarray) -> tuple:
+    """The argsort of ``values``, and where each run of equal values
+    starts in it and how long it is."""
+    order = np.argsort(values)
+    ordered = values[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    return order, bounds[:-1], bounds[1:] - bounds[:-1]
+
+
+def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray, int]:
     """Id of every cell and the number of distinct keys.
 
-    ``groups`` holds (cells, rows) pairs: ascending cell indices and one
-    int64 key row per cell, all rows of a pair equally wide and no width
-    in two pairs, so equal keys are equal rows of one pair. Distinct keys
-    are ranked by the cell where they first occur and get the ids
-    ``issued + rank``: the ids a palette would issue visiting cells in
-    order, as long as no key was issued before. Every refinement key holds
-    an own color issued in the round before, so that holds for a state's
-    next round.
+    ``groups`` holds (cells, rows) pairs: one key row per cell, all rows of
+    a pair equally wide, every digit in [1, radix). Each level reads each
+    row's runs of digits that fit 62 bits as one number (``_fold``). A run
+    of L digits reads as a number in [radix**(L-1), radix**L), so a number
+    also tells its run's length, and rows of different width never meet.
+    Rows that became one number have their final key, and one argsort
+    dedupes every row that finished at the level. The other rows' numbers
+    are ranked jointly, and rank + 1 are the next level's digits. Ranks
+    stay below 2**31, two or more to a number, so each level after the
+    first at least halves a row's width: a row of width w takes O(log w)
+    levels.
+
+    Each cell is led by the first cell holding its key. The leaders,
+    numbered in cell order, get the ids ``issued + rank``: the ids a
+    palette would issue visiting cells in order, as long as no key was
+    issued before. Every refinement key holds an own color issued in the
+    round before, so that holds for a state's next round. An id depends
+    only on where a key first occurs, not on how keys sort, so any
+    injective fold gives the same ids.
     """
-    first, inverses, count = [], [], 0
-    for cells, rows in groups:
-        void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
-        _, at, inverse = np.unique(rows.view(void).ravel(),
-                                   return_index=True, return_inverse=True)
-        inverses.append((cells, inverse + count))
-        count += at.size
-        first.append(cells[at])
-    by_key = np.empty(count, dtype=np.int64)
-    by_key[np.argsort(np.concatenate(first))] = np.arange(issued, issued + count)
-    out = np.empty(size, dtype=np.int64)
-    for cells, inverse in inverses:
-        out[cells] = by_key[inverse]
-    return out, count
+    leader = np.empty(size, dtype=np.int64)
+    leads = np.zeros(size, dtype=bool)
+    while groups:
+        powers = _powers(radix)
+        folded = [(cells, _fold(rows, powers)) for cells, rows in groups]
+        done = [(cells, keys) for cells, keys in folded if keys.shape[1] == 1]
+        if done:
+            order, starts, lengths = _runs(np.concatenate([k for _, k in done]).ravel())
+            by_key = np.concatenate([c for c, _ in done])[order]
+            first = np.minimum.reduceat(by_key, starts)
+            leads[first] = True
+            leader[by_key] = np.repeat(first, lengths)
+        groups = [(cells, keys) for cells, keys in folded if keys.shape[1] > 1]
+        if groups:
+            order, starts, lengths = _runs(np.concatenate([k.ravel() for _, k in groups]))
+            digits = np.empty(order.size, dtype=np.int64)
+            digits[order] = np.repeat(np.arange(1, starts.size + 1), lengths)
+            bounds = np.cumsum([k.size for _, k in groups])[:-1]
+            groups = [(cells, part.reshape(keys.shape))
+                      for (cells, keys), part in zip(groups, np.split(digits, bounds))]
+            radix = starts.size + 1
+    heads = np.flatnonzero(leads)
+    ids = np.empty(size, dtype=np.int64)
+    ids[heads] = np.arange(issued, issued + heads.size)
+    return ids[leader], heads.size
 
 
 def _cell_grid(ids: np.ndarray, shape: tuple) -> np.ndarray:
@@ -258,22 +306,23 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     graph, or of a tuple of graphs on one palette.
 
     Features are quantized to the 1e-9 grid as float64 integers (never a
-    fixed-width int, which would wrap past 9.2e9), with -0.0 folded to
-    0.0, so equal quantized values give equal rows. A cell's row is a 0
-    followed by its D features, so a featureless cell's row is not empty
-    and graphs with different D never share a color.
+    fixed-width int, which would wrap past 9.2e9). One sort ranks the
+    quantized values of every graph together, and rank + 1 are the key
+    digits, so equal values give equal digits and -0.0 meets 0.0. A cell's
+    row is its D digits: a featureless cell's row is empty, and graphs
+    with different D never share a color.
     """
     graphs = _Graphs(graph)
     n, t = graphs[0].n_nodes, graphs[0].n_steps
-    blocks = []
-    for i, g in enumerate(graphs):
-        d = 0 if g.features is None else g.features.shape[2]
-        rows = np.zeros((t * n, 1 + d), dtype=np.int64)
-        if d:
-            quantized = np.rint(g.features / _FEATURE_GRID) + 0.0
-            rows[:, 1:] = quantized.transpose(1, 0, 2).reshape(t * n, d).view(np.int64)
-        blocks.append((np.arange(i * t * n, (i + 1) * t * n), rows))
-    ids, count = _assign_ids(_merge_by_width(blocks), len(graphs) * t * n, 0)
+    quantized = [np.empty((t * n, 0)) if g.features is None
+                 else np.rint(g.features / _FEATURE_GRID).transpose(1, 0, 2).reshape(t * n, -1)
+                 for g in graphs]
+    values, digits = np.unique(np.concatenate([q.ravel() for q in quantized]),
+                               return_inverse=True)
+    bounds = np.cumsum([q.size for q in quantized])[:-1]
+    blocks = [(np.arange(i * t * n, (i + 1) * t * n), part.reshape(q.shape) + 1)
+              for i, (q, part) in enumerate(zip(quantized, np.split(digits, bounds)))]
+    ids, count = _assign_ids(blocks, len(graphs) * t * n, 0, values.size + 1)
     shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
     return ColoringState(_cell_grid(ids, shape), count, palette=range(count))
 
@@ -282,30 +331,42 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     """One refinement round of one graph, or of a tuple of graphs refined
     together; fresh ids continue ``state.palette``.
 
-    Cell (v, t) is keyed by the row (own color, color of (v, t-1) or -1 at
-    t = 0, its neighbor colors sorted ascending); cells of degree d get
-    rows of exactly 2 + d entries.
+    Cell (v, t) is keyed by the row (own color, color of (v, t-1) or none
+    at t = 0, its neighbor colors sorted ascending); cells of degree d get
+    rows of exactly 2 + d digits. A color c is the digit c - lo + 2 for
+    the state's smallest color lo, and "none" is the digit 1, so the radix
+    is the state's color span plus 3. A state's own colors span fewer
+    values than it has cells; wider colors are ranked first.
     """
     graphs = _Graphs(graph)
     cells = graphs.cells
     n, t = graphs[0].n_nodes, graphs[0].n_steps
-    by_step = state.colors.reshape(-1, n, t).transpose(0, 2, 1)
-    own = by_step.ravel()
-    previous = np.full(by_step.shape, -1, dtype=np.int64)
+    colors = state.colors
+    lo, hi = int(colors.min()), int(colors.max())
+    if hi - lo >= colors.size:
+        # colors spread wider than a state's own ids (a hand-built state):
+        # their ranks keep order and equality, within a span below the size
+        colors = np.unique(colors, return_inverse=True)[1].reshape(colors.shape)
+        lo, hi = 0, int(colors.max())
+    radix = hi - lo + 3
+    by_step = colors.reshape(-1, n, t).transpose(0, 2, 1) - (lo - 2)
+    previous = np.ones(by_step.shape, dtype=np.int64)
     previous[:, 1:] = by_step[:, :-1]
-    previous = previous.ravel()
-    # sorting owner*span + color sorts each owner's run by color in place
-    offset = cells.owner * (int(own.max()) + 1)
+    own = by_step.ravel()
+    # sorting slot*radix + digit sorts each cell's run of ends by digit in place
+    offset = cells.slot * radix
     neighbours = np.sort(offset + own[cells.neighbour]) - offset
-    blocks = []
-    for group, entries in cells.groups:
-        rows = np.empty((group.size, 2 + entries.shape[1]), dtype=np.int64)
-        rows[:, 0] = own[group]
-        rows[:, 1] = previous[group]
-        rows[:, 2:] = neighbours[entries]
-        blocks.append((group, rows))
+    own, previous = own[cells.order], previous.ravel()[cells.order]
+    blocks, start, end = [], 0, 0
+    for degree, count in cells.degrees:
+        rows = np.empty((count, 2 + degree), dtype=np.int64)
+        rows[:, 0] = own[start:start + count]
+        rows[:, 1] = previous[start:start + count]
+        rows[:, 2:] = neighbours[end:end + count * degree].reshape(count, degree)
+        blocks.append((cells.order[start:start + count], rows))
+        start, end = start + count, end + count * degree
     issued = len(state.palette)
-    ids, count = _assign_ids(blocks, own.size, issued)
+    ids, count = _assign_ids(blocks, state.colors.size, issued, radix)
     return ColoringState(_cell_grid(ids, state.colors.shape), count,
                          palette=range(issued + count))
 

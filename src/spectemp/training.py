@@ -9,7 +9,6 @@ Given the same seed, config, and platform, a run reproduces bitwise.
 
 from __future__ import annotations
 
-import copy
 import csv
 import dataclasses
 import time

@@ -1,7 +1,10 @@
-"""Every name a module lists in ``__all__`` resolves on that module."""
+"""Module hygiene: every name a module lists in ``__all__`` resolves on
+that module, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +13,47 @@ import spectemp
 MODULES = [importlib.import_module(f"spectemp.{info.name}")
            for info in pkgutil.iter_modules(spectemp.__path__)]
 EXPORTING = [module for module in MODULES if hasattr(module, "__all__")]
+SOURCES = sorted(Path(spectemp.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda module: module.__name__)
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == [], f"{module.__name__}.__all__ lists missing names {missing}"
+
+
+def unused_imports(source: str) -> list:
+    """Names an import binds that the module never reads, as "name (line n)".
+
+    A name counts as read when it appears as a name anywhere in the module
+    (attribute chains start with one) or is listed in ``__all__``.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in sorted(bound.items())
+            if name not in read]
+
+
+def test_unused_import_scan_flags_only_unread_names():
+    source = ("from __future__ import annotations\n"
+              "import os\nimport os.path as osp\nimport numpy as np\n"
+              "from json import dumps, loads\n"
+              "__all__ = ['loads']\n"
+              "def f():\n    import sys\n    return np.pi, osp\n")
+    assert unused_imports(source) == ["dumps (line 5)", "os (line 2)", "sys (line 8)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_modules_have_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

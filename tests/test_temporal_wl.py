@@ -254,6 +254,91 @@ def test_hub_graphs_match_reference():
                 == reference_wl_test(hubbed, hubbed.permuted(rng.permutation(n))))
 
 
+def test_hand_built_state_refines_as_reference():
+    # a state made by hand: the default palette, and colors with gaps that
+    # start at 0, above 0 or below 0 (a color of -1 is not "no previous"),
+    # or that span the whole int64 range
+    rng = np.random.default_rng(118)
+    for trial in range(50):
+        g = random_dtdg(rng, max_nodes=9, max_steps=4)
+        shades = [(0, 1), (0, 3, 9), (5, 6, 40), (-4, -1, 2),
+                  (-2 ** 63, 0, 2 ** 62, 2 ** 63 - 1)][trial % 5]
+        colors = rng.choice(shades, size=(g.n_nodes, g.n_steps))
+        refined = refine_step(g, temporal_wl.ColoringState(colors, len(np.unique(colors))))
+        expected = reference_refine_step(g, colors, {})
+        assert np.array_equal(refined.colors, expected), trial
+        assert refined.palette == range(len(np.unique(expected)))
+
+
+# ---------------------------------------------------------------------------
+# reference dedupe: np.unique over each block's rows viewed as void bytes
+# ---------------------------------------------------------------------------
+
+def reference_assign_ids(groups, size, issued):
+    """Ids by first occurrence from one byte-compared np.unique per block;
+    blocks must have distinct widths."""
+    first, inverses, count = [], [], 0
+    for cells, rows in groups:
+        void = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+        _, at, inverse = np.unique(np.ascontiguousarray(rows).view(void).ravel(),
+                                   return_index=True, return_inverse=True)
+        inverses.append((cells, inverse.ravel() + count))
+        count += at.size
+        first.append(cells[at])
+    by_key = np.empty(count, dtype=np.int64)
+    by_key[np.argsort(np.concatenate(first))] = np.arange(issued, issued + count)
+    out = np.empty(size, dtype=np.int64)
+    for cells, inverse in inverses:
+        out[cells] = by_key[inverse]
+    return out, count
+
+
+@pytest.mark.parametrize("values", [1, 2, 2 ** 31 - 2])
+def test_key_fold_matches_void_row_dedupe(values):
+    # digits take `values` values, 1..values (radix values + 1): one value
+    # makes every row of a block equal, 2**31 - 2 leaves two digits per
+    # number, so a row is ranked at every level. Widths run from 1 to past
+    # 600, and rows repeat: each block draws from a small pool of rows.
+    rng = np.random.default_rng(119)
+    widths = (1, 2, 3, 4, 5, 7, 31, 62, 63, 64, 601, 640)
+    for trial in range(6):
+        sizes = rng.integers(1, 60, size=len(widths))
+        cells = np.split(rng.permutation(int(sizes.sum())), np.cumsum(sizes)[:-1])
+        groups = []
+        for width, mine in zip(widths, cells):
+            pool = rng.integers(1, values + 1, size=(int(rng.integers(1, 8)), width))
+            groups.append((np.sort(mine), pool[rng.integers(len(pool), size=mine.size)]))
+        issued = int(rng.integers(0, 1000))
+        ids, count = temporal_wl._assign_ids(groups, int(sizes.sum()), issued, values + 1)
+        expected, expected_count = reference_assign_ids(groups, int(sizes.sum()), issued)
+        assert np.array_equal(ids, expected), (values, trial)
+        assert count == expected_count
+
+
+def test_key_fold_tells_rows_of_different_widths_apart():
+    # Rows of 2 and 3 full numbers, all but the last the smallest number of
+    # the level. They rank alike, so the next level's rows are (a, b) and
+    # (a, a, b); only ranks counted from 1 keep a from reading as nothing.
+    for radix, step in ((2 ** 31 - 1, 2), (3, 31)):
+        groups = [(np.array([0]), np.array([[1] * (2 * step - 1) + [2]])),
+                  (np.array([1]), np.array([[1] * (3 * step - 1) + [2]]))]
+        ids, count = temporal_wl._assign_ids(groups, 2, 0, radix)
+        assert (ids.tolist(), count) == ([0, 1], 2), radix
+
+
+def test_key_fold_keeps_equally_wide_blocks_together():
+    # rows of one width split over two blocks are still one key space:
+    # equal rows in different blocks share an id
+    rng = np.random.default_rng(120)
+    rows = rng.integers(1, 4, size=(50, 9))  # row c belongs to cell c
+    split = rng.permutation(50)
+    halves = [(np.sort(part), rows[np.sort(part)]) for part in (split[:20], split[20:])]
+    ids, count = temporal_wl._assign_ids(halves, 50, 7, 4)
+    expected, expected_count = reference_assign_ids([(np.arange(50), rows)], 50, 7)
+    assert np.array_equal(ids, expected)
+    assert count == expected_count
+
+
 @pytest.mark.parametrize("n, t", [(1000, 5), (5000, 100)])
 def test_star_refinement_memory_is_linear_in_cells_and_edges(n, t):
     # A star in every snapshot: one cell of degree N-1 per snapshot beside

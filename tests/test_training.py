@@ -1,11 +1,16 @@
 """Optimization loop: reverse-mode gradients against finite differences,
-the adaptive-moment update rule, early stopping, and evaluation metrics."""
+the adaptive-moment update rule, early stopping, evaluation metrics, and
+the allocator thresholds that keep training steps from faulting."""
 
 import csv
+import resource
+import sys
 
 import numpy as np
 import pytest
 
+import spectemp
+from spectemp import dataio
 from spectemp import model_core as mc
 from spectemp import training as tr
 from spectemp.dataio import WindowSet
@@ -402,3 +407,57 @@ def test_run_metadata():
     assert run.config["train"]["lr"] == 3e-3
     assert run.config["model"]["lookback"] == 8
     assert not run.stopped_early
+
+
+# ---------------------------------------------------------------------------
+# allocator thresholds
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not spectemp.MALLOC_PINNED, reason="pinned on glibc only")
+def test_warm_training_steps_fault_no_pages_in():
+    # At N=208, B=16 a step's arrays are a few hundred KB each. With glibc's
+    # default thresholds every step maps and faults them in again (about
+    # 2,700 minor faults a step); with the pinned thresholds the heap keeps
+    # them.
+    data = dataio.synth_signed_groups(104, 120, noise_sigma=0.05, seed=1, periods=20)
+    windows = dataio.make_windows(data, 12, 3)
+    config = mc.ModelConfig(lookback=12, horizon=3, basis="gegenbauer", degree=4,
+                            adjacency_mode="pearson")
+    state = mc.init_state(config, data.n_variables, rng=1, train_values=data.values)
+    moments = tr.AdamMoments.for_state(state)
+    batch = (windows.inputs[:16], windows.targets[:16])
+    for step in range(25):
+        if step == 5:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        grads, _ = tr.gradients(state, batch, config)
+        moments = tr.optimizer_step(state, grads, 1e-3, moments)
+    per_step = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / 20
+    assert per_step < 100, per_step
+
+
+class FakeLibc:
+    """A C library whose mallopt records its options and returns ``answer``."""
+
+    def __init__(self, glibc: bool, answer: int):
+        self.calls = []
+        self.mallopt = lambda option, value: self.calls.append(option) or answer
+        if glibc:
+            self.gnu_get_libc_version = None
+
+
+def test_malloc_thresholds_stay_alone_off_glibc(monkeypatch):
+    libc = FakeLibc(glibc=False, answer=1)
+    monkeypatch.setattr(spectemp.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert spectemp._pin_malloc_thresholds() is False
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert spectemp._pin_malloc_thresholds() is False
+    assert libc.calls == []
+
+
+def test_malloc_trim_threshold_is_not_pinned_alone(monkeypatch):
+    libc = FakeLibc(glibc=True, answer=0)
+    monkeypatch.setattr(spectemp.ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert spectemp._pin_malloc_thresholds() is False
+    assert libc.calls == [spectemp._M_MMAP_THRESHOLD]
