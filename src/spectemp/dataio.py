@@ -68,7 +68,7 @@ class Dataset:
 class NormStats:
     """Per-variable affine transform: normalized = (x - loc) / scale."""
 
-    method: str                  # "zscore" | "minmax" | "none"
+    method: str                  # "zscore" | "minmax"
     loc: np.ndarray              # (N, 1, D)
     scale: np.ndarray            # (N, 1, D), strictly positive
     degenerate: tuple = ()       # variable indices whose scale was patched to 1
@@ -177,9 +177,6 @@ def compute_norm_stats(train: Dataset, method: str) -> NormStats:
     elif method == "minmax":
         loc = v.min(axis=1, keepdims=True)
         scale = v.max(axis=1, keepdims=True) - loc
-    elif method == "none":
-        loc = np.zeros((train.n_variables, 1, train.n_dims))
-        scale = np.ones_like(loc)
     else:
         raise ParameterError(f"unknown normalization {method!r}")
     flat = scale.reshape(train.n_variables, -1)
@@ -301,7 +298,12 @@ def forecast_errors(predicted: np.ndarray, actual: np.ndarray) -> dict:
 
 
 def dataset_manifest(dataset: Dataset, stats: NormStats | None = None,
-                     ratios=None, seed: int | None = None) -> dict:
+                     seed: int | None = None) -> dict:
+    """The ``dataset`` record of a run's manifest: name, shape, the
+    normalization method ("none" when ``stats`` is None) and any degenerate
+    variables, the seed and the group labels. The split ratios are not
+    repeated here: every command that writes this record also records the
+    ``task`` section, whose ``ratios`` cut the split."""
     manifest = {
         "name": dataset.name,
         "n_variables": dataset.n_variables,
@@ -311,8 +313,6 @@ def dataset_manifest(dataset: Dataset, stats: NormStats | None = None,
     }
     if stats is not None and stats.degenerate:
         manifest["degenerate_variables"] = list(stats.degenerate)
-    if ratios is not None:
-        manifest["split_ratios"] = list(ratios)
     if seed is not None:
         manifest["seed"] = seed
     if dataset.labels is not None:

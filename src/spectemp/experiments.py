@@ -114,10 +114,9 @@ class SynthBundle:
     test_windows: WindowSet
     adjacency: np.ndarray
     stats: NormStats | None         # training-split normalization, if any
-    ratios: tuple
 
     def manifest(self, seed: int) -> dict:
-        return dataset_manifest(self.dataset, self.stats, self.ratios, seed)
+        return dataset_manifest(self.dataset, self.stats, seed)
 
 
 def prepare_data(task: SynthTask, seed: int,
@@ -141,7 +140,7 @@ def prepare_data(task: SynthTask, seed: int,
     w = lambda d: make_windows(d, task.lookback, task.horizon, task.stride)
     return SynthBundle(dataset=ds, train_windows=w(train_ds), val_windows=w(val_ds),
                        test_windows=w(test_ds), adjacency=adjacency,
-                       stats=stats, ratios=task.ratios)
+                       stats=stats)
 
 
 def prepare_synth(task: SynthTask, seed: int) -> SynthBundle:

@@ -9,8 +9,10 @@ forward convention
 computed by `numpy.fft` (``fft``/``ifft``) for every length. The model
 itself never calls these: it folds mode selection into dense S x T kernels.
 
-Two filtering pipelines share the same spectral core (transform, keep S
-modes, multiply by per-variable complex S x S weights, zero-pad, invert):
+Two filtering pipelines share one spectral core: two private steps keep
+the S listed modes of the window's transform and rebuild a real series
+from S modes (scatter into zeros, invert, real part); between them the
+kept modes are multiplied by per-variable complex S x S weights.
 
 * coarse: applied to the raw window;
 * fine:   the window is first split into trend (moving average, the first
@@ -31,13 +33,10 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 __all__ = [
-    "ComplexSpectrumTensor",
     "TemporalFDMParams",
     "ColumnSamplingReport",
     "dft",
     "idft",
-    "select_modes",
-    "pad_modes",
     "moving_average_matrix",
     "decompose",
     "coarse_fdm",
@@ -69,31 +68,8 @@ def idft(f: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectra and mode bookkeeping
+# mode bookkeeping
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexSpectrumTensor:
-    """S retained spectral modes of an (N, T, D) window."""
-
-    values: np.ndarray          # complex, (N, S, D)
-    length_full: int            # T
-    mode_indices: np.ndarray    # (S,) ints into [0, T)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
-        idx = np.asarray(self.mode_indices, dtype=np.intp)
-        if values.ndim != 3:
-            raise ShapeError(f"spectrum values must be (N, S, D), got {values.shape}")
-        if idx.ndim != 1 or idx.size != values.shape[1]:
-            raise ShapeError("mode index count must match the retained-mode axis")
-        if idx.size != np.unique(idx).size:
-            raise ParameterError("mode indices must be unique")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.length_full):
-            raise ParameterError("mode indices must lie within [0, T)")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mode_indices", idx)
-
 
 @dataclass(frozen=True)
 class TemporalFDMParams:
@@ -115,33 +91,14 @@ class TemporalFDMParams:
         w = np.asarray(self.weights, dtype=np.complex128)
         if w.ndim != 4 or w.shape[2] != w.shape[3]:
             raise ShapeError(f"weights must be (N|1, D|1, S, S), got {w.shape}")
-        if idx.size != w.shape[2]:
+        if idx.ndim != 1 or idx.size != w.shape[2]:
             raise ShapeError("weights mode axis must match the number of mode indices")
+        if idx.size and (idx.min() < 0 or np.unique(idx).size != idx.size):
+            raise ParameterError(f"mode indices must be unique and >= 0, got {idx}")
         if self.decomp_window < 1:
             raise ParameterError("decomposition window must be >= 1")
         object.__setattr__(self, "mode_indices", idx)
         object.__setattr__(self, "weights", w)
-
-
-def select_modes(full: np.ndarray, indices: np.ndarray) -> ComplexSpectrumTensor:
-    """Keep the listed modes of a full (N, T, D) spectrum."""
-    arr = np.asarray(full, dtype=np.complex128)
-    if arr.ndim != 3:
-        raise ShapeError(f"full spectrum must be (N, T, D), got {arr.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= arr.shape[1]):
-        raise ParameterError(
-            f"mode indices must lie within [0, {arr.shape[1]}), got {idx}")
-    return ComplexSpectrumTensor(values=arr[:, idx, :], length_full=arr.shape[1],
-                                 mode_indices=idx)
-
-
-def pad_modes(spectrum: ComplexSpectrumTensor) -> np.ndarray:
-    """Scatter retained modes back to full length; absent modes are 0+0j."""
-    n, s, d = spectrum.values.shape
-    out = np.zeros((n, spectrum.length_full, d), dtype=np.complex128)
-    out[:, spectrum.mode_indices, :] = spectrum.values
-    return out
 
 
 def lowest_modes(t: int, s: int) -> np.ndarray:
@@ -179,15 +136,29 @@ def decompose(z: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
 # filtering pipelines
 # ---------------------------------------------------------------------------
 
-def _filter_modes(z: np.ndarray, params: TemporalFDMParams) -> np.ndarray:
-    """transform -> select -> complex weights -> pad -> invert -> real part."""
-    n, t, d = z.shape
+def _keep_modes(z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The listed modes of an (N, T, D) window's transform, as (N, S, D)."""
     spectrum = dft(z, axis=1)
-    kept = select_modes(spectrum, params.mode_indices)
+    if idx.size and idx.max() >= spectrum.shape[1]:
+        raise ParameterError(
+            f"mode indices must lie within [0, {spectrum.shape[1]}), got {idx}")
+    return spectrum[:, idx, :]
+
+
+def _rebuild(kept: np.ndarray, idx: np.ndarray, t: int) -> np.ndarray:
+    """Scatter (N, S, D) modes into zeros of length T, invert, real part."""
+    full = np.zeros((kept.shape[0], t, kept.shape[2]), dtype=np.complex128)
+    full[:, idx, :] = kept
+    return idft(full, axis=1).real
+
+
+def _filter_modes(z: np.ndarray, params: TemporalFDMParams) -> np.ndarray:
+    """keep modes -> complex weights -> rebuild."""
+    n, t, d = z.shape
+    idx = params.mode_indices
     w = np.broadcast_to(params.weights, (n, d) + params.weights.shape[2:])
-    filtered = np.einsum("nid,ndij->njd", kept.values, w)
-    padded = pad_modes(ComplexSpectrumTensor(filtered, t, kept.mode_indices))
-    return idft(padded, axis=1).real
+    filtered = np.einsum("nid,ndij->njd", _keep_modes(z, idx), w)
+    return _rebuild(filtered, idx, t)
 
 
 def coarse_fdm(z: np.ndarray, params: TemporalFDMParams) -> np.ndarray:
@@ -226,8 +197,7 @@ def spectral_attention(trend: np.ndarray, seasonal: np.ndarray,
     proj_q, proj_k, proj_v = params.attention
 
     def project(mat, part):
-        mixed = np.maximum(np.einsum("ij,njd->nid", mat, part), 0.0)
-        return select_modes(dft(mixed, axis=1), idx).values
+        return _keep_modes(np.maximum(np.einsum("ij,njd->nid", mat, part), 0.0), idx)
 
     q = project(proj_q, zt)
     k = project(proj_k, zs)
@@ -236,9 +206,7 @@ def spectral_attention(trend: np.ndarray, seasonal: np.ndarray,
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
-    mixed = np.einsum("nij,njd->nid", weights, v)
-    padded = pad_modes(ComplexSpectrumTensor(mixed, t, idx))
-    return zt + idft(padded, axis=1).real
+    return zt + _rebuild(np.einsum("nij,njd->nid", weights, v), idx, t)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +242,8 @@ def column_sampling_check(a: np.ndarray, w: np.ndarray, k: int, s: int,
         raise ParameterError(f"sample size S must lie in [1, T], got {s}")
     if not 1 <= k <= min(a.shape):
         raise ParameterError(f"target rank k must lie in [1, min(N, T)], got {k}")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
 
     singular = np.linalg.svd(a, compute_uv=False)
     tail = float(np.sqrt((singular[k:] ** 2).sum()))

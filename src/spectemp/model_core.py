@@ -60,7 +60,6 @@ __all__ = [
     "embed",
     "tggc_block",
     "loss",
-    "reported_loss",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -547,14 +546,13 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
 
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
                    config: ModelConfig):
-    """Tape forward; returns (prediction node, final representation node)."""
+    """Tape forward through every block and the head; returns the prediction node."""
     b, n, t, d = x.shape
     z = _representation(params, x, state, config, range(config.blocks),
                         config.residual)
     flat = ad.reshape(z, (b, n, t * d))
     out = ad.embed_map(flat, params["head.weight"])
-    prediction = ad.reshape(out, (b, n, config.horizon, d))
-    return prediction, z
+    return ad.reshape(out, (b, n, config.horizon, d))
 
 
 def wrap_params(state: ModelState, requires_grad: bool) -> dict:
@@ -589,14 +587,15 @@ def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def forward(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     arr, squeeze = _promote(x)
-    prediction, _ = _forward_graph(wrap_params(state, False), arr, state, config)
+    prediction = _forward_graph(wrap_params(state, False), arr, state, config)
     return prediction.data[0] if squeeze else prediction.data
 
 
 def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     """Final-block representation (N, T, D) ahead of the forecasting head."""
     arr, squeeze = _promote(x)
-    _, rep = _forward_graph(wrap_params(state, False), arr, state, config)
+    rep = _representation(wrap_params(state, False), arr, state, config,
+                          range(config.blocks), config.residual)
     return rep.data[0] if squeeze else rep.data
 
 
@@ -616,14 +615,6 @@ def loss(prediction: np.ndarray, targets: np.ndarray) -> float:
     if p.shape != y.shape:
         raise ShapeError(f"shape mismatch {p.shape} vs {y.shape}")
     return float(loss_node(p, y).data)
-
-
-def reported_loss(prediction: np.ndarray, targets: np.ndarray) -> float:
-    """The objective with an extra mean over variables and dimensions, so
-    reported magnitudes do not scale with dataset size."""
-    p = np.asarray(prediction)
-    n, d = (p.shape[0], p.shape[2]) if p.ndim == 3 else (p.shape[1], p.shape[3])
-    return loss(prediction, targets) / (n * d)
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,8 @@ def parse_dtdg(text: str) -> DTDG:
         n, t = int(header[0]), int(header[1])
     except ValueError as exc:
         raise DataError(f"non-integer header {lines[0]!r}") from exc
+    if n < 1 or t < 1:
+        raise DataError(f"header {lines[0]!r} needs N >= 1 nodes and T >= 1 snapshots")
 
     pos = 1
     snapshots, feature_blocks = [], []

@@ -105,7 +105,7 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
     params = mc.wrap_params(state, requires_grad=True)
     # A diverging run overflows here; the finite-gradient check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        prediction, _ = mc._forward_graph(params, x, state, config)
+        prediction = mc._forward_graph(params, x, state, config)
         node = mc.loss_node(prediction, y)
         node.backward()
     check_finite_gradients(params)

@@ -186,13 +186,17 @@ def test_out_of_domain_jacobi_exponent_exits_2(tmp_path):
                      "--set", "model.jacobi_a=-2.0"]) == 2
 
 
-def test_unreadable_graph_file_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["this is not a graph\n", "0 1\n#\n#\n", "-1 1\n#\n#\n",
+                                  "2 0\n"],
+                         ids=["garbage", "no nodes", "negative nodes", "no snapshots"])
+def test_unreadable_graph_file_exits_3(tmp_path, capsys, text):
     garbage = tmp_path / "bad.dtdg"
-    garbage.write_text("this is not a graph\n")
+    garbage.write_text(text)
     cfg = write_config(tmp_path, {"twl": {"left": str(garbage)}})
     code = cli.main(["twl", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and repr(text.splitlines()[0]) in err
 
 
 @pytest.mark.parametrize("raw", [b'{"train": {"epochs": "\xb5"}}', b"[" * 200_000],

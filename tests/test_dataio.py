@@ -329,10 +329,10 @@ def test_forecast_errors_on_window_views_match_two_subtractions():
 def test_manifest_fields():
     ds = synth_signed_groups(2, 100, seed=9)
     stats = compute_norm_stats(ds, "zscore")
-    manifest = dataset_manifest(ds, stats, ratios=(0.6, 0.2, 0.2), seed=9)
+    manifest = dataset_manifest(ds, stats, seed=9)
     assert manifest["n_variables"] == 4
     assert manifest["length"] == 100
     assert manifest["normalization"] == "zscore"
     assert manifest["seed"] == 9
-    assert list(manifest["split_ratios"]) == [0.6, 0.2, 0.2]
+    assert "split_ratios" not in manifest
     assert manifest["labels"] == [0, 0, 1, 1]

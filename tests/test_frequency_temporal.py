@@ -1,16 +1,14 @@
-"""DFT suite, mode selection, decomposition, FDM stages, attention, and the
+"""DFT suite, mode indices, decomposition, FDM stages, attention, and the
 column-sampling bound."""
 
 import numpy as np
 import pytest
 
 from spectemp.errors import ParameterError, ShapeError
-from spectemp.frequency_temporal import (ComplexSpectrumTensor,
-                                         TemporalFDMParams,
-                                         coarse_fdm, column_sampling_check,
-                                         decompose, dft, fine_fdm, idft,
-                                         lowest_modes, moving_average_matrix,
-                                         pad_modes, select_modes,
+from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm,
+                                         column_sampling_check, decompose, dft,
+                                         fine_fdm, idft, lowest_modes,
+                                         moving_average_matrix,
                                          spectral_attention)
 
 
@@ -77,60 +75,28 @@ def test_dft_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# mode selection and padding
+# mode indices
 # ---------------------------------------------------------------------------
 
-def test_select_full_index_set_is_identity():
-    rng = np.random.default_rng(11)
-    f = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
-    sel = select_modes(f, np.arange(5))
-    assert np.array_equal(sel.values, f)
-    assert np.array_equal(pad_modes(sel), f)
-
-
-def test_select_shape_and_index_content():
-    f = np.arange(24, dtype=np.complex128).reshape(2, 4, 3)
-    sel = select_modes(f, np.array([0, 2]))
-    assert sel.values.shape == (2, 2, 3)
-    assert np.array_equal(sel.values, f[:, [0, 2], :])
-
-
-def test_pad_zero_fills_dropped_modes():
-    rng = np.random.default_rng(12)
-    f = rng.standard_normal((1, 6, 1)) + 1j * rng.standard_normal((1, 6, 1))
-    sel = select_modes(f, np.array([1, 4]))
-    padded = pad_modes(sel)
-    assert np.array_equal(padded[:, [1, 4], :], f[:, [1, 4], :])
-    assert np.all(padded[:, [0, 2, 3, 5], :] == 0.0)
-    energy_kept = (np.abs(sel.values) ** 2).sum()
-    assert (np.abs(padded) ** 2).sum() == pytest.approx(energy_kept)
-
-
-def test_select_pad_select_idempotent():
-    rng = np.random.default_rng(13)
-    f = rng.standard_normal((2, 8, 2)) + 1j * rng.standard_normal((2, 8, 2))
-    idx = np.array([0, 3, 5])
-    once = pad_modes(select_modes(f, idx))
-    twice = pad_modes(select_modes(once, idx))
-    assert np.array_equal(once, twice)
-
-
-def test_select_rejects_out_of_range():
-    f = np.zeros((1, 4, 1), dtype=np.complex128)
+@pytest.mark.parametrize("indices", [[1, 1], [-1, 2]], ids=["duplicate", "negative"])
+def test_params_reject_duplicate_and_negative_indices(indices):
     with pytest.raises(ParameterError):
-        select_modes(f, np.array([0, 4]))
+        TemporalFDMParams(mode_indices=np.array(indices),
+                          weights=np.zeros((1, 1, 2, 2), dtype=complex))
 
 
-def test_empty_mode_set_pads_to_zero():
-    f = np.ones((1, 4, 1), dtype=np.complex128)
-    sel = select_modes(f, np.array([], dtype=int))
-    assert np.all(pad_modes(sel) == 0.0)
+def test_coarse_rejects_index_past_length():
+    params = TemporalFDMParams(mode_indices=np.array([0, 4]),
+                               weights=np.ones((1, 1, 2, 2), dtype=complex))
+    with pytest.raises(ParameterError, match=r"\[0, 4\)"):
+        coarse_fdm(np.ones((1, 4, 1)), params)
 
 
-def test_spectrum_tensor_rejects_duplicates():
-    with pytest.raises(ParameterError):
-        ComplexSpectrumTensor(values=np.zeros((1, 2, 1)), length_full=4,
-                              mode_indices=np.array([1, 1]))
+def test_empty_mode_set_filters_to_zero():
+    params = TemporalFDMParams(mode_indices=np.array([], dtype=int),
+                               weights=np.zeros((1, 1, 0, 0), dtype=complex))
+    z = np.random.default_rng(12).standard_normal((2, 6, 1))
+    assert np.all(coarse_fdm(z, params) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +202,9 @@ def test_fine_matches_composed_primitives():
                                decomp_window=w)
 
     trend, seasonal = decompose(z, w)
-    spectrum = select_modes(dft(seasonal, axis=1), idx)
-    filtered = np.einsum("nid,ndij->njd", spectrum.values, weights)
-    rebuilt = idft(pad_modes(ComplexSpectrumTensor(filtered, t, idx)),
-                   axis=1).real
+    full = np.zeros((n, t, d), dtype=complex)
+    full[:, idx] = np.einsum("nid,ndij->njd", dft(seasonal, axis=1)[:, idx], weights)
+    rebuilt = idft(full, axis=1).real
     assert np.abs(fine_fdm(z, params) - (trend + rebuilt)).max() < 1e-10
 
 
@@ -251,10 +216,9 @@ def test_coarse_matches_composed_primitives():
                + 1j * rng.standard_normal((n, d, s, s)))
     idx = lowest_modes(t, s)
     params = TemporalFDMParams(mode_indices=idx, weights=weights)
-    spectrum = select_modes(dft(z, axis=1), idx)
-    filtered = np.einsum("nid,ndij->njd", spectrum.values, weights)
-    rebuilt = idft(pad_modes(ComplexSpectrumTensor(filtered, t, idx)),
-                   axis=1).real
+    full = np.zeros((n, t, d), dtype=complex)
+    full[:, idx] = np.einsum("nid,ndij->njd", dft(z, axis=1)[:, idx], weights)
+    rebuilt = idft(full, axis=1).real
     assert np.abs(coarse_fdm(z, params) - rebuilt).max() < 1e-10
 
 
@@ -329,5 +293,8 @@ def test_column_sampling_rejects_bad_geometry():
         column_sampling_check(a, w, k=2, s=7, trials=5)
     with pytest.raises(ParameterError):
         column_sampling_check(a, w, k=5, s=3, trials=5)
+    for trials in (0, -3):
+        with pytest.raises(ParameterError, match="trial"):
+            column_sampling_check(a, w, k=2, s=3, trials=trials)
     with pytest.raises(ShapeError):
         column_sampling_check(a, np.ones((5, 1)), k=2, s=3, trials=5)

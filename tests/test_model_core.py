@@ -16,8 +16,7 @@ from spectemp.dataio import split
 from spectemp.errors import ConfigError, DataError, ParameterError, ShapeError
 from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm, decompose,
                                          fine_fdm, spectral_attention)
-from spectemp.spectral_graph import (Adjacency, FilterBank, graph_conv,
-                                     normalized_laplacian)
+from spectemp.spectral_graph import FilterBank, graph_conv, normalized_laplacian
 
 BASE = dict(lookback=8, horizon=3, n_dims=2, blocks=2, degree=3, n_modes=4,
             decomp_window=3, adjacency_mode="provided")
@@ -465,7 +464,7 @@ def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
     config = ex.task_model_config(task, adjacency_mode="pearson", blocks=1,
                                   degree=2, n_modes=3)
     n = bundle.dataset.n_variables
-    train_values = split(bundle.dataset, bundle.ratios)[0].values
+    train_values = split(bundle.dataset, task.ratios)[0].values
     recomputed = mc.init_state(config, n, rng=0, train_values=train_values)
     calls = []
     correlation = mc.windowed_mean_correlation
@@ -572,13 +571,6 @@ def test_forward_rejects_non_finite_windows(bad):
         x[2, 4, 6, 1] = bad
         with pytest.raises(DataError, match="window 2, node 4"):
             mc.forward(x, state, config)
-
-
-def test_reported_loss_scales_out_width():
-    predicted = np.ones((2, 3, 4))
-    actual = np.zeros((2, 3, 4))
-    assert mc.reported_loss(predicted, actual) == pytest.approx(
-        mc.loss(predicted, actual) / (2 * 4))
 
 
 # ---------------------------------------------------------------------------

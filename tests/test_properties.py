@@ -14,7 +14,7 @@ import types
 import typing
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spectemp import cli
@@ -258,10 +258,12 @@ def fuzz_text():
 
 @FUZZ
 @given(text=fuzz_text())
+@example(text="0 1\n#\n#\n")
+@example(text="-1 1\n#\n#\n")
 def test_parse_dtdg_fails_only_with_package_errors(text):
     try:
         graph = parse_dtdg(text)
-    except SpectempError:
+    except DataError:
         return
     assert graph.n_steps >= 1 and graph.n_nodes >= 1
 
