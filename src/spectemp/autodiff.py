@@ -3,8 +3,9 @@
 Every operation records its inputs and a vector-Jacobian closure on the
 result node, so a forward pass builds a tape implicitly (the DAG of nodes);
 ``backward`` replays it once in reverse topological order. Only float64
-real arrays are supported; complex quantities are carried as separate
-real/imaginary parts by the caller.
+real arrays are supported; a caller carries a complex quantity on a real
+axis (the model's attention interleaves re/im on the mode axis, so one
+contraction forms each complex product).
 
 The op set is what the forecasting model needs: broadcast elementwise
 arithmetic, relu/softmax, safe reciprocal square root for degree

@@ -51,6 +51,11 @@ SECTIONS = ("task", "data", "model", "train", "forecast", "ablate", "theory",
 # per-command config sections
 # ---------------------------------------------------------------------------
 
+def _check_seeds(key: str, seeds) -> None:
+    if seeds is not None and min(seeds) < 0:
+        raise ConfigError(f"{key} must list seeds >= 0, got {seeds}")
+
+
 @dataclass(frozen=True)
 class ForecastSection:
     checkpoint: str | None = None           # required: a .stck path
@@ -60,6 +65,9 @@ class ForecastSection:
 class AblateSection:
     axis: str | None = None                 # required: basis, structure, nonlinearity
     seeds: list[int] | None = None          # default: --seed and the next four
+
+    def __post_init__(self):
+        _check_seeds("ablate.seeds", self.seeds)
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,9 @@ class RaceSection:
     epochs: int = ex.RACE_PRESET["epochs"]
     lr: float = ex.RACE_PRESET["lr"]
     seeds: list[int] | None = None          # default: [--seed]
+
+    def __post_init__(self):
+        _check_seeds("theory.race.seeds", self.seeds)
 
 
 @dataclass(frozen=True)
@@ -107,6 +118,7 @@ class SynthSection:
     n_eval: int = 8
 
     def __post_init__(self):
+        _check_seeds("synth.seeds", self.seeds)
         if self.n_eval < 1:
             raise ConfigError(f"synth.n_eval must be >= 1, got {self.n_eval}")
 
@@ -181,6 +193,8 @@ class Run:
     manifest's output list."""
 
     def __init__(self, args, config: dict):
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         self.args, self.config, self.seed = args, config, args.seed
         self.out = args.out or os.path.join("spectemp_out", args.command)
         self.effective: dict = {}

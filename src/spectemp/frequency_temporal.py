@@ -203,7 +203,8 @@ def spectral_attention(trend: np.ndarray, seasonal: np.ndarray,
     k = project(proj_k, zs)
     v = project(proj_v, zs)
     scores = np.einsum("nid,njd->nij", q, k).real / np.sqrt(idx.size * d)
-    scores -= scores.max(axis=-1, keepdims=True)
+    # initial=-inf admits an empty mode set, which rebuilds to zeros: the trend
+    scores -= scores.max(axis=-1, keepdims=True, initial=-np.inf)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     return zt + _rebuild(np.einsum("nij,njd->nid", weights, v), idx, t)

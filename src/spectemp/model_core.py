@@ -20,10 +20,14 @@ variable and dimension, M_t = F C with coarse C = Re(R W^T S) and fine
 F = A + Re(R' W'^T S')(I - A), where S and R select and rebuild the kept
 modes and A is the moving average; M_t is built from the mode weights
 and applied with one ``time_mix``. The nonlinear variant applies G before
-its relu and C before its attention stage. Learned adjacency differs per
-sample, so there the polynomial stack runs on the signal. The stack,
-the S/R kernels, A and the folded S'(I - A) are derived from the state
-and the config and cached on the state, never checkpointed.
+its relu and C before its attention stage. Attention keeps re/im on one
+axis: real 2S x T select kernels hold the real and imaginary parts of
+mode s in rows 2s and 2s+1, and a T x 2S rebuild kernel holds
+[Re R_s, -Im R_s], so each complex product (select, scores, mixing,
+rebuild) is one tape op. Learned adjacency differs per sample, so there
+the polynomial stack runs on the signal. The stack, the S/R kernels, A
+and the folded S'(I - A) are derived from the state and the config and
+cached on the state, never checkpointed.
 
 The forward pass is written against the tape ops in `autodiff`, so the
 same code serves inference (constant parameters) and training (parameters
@@ -118,6 +122,8 @@ class ModelConfig:
             raise ConfigError("decomp_window must lie in [1, lookback]")
         if self.blocks < 1 or self.degree < 0:
             raise ConfigError("blocks must be >= 1 and degree >= 0")
+        if self.embed_dim < 1:
+            raise ConfigError(f"model.embed_dim must be >= 1, got {self.embed_dim}")
 
     def recurrence(self) -> Recurrence:
         return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
@@ -355,9 +361,12 @@ class _Operators:
     ``graph`` is the (K+1, N, N) stack P_k(M) of a fixed graph operator (None
     with learned adjacency). ``blocks`` holds per block (coarse, fine), each
     None when that stage is off: a linear stage as its (K_re, K_im) kernel
-    pair (see ``_fold``), the attention stage as its (select_re, select_im,
-    rebuild_re, rebuild_im) kernels. ``trend`` is the moving-average matrix
-    A that the linear fine stage adds (None otherwise).
+    pair (see ``_fold``), the attention stage as its real (query select,
+    key/value select, rebuild) kernels, (2S, T), (2S, T) and (T, 2S), with
+    re/im interleaved on the mode axis (see ``_interleave``); the query
+    kernel is conjugated and scaled by 1/sqrt(S D). ``trend`` is the
+    moving-average matrix A that the linear fine stage adds (None
+    otherwise).
     """
 
     sources: tuple                  # the state arrays these were built from
@@ -393,6 +402,12 @@ def _fold(select: np.ndarray, rebuild: np.ndarray) -> tuple:
     return np.ascontiguousarray(k.real), -k.imag
 
 
+def _interleave(kernel: np.ndarray) -> np.ndarray:
+    """A complex (S, T) kernel as a real (2S, T) one whose row 2s+z is the
+    real (z=0) or imaginary (z=1) part of row s."""
+    return np.stack([kernel.real, kernel.imag], axis=1).reshape(-1, kernel.shape[1])
+
+
 def _build_operators(state: ModelState, config: ModelConfig) -> _Operators:
     graph = None
     if config.adjacency_mode != "learned":
@@ -414,8 +429,12 @@ def _build_operators(state: ModelState, config: ModelConfig) -> _Operators:
                 # F = A + Re(R' W'^T S')(I - A): fold S'(I - A) into select.
                 fine = _fold(select - select @ trend, rebuild)
             else:
-                fine = tuple(np.ascontiguousarray(part) for part in (
-                    select.real, select.imag, rebuild.real, rebuild.imag))
+                # With the query kernel conjugated, [Re q, -Im q] . [Re k, Im k]
+                # summed over (re/im, D) is Re(q k^T); the rebuild columns
+                # [Re R_s, -Im R_s] likewise give Re(R o).
+                scale = np.sqrt(config.n_modes * config.n_dims)
+                fine = (_interleave(select.conj()) / scale, _interleave(select),
+                        np.ascontiguousarray(_interleave(rebuild.T.conj()).T))
         blocks.append((coarse, fine))
     return _Operators(_sources(state), graph, trend, tuple(blocks))
 
@@ -459,23 +478,23 @@ def _stage_operator(params: dict, name: str, kernels: tuple):
                   ad.contract("ndij,ijpq->ndpq", params[f"{name}_im"], k_im))
 
 
-def _attention_stage(trend, seasonal, params, prefix, mats, config: ModelConfig, d: int):
-    select_re, select_im, rebuild_re, rebuild_im = mats
+def _attention_stage(trend, seasonal, params, prefix, kernels):
+    """Mode-space attention with re/im interleaved on the mode axis (see
+    ``_build_operators``): each projection's (B, N, 2S, D) modes read as
+    (B, N, S, 2D), so every complex product is one op."""
+    select_q, select_kv, rebuild = kernels
+    b, n, _, d = trend.shape
 
-    def project(name, part):
-        mixed = ad.relu(ad.time_mix(params[name], part))
-        return ad.time_mix(select_re, mixed), ad.time_mix(select_im, mixed)
+    def project(name, part, select):
+        modes = ad.time_mix(select, ad.relu(ad.time_mix(params[name], part)))
+        return ad.reshape(modes, (b, n, -1, 2 * d))
 
-    q_re, q_im = project(f"{prefix}.attn_q", trend)
-    k_re, k_im = project(f"{prefix}.attn_k", seasonal)
-    v_re, v_im = project(f"{prefix}.attn_v", seasonal)
-    scores = ad.sub(ad.node_scores(q_re, k_re), ad.node_scores(q_im, k_im))
-    scores = ad.mul(scores, 1.0 / np.sqrt(config.n_modes * d))
-    attn = ad.softmax_last(scores)
-    o_re = ad.node_apply(attn, v_re)
-    o_im = ad.node_apply(attn, v_im)
-    rebuilt = ad.sub(ad.time_mix(rebuild_re, o_re), ad.time_mix(rebuild_im, o_im))
-    return ad.add(trend, rebuilt)
+    q = project(f"{prefix}.attn_q", trend, select_q)
+    k = project(f"{prefix}.attn_k", seasonal, select_kv)
+    v = project(f"{prefix}.attn_v", seasonal, select_kv)
+    attn = ad.softmax_last(ad.node_scores(q, k))
+    out = ad.reshape(ad.node_apply(attn, v), (b, n, -1, d))
+    return ad.add(trend, ad.time_mix(rebuild, out))
 
 
 def require_finite_windows(x: np.ndarray) -> None:
@@ -538,8 +557,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
             mixed = ad.time_mix(operator, mixed)
         if attention:
             trend = ad.time_mix(trend_matrix, mixed)
-            mixed = _attention_stage(trend, ad.sub(mixed, trend), params, prefix,
-                                     fine, config, d)
+            mixed = _attention_stage(trend, ad.sub(mixed, trend), params, prefix, fine)
         z = ad.add(mixed, z) if residual else mixed
     return z
 

@@ -71,6 +71,11 @@ class TrainConfig:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("moment decays must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ConfigError(f"train.eps must be positive, got {self.eps}")
+        for key in ("patience", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -114,11 +119,13 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
 
 
 def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
-                   moments: AdamMoments, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> AdamMoments:
-    """One adaptive-moment update with bias correction, in place on the
-    state's parameter arrays. Parameters without a gradient entry (frozen
-    or untouched) are left alone.
+                   moments: AdamMoments, beta1: float = TrainConfig.beta1,
+                   beta2: float = TrainConfig.beta2,
+                   eps: float = TrainConfig.eps) -> AdamMoments:
+    """One adaptive-moment update with bias correction. Each updated entry
+    of ``state.params`` is rebound to a new array; the old array is left
+    as it was. Parameters without a gradient entry (frozen or untouched)
+    are left alone.
     """
     if lr <= 0:
         raise ConfigError("learning rate must be positive")

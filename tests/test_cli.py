@@ -280,6 +280,20 @@ BAD_RUNS = {
     "task lookback not int": (["train", "--set", "task.lookback=x"], 2),
     "model n_modes a string": (["train", "--set", 'model.n_modes="5"'], 2),
     "misspelt section": (["train", "--set", "trian.epochs=1"], 2),
+    "train eps negative": (["train", "--set", "train.eps=-1"], 2),
+    "train eps zero": (["train", "--set", "train.eps=0"], 2),
+    "train patience negative": (["train", "--set", "train.patience=-3"], 2),
+    "learned embed_dim zero": (["train", "--set", "model.adjacency_mode=learned",
+                                "--set", "model.embed_dim=0"], 2),
+    "learned embed_dim negative": (["train", "--set", "model.adjacency_mode=learned",
+                                    "--set", "model.embed_dim=-2"], 2),
+    "train --seed negative": (["train", "--seed", "-1"], 2),
+    "theory --seed negative": (["theory", "--seed", "-1"], 2),
+    "train seed negative": (["train", "--set", "train.seed=-5"], 2),
+    "synth seeds negative": (["synth", "--set", "synth.seeds=[-2]"], 2),
+    "ablate seeds negative": (["ablate", "--set", "ablate.axis=basis",
+                               "--set", "ablate.seeds=[-1]"], 2),
+    "race seeds negative": (["theory", "--set", "theory.race.seeds=[-1]"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
 }
 
@@ -295,6 +309,15 @@ def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
     assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == code
     prefix = "data error: " if code == 3 else "error: "
     assert capsys.readouterr().err.startswith(prefix)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c))
+def test_bad_setting_error_names_its_key(tmp_path, capsys, case):
+    argv, _ = BAD_RUNS[case]
+    cli.main(argv + ["--config", write_config(tmp_path, TINY),
+                     "--out", str(tmp_path / "out")])
+    key = argv[-1].split("=")[0] if argv[-2] == "--set" else argv[-2]
+    assert key in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("lookback", 12), ("horizon", 3)])

@@ -99,6 +99,16 @@ def test_empty_mode_set_filters_to_zero():
     assert np.all(coarse_fdm(z, params) == 0.0)
 
 
+def test_empty_mode_set_attends_to_the_trend():
+    rng = np.random.default_rng(13)
+    attn = tuple(rng.standard_normal((6, 6)) for _ in range(3))
+    params = TemporalFDMParams(mode_indices=np.array([], dtype=int),
+                               weights=np.zeros((1, 1, 0, 0), dtype=complex),
+                               attention=attn)
+    trend, seasonal = rng.standard_normal((2, 2, 6, 1))
+    assert np.array_equal(spectral_attention(trend, seasonal, params), trend)
+
+
 # ---------------------------------------------------------------------------
 # moving-average decomposition
 # ---------------------------------------------------------------------------

@@ -65,6 +65,9 @@ def test_config_rejects_bad_values():
         mc.ModelConfig(**{**BASE, "basis": "jacobi", "jacobi_a": -2.0})
     with pytest.raises(ConfigError):
         mc.ModelConfig(**{**BASE, "basis": "jacobi", "alpha": -0.7})
+    for embed_dim in (0, -2):
+        with pytest.raises(ConfigError, match="model.embed_dim"):
+            mc.ModelConfig(**{**BASE, "adjacency_mode": "learned", "embed_dim": embed_dim})
 
 
 def test_config_dict_roundtrip():
@@ -324,7 +327,8 @@ def test_nonlinear_block_matches_composed_public_operations():
 def _oracle_blocks(x, state, config, blocks, residual):
     """The listed blocks on one (N, T, D) window through the public numpy
     operators: graph_conv, then coarse_fdm and fine_fdm (or
-    spectral_attention), or the random projector's real transform."""
+    spectral_attention), or the random projector's real transform, where
+    attention takes real scores over 1/sqrt(S D)."""
     if config.adjacency_mode == "learned":
         lap = normalized_laplacian(mc.latent_correlation(
             x, embedding=state.params["adjacency.embed"]))
@@ -338,6 +342,21 @@ def _oracle_blocks(x, state, config, blocks, residual):
         kept = np.einsum("st,ntd->nsd", rows, z)
         w_re = np.broadcast_to(w.real, (z.shape[0], z.shape[2]) + w.shape[2:])
         return np.einsum("ts,nsd->ntd", rows.T, np.einsum("nid,ndij->njd", kept, w_re))
+
+    def attention(trend, seasonal, indices, projections):
+        if config.projector == "dft":
+            return spectral_attention(trend, seasonal, TemporalFDMParams(
+                mode_indices=indices, weights=np.zeros((1, 1, indices.size, indices.size)),
+                decomp_window=config.decomp_window, attention=projections))
+        rows = state.projector_matrix[indices]
+        q, k, v = (np.einsum("st,ntd->nsd", rows,
+                             np.maximum(np.einsum("ij,njd->nid", proj, part), 0.0))
+                   for proj, part in zip(projections, (trend, seasonal, seasonal)))
+        scores = np.einsum("nid,njd->nij", q, k) / np.sqrt(indices.size * trend.shape[2])
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        return trend + np.einsum("ts,nsd->ntd", rows.T,
+                                 np.einsum("nij,njd->nid", weights, v))
 
     z = x
     for m in blocks:
@@ -355,11 +374,8 @@ def _oracle_blocks(x, state, config, blocks, residual):
         if config.use_fine:
             trend, seasonal = decompose(out, config.decomp_window)
             if config.attention_enabled:
-                out = spectral_attention(trend, seasonal, TemporalFDMParams(
-                    mode_indices=fine_idx,
-                    weights=np.zeros((1, 1, fine_idx.size, fine_idx.size)),
-                    decomp_window=config.decomp_window,
-                    attention=(param("attn_q"), param("attn_k"), param("attn_v"))))
+                out = attention(trend, seasonal, fine_idx,
+                                (param("attn_q"), param("attn_k"), param("attn_v")))
             elif config.projector == "dft":
                 out = fine_fdm(out, TemporalFDMParams(
                     mode_indices=fine_idx, weights=param("fine_re") + 1j * param("fine_im"),
@@ -381,6 +397,7 @@ ORACLE_GRID = [
     dict(share_theta_dims=True), dict(share_filter_dims=True),
     dict(share_filter_vars=True), dict(projector="random"),
     dict(projector="random", adjacency_mode="learned", n_dims=1),
+    dict(variant="nonlinear", projector="random"),
     dict(use_coarse=False), dict(use_fine=False), dict(use_coarse=False, use_fine=False),
     dict(variant="nonlinear", use_coarse=False), dict(variant="nonlinear", use_fine=False),
     dict(variant="nonlinear", use_attention=False), dict(mode_policy="random"),

@@ -215,6 +215,9 @@ def test_nonpositive_learning_rate_rejected():
         tr.TrainConfig(lr=-1.0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(epochs=0)
+    for key, value in (("eps", 0.0), ("eps", -1.0), ("patience", -3), ("seed", -5)):
+        with pytest.raises(ConfigError, match=f"train.{key}"):
+            tr.TrainConfig(**{key: value})
 
 
 # ---------------------------------------------------------------------------
