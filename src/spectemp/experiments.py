@@ -86,6 +86,12 @@ class SynthTask:
     stride: int = 1
     ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
+    def __post_init__(self):
+        if self.noise_sigma < 0:
+            raise ConfigError(f"task.noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.periods < 1:
+            raise ConfigError(f"task.periods must be >= 1, got {self.periods}")
+
     @property
     def n_nodes(self) -> int:
         return 2 * self.n_per_group

@@ -18,16 +18,18 @@ with one parameter-sized contraction and applies it with one
 ``graph_mix``. The two temporal stages are one real T x T operator per
 variable and dimension, M_t = F C with coarse C = Re(R W^T S) and fine
 F = A + Re(R' W'^T S')(I - A), where S and R select and rebuild the kept
-modes and A is the moving average; M_t is built from the mode weights
-and applied with one ``time_mix``. The nonlinear variant applies G before
-its relu and C before its attention stage. Attention keeps re/im on one
-axis: real 2S x T select kernels hold the real and imaginary parts of
-mode s in rows 2s and 2s+1, and a T x 2S rebuild kernel holds
-[Re R_s, -Im R_s], so each complex product (select, scores, mixing,
-rebuild) is one tape op. Learned adjacency differs per sample, so there
-the polynomial stack runs on the signal. The stack, the S/R kernels, A
-and the folded S'(I - A) are derived from the state and the config and
-cached on the state, never checkpointed.
+modes and A is the moving average. Each stage folds S and R into one
+(2, S, S, T, T) kernel [K_re; K_im], so its operator is one contraction
+of the stacked [W_re; W_im] weights; M_t is applied with one
+``time_mix``. The nonlinear variant applies G before its relu and C
+before its attention stage. Attention keeps re/im on one axis: real
+2S x T select kernels hold the real and imaginary parts of mode s in
+rows 2s and 2s+1, and a T x 2S rebuild kernel holds [Re R_s, -Im R_s],
+so each complex product (select, scores, mixing, rebuild) is one tape
+op. Learned adjacency differs per sample, so there the polynomial stack
+runs on the signal. The stack, the S/R kernels, A and the folded
+S'(I - A) are derived from the state and the config and cached on the
+state, never checkpointed.
 
 The forward pass is written against the tape ops in `autodiff`, so the
 same code serves inference (constant parameters) and training (parameters
@@ -360,11 +362,12 @@ class _Operators:
 
     ``graph`` is the (K+1, N, N) stack P_k(M) of a fixed graph operator (None
     with learned adjacency). ``blocks`` holds per block (coarse, fine), each
-    None when that stage is off: a linear stage as its (K_re, K_im) kernel
-    pair (see ``_fold``), the attention stage as its real (query select,
-    key/value select, rebuild) kernels, (2S, T), (2S, T) and (T, 2S), with
-    re/im interleaved on the mode axis (see ``_interleave``); the query
-    kernel is conjugated and scaled by 1/sqrt(S D). ``trend`` is the
+    None when that stage is off: a linear stage as its (2, S, S, T, T)
+    kernel [K_re; K_im] (see ``_fold``), the attention stage as its real
+    (query select, key/value select, rebuild) kernels, (2S, T), (2S, T)
+    and (T, 2S), with re/im interleaved on the mode axis (see
+    ``_interleave``); the query kernel is conjugated and scaled by
+    1/sqrt(S D). ``trend`` is the
     moving-average matrix A that the linear fine stage adds (None
     otherwise).
     """
@@ -394,12 +397,13 @@ def _mode_kernels(config: ModelConfig, state: ModelState, indices: np.ndarray):
     return rows, rows.T
 
 
-def _fold(select: np.ndarray, rebuild: np.ndarray) -> tuple:
-    """(K_re, K_im), each (S, S, T, T), such that the stage's real T x T
-    operator Re(R W^T S) for complex mode weights W = W_re + i W_im is
-    sum_ij W_re[i,j] K_re[i,j] + W_im[i,j] K_im[i,j]."""
+def _fold(select: np.ndarray, rebuild: np.ndarray) -> np.ndarray:
+    """The (2, S, S, T, T) kernel K = [K_re; K_im] such that the stage's
+    real T x T operator Re(R W^T S) for complex mode weights
+    W = W_re + i W_im is sum_zij [W_re; W_im][z,i,j] K[z,i,j]. The re/im
+    axis leads, so the contraction reads K as one (2 S S, T T) matrix."""
     k = rebuild.T[None, :, :, None] * select[:, None, None, :]   # R[p,j] S[i,q]
-    return np.ascontiguousarray(k.real), -k.imag
+    return np.stack([k.real, -k.imag])
 
 
 def _interleave(kernel: np.ndarray) -> np.ndarray:
@@ -471,11 +475,11 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     return ad.sub(np.eye(n), a_hat) if config.recurrence().on_laplacian else a_hat
 
 
-def _stage_operator(params: dict, name: str, kernels: tuple):
-    """A linear stage's (N|1, D|1, T, T) operator from its mode weights."""
-    k_re, k_im = kernels
-    return ad.add(ad.contract("ndij,ijpq->ndpq", params[f"{name}_re"], k_re),
-                  ad.contract("ndij,ijpq->ndpq", params[f"{name}_im"], k_im))
+def _stage_operator(params: dict, name: str, kernel: np.ndarray):
+    """A linear stage's (N|1, D|1, T, T) operator from its mode weights:
+    one contraction of the stacked [W_re; W_im] with the stage's kernel."""
+    weights = ad.stack([params[f"{name}_re"], params[f"{name}_im"]])
+    return ad.contract("zndij,zijpq->ndpq", weights, kernel)
 
 
 def _attention_stage(trend, seasonal, params, prefix, kernels):

@@ -310,10 +310,14 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     quantized values of every graph together, and rank + 1 are the key
     digits, so equal values give equal digits and -0.0 meets 0.0. A cell's
     row is its D digits: a featureless cell's row is empty, and graphs
-    with different D never share a color.
+    with different D never share a color. When no graph has features,
+    every row is empty, so every cell gets color 0 without a dedupe.
     """
     graphs = _Graphs(graph)
     n, t = graphs[0].n_nodes, graphs[0].n_steps
+    shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
+    if all(g.features is None for g in graphs):
+        return ColoringState(np.zeros(shape, dtype=np.int64), 1, palette=range(1))
     quantized = [np.empty((t * n, 0)) if g.features is None
                  else np.rint(g.features / _FEATURE_GRID).transpose(1, 0, 2).reshape(t * n, -1)
                  for g in graphs]
@@ -323,7 +327,6 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     blocks = [(np.arange(i * t * n, (i + 1) * t * n), part.reshape(q.shape) + 1)
               for i, (q, part) in enumerate(zip(quantized, np.split(digits, bounds)))]
     ids, count = _assign_ids(blocks, len(graphs) * t * n, 0, values.size + 1)
-    shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
     return ColoringState(_cell_grid(ids, shape), count, palette=range(count))
 
 

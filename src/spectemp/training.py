@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +21,7 @@ import numpy as np
 from . import model_core as mc
 from .autodiff import check_finite_gradients
 from .dataio import NormStats, WindowSet, denormalize, forecast_errors
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ParameterError, ShapeError
 
 __all__ = [
     "AdamMoments",
@@ -37,17 +39,49 @@ __all__ = [
 
 @dataclass
 class AdamMoments:
-    """First/second moment accumulators plus the shared step counter."""
+    """Adaptive-moment state over one flat float64 vector of parameters.
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    ``for_state`` copies a state's trainable arrays into ``params`` in
+    sorted-name order (the checkpoint payload's order) and rebinds each of
+    those ``state.params`` entries to a view of the vector, so that
+    ``optimizer_step`` updates the parameters in place. The moments ``m``
+    and ``v`` are laid out as ``params`` is; ``step`` counts the updates.
+    """
+
+    names: tuple
+    shapes: tuple
+    params: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
+    views: dict = field(init=False, repr=False)   # name -> view of ``params``
+
+    def __post_init__(self):
+        self.views = self.unflatten(self.params)
 
     @classmethod
     def for_state(cls, state: mc.ModelState) -> "AdamMoments":
-        trainable = state.trainable()
-        return cls(m={k: np.zeros_like(p) for k, p in trainable.items()},
-                   v={k: np.zeros_like(p) for k, p in trainable.items()})
+        names = tuple(sorted(state.trainable()))
+        arrays = [state.params[name] for name in names]
+        params = _flat(arrays)
+        moments = cls(names, tuple(a.shape for a in arrays), params,
+                      np.zeros_like(params), np.zeros_like(params))
+        state.params.update(moments.views)
+        return moments
+
+    def unflatten(self, vector: np.ndarray) -> dict:
+        """{name: view of ``vector``}, for a vector laid out as ``params``."""
+        views, start = {}, 0
+        for name, shape in zip(self.names, self.shapes):
+            size = math.prod(shape)
+            views[name] = vector[start:start + size].reshape(shape)
+            start += size
+        return views
+
+
+def _flat(arrays) -> np.ndarray:
+    """The arrays raveled and concatenated into one new float64 vector."""
+    return np.concatenate([np.empty(0), *arrays], axis=None)
 
 
 @dataclass(frozen=True)
@@ -113,8 +147,9 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
         prediction = mc._forward_graph(params, x, state, config)
         node = mc.loss_node(prediction, y)
         node.backward()
-    check_finite_gradients(params)
     grads = {name: params[name].grad for name in state.trainable()}
+    if not np.isfinite(_flat(grads.values())).all():
+        check_finite_gradients(params)
     return grads, float(node.data)
 
 
@@ -122,23 +157,50 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
                    moments: AdamMoments, beta1: float = TrainConfig.beta1,
                    beta2: float = TrainConfig.beta2,
                    eps: float = TrainConfig.eps) -> AdamMoments:
-    """One adaptive-moment update with bias correction. Each updated entry
-    of ``state.params`` is rebound to a new array; the old array is left
-    as it was. Parameters without a gradient entry (frozen or untouched)
-    are left alone.
+    """One adaptive-moment update with bias correction, made in place on
+    ``moments.params``: the trainable entries of ``state.params`` are views
+    of that vector (see ``AdamMoments.for_state``), so they hold the updated
+    values and no entry is rebound. ``grads`` must hold every name in
+    ``moments.names``; other entries, such as frozen parameters, are
+    ignored. A missing gradient, or a ``state.params`` entry rebound after
+    ``for_state`` (so no longer its view), raises ``ParameterError``.
     """
     if lr <= 0:
         raise ConfigError("learning rate must be positive")
+    names = moments.names
+    missing = set(names).difference(grads)
+    if missing:
+        raise ParameterError(f"no gradient for parameter {min(missing)!r}")
+    bound = map(state.params.get, names)
+    if not all(map(operator.is_, bound, moments.views.values())):
+        stale = min(name for name, view in moments.views.items()
+                    if state.params.get(name) is not view)
+        raise ParameterError(f"state.params[{stale!r}] was rebound after "
+                             "AdamMoments.for_state, so the optimizer no longer updates it")
+    grad = _flat(map(grads.__getitem__, names))
+    if grad.size != moments.params.size:
+        raise ShapeError(f"gradients hold {grad.size} values for "
+                         f"{moments.params.size} parameters")
     moments.step += 1
     t = moments.step
-    for name, grad in grads.items():
-        if name in state.frozen:
-            continue
-        m = moments.m[name] = beta1 * moments.m[name] + (1.0 - beta1) * grad
-        v = moments.v[name] = beta2 * moments.v[name] + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        state.params[name] = state.params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, params = moments.m, moments.v, moments.params
+    # The operations and their order are those of the per-array update
+    # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    # p = p - lr m_hat / (sqrt(v_hat) + eps), so the result is bitwise equal.
+    np.multiply(m, beta1, out=m)
+    work = np.multiply(grad, 1.0 - beta1)
+    np.add(m, work, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grad, 1.0 - beta2, out=work)
+    np.multiply(work, grad, out=work)
+    np.add(v, work, out=v)
+    np.divide(m, 1.0 - beta1 ** t, out=work)
+    np.multiply(work, lr, out=work)
+    np.divide(v, 1.0 - beta2 ** t, out=grad)
+    np.sqrt(grad, out=grad)
+    np.add(grad, eps, out=grad)
+    np.divide(work, grad, out=work)
+    np.subtract(params, work, out=params)
     return moments
 
 
@@ -224,7 +286,7 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
             run.val_rmse.append(scores["rmse"])
             if scores["mae"] < best_val - 1e-12:
                 best_val = scores["mae"]
-                best_params = {k: v.copy() for k, v in state.params.items()}
+                best_params = moments.params.copy()
                 run.best_epoch = epoch
                 stale = 0
             else:
@@ -235,7 +297,10 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
             break
 
     if best_params is not None:
-        state = dataclasses.replace(state, params=best_params)
+        best = moments.unflatten(best_params)
+        state = dataclasses.replace(state, params={
+            name: best[name] if name in best else value.copy()
+            for name, value in state.params.items()})
     return state, run
 
 

@@ -267,8 +267,9 @@ def test_checkpoint_with_nan_parameter_exits_3(tmp_path, capsys,
     assert not (tmp_path / "fc" / "metrics.json").exists()
 
 
-# Each of these used to end in a traceback (or, for twl.stepz, pass
-# silently); each must now be a typed error with its exit code.
+# Each of these used to end in a traceback (or, for twl.stepz and the two
+# task settings, pass silently); each must now be a typed error with its
+# exit code.
 BAD_RUNS = {
     "twl pair of two": (["twl", "--set", "twl.pair=[0,2]"], 2),
     "twl steps not int": (["twl", "--set", "twl.steps=x"], 2),
@@ -294,6 +295,8 @@ BAD_RUNS = {
     "ablate seeds negative": (["ablate", "--set", "ablate.axis=basis",
                                "--set", "ablate.seeds=[-1]"], 2),
     "race seeds negative": (["theory", "--set", "theory.race.seeds=[-1]"], 2),
+    "task noise_sigma negative": (["train", "--set", "task.noise_sigma=-1"], 2),
+    "task periods zero": (["train", "--set", "task.periods=0"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
 }
 

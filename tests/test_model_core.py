@@ -499,9 +499,11 @@ def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
 
 
 # sha256 of the forward output when the learned forward built both I - L
-# and L and the basis read L
+# and L and the basis read L, re-pinned when each temporal stage became one
+# contraction over the stacked re/im weights (67 of the 90 entries moved,
+# by at most 1.8e-15, with |out| <= 10.1)
 LEARNED_ON_LAPLACIAN_SHA256 = (
-    "57e4dcd7ee2d6849bd61dff01c17561f8b846a8642782e45c711ff2e58b76636")
+    "d711a44b768d251f4f09685b7d3792c7a61737647817c2b0d4219065e53726d9")
 
 
 def test_learned_forward_on_the_laplacian_is_unchanged():

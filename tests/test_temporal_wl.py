@@ -437,6 +437,39 @@ def test_featureless_graph_starts_monochrome():
     assert len(set(state.colors.flatten().tolist())) == 1
 
 
+def zero_width_twin(graph):
+    """`graph` with (N, T, 0) features when it has none: every cell's key
+    row is empty as before, but `init_colors` dedupes the rows instead of
+    taking its featureless shortcut."""
+    if graph.features is not None:
+        return graph
+    return DTDG(graph.n_nodes, graph.edges, np.zeros((graph.n_nodes, graph.n_steps, 0)))
+
+
+def test_featureless_init_matches_the_general_path():
+    rng = np.random.default_rng(117)
+    for trial in range(40):
+        n, t = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        feats = rng.integers(0, 2, size=(n, t, 1)).astype(float)
+        plain = oracle_dtdg(rng, n, t, (0.4, 0.0))
+        other = oracle_dtdg(rng, n, t, (0.6,), feats if trial % 2 else None)
+        for graphs in ([plain], [plain, other], [other, plain]):
+            joint = graphs[0] if len(graphs) == 1 else tuple(graphs)
+            twins = [zero_width_twin(g) for g in graphs]
+            twin_joint = twins[0] if len(twins) == 1 else tuple(twins)
+            state, twin_state = init_colors(joint), init_colors(twin_joint)
+            for _ in range(3):
+                assert state.colors.dtype == twin_state.colors.dtype == np.int64
+                assert np.array_equal(state.colors, twin_state.colors), trial
+                assert state.n_colors == twin_state.n_colors
+                assert state.palette == twin_state.palette
+                state = refine_step(joint, state)
+                twin_state = refine_step(twin_joint, twin_state)
+        for steps in (None, 1):
+            assert wl_test(plain, other, steps) == wl_test(
+                zero_width_twin(plain), zero_width_twin(other), steps), trial
+
+
 def test_distinct_features_get_distinct_colors():
     g = DTDG(3, ((),), features=np.array([[1.0], [2.0], [3.0]]))
     state = init_colors(g)

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import spectemp
+from spectemp import autodiff as ad
 from spectemp import dataio
+from spectemp import experiments as ex
 from spectemp import model_core as mc
 from spectemp import training as tr
 from spectemp.dataio import WindowSet
-from spectemp.errors import ConfigError, DataError
+from spectemp.errors import ConfigError, DataError, NumericalError, ParameterError
 
 TRIANGLE = np.array([[0.0, 1.0, 1.0],
                      [1.0, 0.0, 1.0],
@@ -203,6 +205,154 @@ def test_adam_two_steps_track_moments():
         p = p - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
     assert np.abs(state.params[name] - p).max() < 1e-12
     assert moments.step == 2
+
+
+def reference_optimizer_step(params, grads, lr, m, v, t, beta1=0.9, beta2=0.999,
+                             eps=1e-8):
+    """The per-array update loop ``optimizer_step`` replaced, kept as its
+    oracle: rebinds each entry of ``params``, ``m`` and ``v``."""
+    for name, grad in grads.items():
+        m[name] = beta1 * m[name] + (1.0 - beta1) * grad
+        v[name] = beta2 * v[name] + (1.0 - beta2) * grad * grad
+        m_hat = m[name] / (1.0 - beta1 ** t)
+        v_hat = v[name] / (1.0 - beta2 ** t)
+        params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def race_state():
+    task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
+    bundle = ex.prepare_synth(task, 0)
+    config = ex.task_model_config(task)
+    state = mc.init_state(config, task.n_nodes, rng=0, adjacency=bundle.adjacency)
+    return state, config, bundle.train_windows
+
+
+def test_flat_adam_is_bitwise_equal_to_the_per_array_loop():
+    state, config, windows = race_state()
+    lr = ex.RACE_PRESET["lr"]
+    params = {k: v.copy() for k, v in state.trainable().items()}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    moments = tr.AdamMoments.for_state(state)
+    for step in range(200):
+        start = (64 * step) % (windows.count - 64)
+        batch = (windows.inputs[start:start + 64], windows.targets[start:start + 64])
+        grads, _ = tr.gradients(state, batch, config)
+        moments = tr.optimizer_step(state, grads, lr, moments)
+        reference_optimizer_step(params, grads, lr, m, v, step + 1)
+    assert moments.step == 200
+    for name, value in params.items():
+        assert np.array_equal(state.params[name], value), name
+        assert state.params[name] is moments.views[name]
+        assert np.array_equal(moments.unflatten(moments.m)[name], m[name]), name
+        assert np.array_equal(moments.unflatten(moments.v)[name], v[name]), name
+
+
+def test_flat_vector_is_in_sorted_name_order_and_updates_in_place():
+    config = tiny_config(blocks=2)
+    state = tiny_state(config, seed=40)
+    moments = tr.AdamMoments.for_state(state)
+    assert moments.names == tuple(sorted(state.params))
+    assert np.array_equal(moments.params,
+                          np.concatenate([state.params[k].ravel() for k in moments.names]))
+    held = dict(state.params)
+    grads = {k: np.ones_like(p) for k, p in state.trainable().items()}
+    tr.optimizer_step(state, grads, 1e-2, moments)
+    assert all(state.params[k] is held[k] for k in held)
+    assert all(np.shares_memory(state.params[k], moments.params) for k in held)
+
+
+def test_frozen_parameter_stays_out_of_the_vector():
+    task = ex.SynthTask()
+    config = ex.task_model_config(task, blocks=1)
+    state, _ = ex.low_pass_control_state(config, task.n_nodes, 0,
+                                         adjacency=np.ones((8, 8)) - np.eye(8))
+    frozen = state.params["block0.theta"]
+    before = frozen.copy()
+    moments = tr.AdamMoments.for_state(state)
+    assert "block0.theta" not in moments.names
+    assert moments.params.size == sum(v.size for v in state.trainable().values())
+    grads = {k: np.ones_like(p) for k, p in state.params.items()}   # frozen included
+    for _ in range(3):
+        tr.optimizer_step(state, grads, 1e-2, moments)
+    assert state.params["block0.theta"] is frozen
+    assert np.array_equal(frozen, before)
+    assert not np.shares_memory(frozen, moments.params)
+
+
+def test_train_leaves_the_callers_arrays_unchanged():
+    config = tiny_config()
+    state = tiny_state(config, seed=41)
+    held = dict(state.params)
+    copies = {k: v.copy() for k, v in held.items()}
+    tc = tr.TrainConfig(lr=1e-2, batch_size=4, epochs=3, seed=42)
+    trained, run = tr.train(config, tc, random_windows(43, 12, 3, 8, 2, 1),
+                            val_windows=random_windows(44, 6, 3, 8, 2, 1), state=state)
+    for name, value in held.items():
+        assert np.array_equal(value, copies[name]), name
+        assert not np.shares_memory(trained.params[name], value)
+    assert list(trained.params) == list(held)
+    assert not np.array_equal(trained.params["head.weight"], copies["head.weight"])
+
+
+def test_optimizer_step_rejects_a_missing_gradient():
+    config = tiny_config()
+    state = tiny_state(config, seed=45)
+    moments = tr.AdamMoments.for_state(state)
+    before = moments.params.copy()
+    grads = {k: np.ones_like(v) for k, v in state.trainable().items()}
+    del grads["block0.fine_im"]
+    with pytest.raises(ParameterError, match="'block0.fine_im'"):
+        tr.optimizer_step(state, grads, 1e-2, moments)
+    assert moments.step == 0
+    assert np.array_equal(moments.params, before)
+
+
+def test_optimizer_step_rejects_a_rebound_parameter():
+    config = tiny_config()
+    state = tiny_state(config, seed=46)
+    moments = tr.AdamMoments.for_state(state)
+    grads = {k: np.ones_like(v) for k, v in state.trainable().items()}
+    state.params["head.weight"] = state.params["head.weight"] + 1.0
+    with pytest.raises(ParameterError, match="'head.weight'"):
+        tr.optimizer_step(state, grads, 1e-2, moments)
+    assert moments.step == 0
+
+
+@pytest.mark.parametrize("name", ["block0.theta", "block0.fine_re", "head.weight"])
+def test_gradients_name_the_parameter_that_makes_them_non_finite(name):
+    config = tiny_config()
+    state = tiny_state(config, seed=47)
+    # only ``name`` is trainable, so its gradient is the only one computed
+    state.frozen = frozenset(state.params) - {name}
+    state.params[name].reshape(-1)[1] = np.nan
+    rng = np.random.default_rng(48)
+    batch = (rng.standard_normal((2, 3, 8, 1)), rng.standard_normal((2, 3, 2, 1)))
+    with pytest.raises(NumericalError, match=f"'{name}'"):
+        tr.gradients(state, batch, config)
+
+
+def test_linear_race_step_tape_size(monkeypatch):
+    # one contraction per temporal stage: at most 32 matmuls and 49 tape
+    # tensors per linear race step
+    state, config, windows = race_state()
+    batch = (windows.inputs[:64], windows.targets[:64])
+    tr.gradients(state, batch, config)          # builds the cached operators
+    counts = {"matmul": 0, "tensors": 0}
+    matmul, init = ad._matmul, ad.Tensor.__init__
+
+    def counted_matmul(*args):
+        counts["matmul"] += 1
+        return matmul(*args)
+
+    def counted_init(self, *args, **kwargs):
+        counts["tensors"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "_matmul", counted_matmul)
+    monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
+    tr.gradients(state, batch, config)
+    assert counts["matmul"] <= 32 and counts["tensors"] <= 49, counts
 
 
 def test_nonpositive_learning_rate_rejected():
