@@ -1,8 +1,10 @@
 """Minimal reverse-mode gradient engine over numpy arrays.
 
 Every operation records its inputs and a vector-Jacobian closure on the
-result node, so a forward pass builds a tape implicitly (the DAG of nodes);
-``backward`` replays it once in reverse topological order. Only float64
+result node, so a forward pass builds a tape implicitly (the DAG of nodes).
+Each node is numbered when it is made, and an op's inputs are made before
+its result, so ``backward`` replays the nodes the loss reaches once in
+descending number order (a Wengert list read backwards). Only float64
 real arrays are supported; a caller carries a complex quantity on a real
 axis (the model's attention interleaves re/im on the mode axis, so one
 contraction forms each complex product).
@@ -22,11 +24,10 @@ convention (batch, node, time, dim).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-
-from .errors import NumericalError
 
 __all__ = [
     "Tensor",
@@ -54,12 +55,13 @@ __all__ = [
 ]
 
 _DEGREE_FLOOR = 1e-12
+_creation = itertools.count()
 
 
 class Tensor:
     """One tape node: a float64 array plus reverse-mode bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_seq")
 
     def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
@@ -67,41 +69,30 @@ class Tensor:
         self.grad = None
         # parents: tuple of (Tensor, vjp callable grad_out -> grad_parent)
         self._parents = tuple(parents)
+        self._seq = next(_creation)     # creation order, for ``backward``
 
     @property
     def shape(self):
         return self.data.shape
 
-    def topological_order(self):
-        """All reachable nodes, inputs strictly before consumers."""
-        order, seen, stack = [], set(), [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent, _ in node._parents:
-                if id(parent) not in seen:
-                    stack.append((parent, False))
-        return order
-
     def backward(self):
+        """Fill ``grad`` on every tracked node this scalar node reaches."""
         if self.data.shape != ():
             raise ValueError("backward() expects a scalar loss node")
-        order = self.topological_order()
-        for node in order:
+        nodes, stack = {self._seq: self}, [self]
+        while stack:
+            for parent, _ in stack.pop()._parents:
+                if parent._seq not in nodes:
+                    nodes[parent._seq] = parent
+                    stack.append(parent)
+        for node in nodes.values():
             node.grad = None
         self.grad = np.ones((), dtype=np.float64)
-        for node in reversed(order):
-            if node.grad is None:
-                continue
+        # consumers are replayed before their inputs, so a node's grad is
+        # complete, and never None, by the time it is replayed
+        for seq in sorted(nodes, reverse=True):
+            node = nodes[seq]
             for parent, vjp in node._parents:
-                if not parent.requires_grad:
-                    continue
                 contrib = vjp(node.grad)
                 # The first contribution may be a view another parent also
                 # holds, so every later one is added out of place.
@@ -351,9 +342,3 @@ def pair_scores(e):
     e = as_tensor(e)
     return contract("bne,bme->bnm", e, e)
 
-
-def check_finite_gradients(named_params):
-    """Raise NumericalError naming the first parameter with a non-finite gradient."""
-    for name, tensor in named_params.items():
-        if tensor.grad is not None and not np.all(np.isfinite(tensor.grad)):
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")

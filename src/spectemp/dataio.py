@@ -132,21 +132,22 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
                         f"non-finite cell {table[r, c]!r}")
     if layout == "time_major":
         table = table.T  # -> (N, L)
-    if np.isnan(table).any():
+    missing = np.isnan(table)
+    if missing.any():
         if impute != "ffill":
-            var_idx, step_idx = np.nonzero(np.isnan(table))
+            var_idx, step_idx = np.nonzero(missing)
             raise DataError(
                 f"{path}: NaN at variable {int(var_idx[0])}, step {int(step_idx[0])};"
                 f" pass impute='ffill' to fill forward")
-        for i in range(table.shape[0]):
-            series = table[i]
-            valid = np.flatnonzero(~np.isnan(series))
-            if valid.size == 0:
-                raise DataError(f"{path}: variable {i} is entirely NaN")
-            series[:valid[0]] = series[valid[0]]
-            for t in range(1, series.size):
-                if np.isnan(series[t]):
-                    series[t] = series[t - 1]
+        empty = missing.all(axis=1)
+        if empty.any():
+            raise DataError(f"{path}: variable {int(np.argmax(empty))} is entirely NaN")
+        # each cell reads the last valid step at or before it; a leading gap
+        # reads the first valid step, which the running maximum then passes.
+        # Filled in place, so the table keeps its memory layout.
+        first = np.argmax(~missing, axis=1)[:, None]
+        source = np.where(missing, first, np.arange(table.shape[1]))
+        table[:] = np.take_along_axis(table, np.maximum.accumulate(source, axis=1), axis=1)
     return Dataset(values=table[:, :, None],
                    name=name or os.path.splitext(os.path.basename(str(path)))[0])
 
@@ -170,7 +171,6 @@ def save_csv(dataset: Dataset, path, layout: str = "time_major") -> None:
 def compute_norm_stats(train: Dataset, method: str) -> NormStats:
     """Statistics from (what must be) the training split."""
     v = train.values
-    degenerate = []
     if method == "zscore":
         loc = v.mean(axis=1, keepdims=True)
         scale = v.std(axis=1, keepdims=True)
@@ -180,11 +180,9 @@ def compute_norm_stats(train: Dataset, method: str) -> NormStats:
     else:
         raise ParameterError(f"unknown normalization {method!r}")
     flat = scale.reshape(train.n_variables, -1)
-    for i in range(train.n_variables):
-        if np.any(flat[i] <= 1e-12):
-            degenerate.append(i)
+    degenerate = tuple(np.flatnonzero((flat <= 1e-12).any(axis=1)).tolist())
     scale = np.where(scale > 1e-12, scale, 1.0)
-    return NormStats(method=method, loc=loc, scale=scale, degenerate=tuple(degenerate))
+    return NormStats(method=method, loc=loc, scale=scale, degenerate=degenerate)
 
 
 def normalize(dataset: Dataset, stats: NormStats) -> Dataset:

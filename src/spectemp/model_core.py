@@ -124,8 +124,9 @@ class ModelConfig:
             raise ConfigError("decomp_window must lie in [1, lookback]")
         if self.blocks < 1 or self.degree < 0:
             raise ConfigError("blocks must be >= 1 and degree >= 0")
-        if self.embed_dim < 1:
-            raise ConfigError(f"model.embed_dim must be >= 1, got {self.embed_dim}")
+        for key in ("horizon", "n_dims", "embed_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
 
     def recurrence(self) -> Recurrence:
         return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,

@@ -45,6 +45,7 @@ N*T rounds, which is the default cap.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -374,16 +375,30 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
                          palette=range(issued + count))
 
 
+def _refinements(graph: DTDG | tuple, cap: int | None):
+    """``init_colors(graph)``, then the state after each round, until the
+    first round that adds no color (yielded too) or ``cap`` rounds (N*T
+    when None)."""
+    if cap is None:
+        first = _Graphs(graph)[0]
+        cap = first.n_nodes * first.n_steps
+    elif isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 0:
+        raise ParameterError(f"the round cap must be a non-negative integer, got {cap!r}")
+    state = init_colors(graph)
+    yield state
+    for _ in range(cap):
+        refined = refine_step(graph, state)
+        yield refined
+        if refined.n_colors == state.n_colors:
+            return
+        state = refined
+
+
 def refine_to_stable(graph: DTDG, max_rounds: int | None = None) -> ColoringState:
     """Refine ``init_colors(graph)`` until the partition stops changing (at
     most N*T rounds)."""
-    state = init_colors(graph)
-    cap = graph.n_nodes * graph.n_steps if max_rounds is None else max_rounds
-    for _ in range(cap):
-        refined = refine_step(graph, state)
-        if refined.n_colors == state.n_colors:
-            return refined
-        state = refined
+    for state in _refinements(graph, max_rounds):
+        pass
     return state
 
 
@@ -402,24 +417,11 @@ def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
     (or at the round cap). Each round is one ``refine_step`` over both
     graphs' cells, so its color count is the joint count of both graphs.
     """
-    graphs = _Graphs((g1, g2))
-
-    def split(state: ColoringState) -> bool:
+    for rounds, state in enumerate(_refinements(_Graphs((g1, g2)), steps)):
         ends = np.sort(state.colors[:, :, -1], axis=1)
-        return not np.array_equal(ends[0], ends[1])
-
-    state = init_colors(graphs)
-    if split(state):
-        return WLReport(NON_ISOMORPHIC, rounds=0, diverged_at=0)
-    cap = g1.n_nodes * g1.n_steps if steps is None else steps
-    for round_index in range(1, cap + 1):
-        refined = refine_step(graphs, state)
-        if split(refined):
-            return WLReport(NON_ISOMORPHIC, rounds=round_index, diverged_at=round_index)
-        if refined.n_colors == state.n_colors:
-            return WLReport(INCONCLUSIVE, rounds=round_index, diverged_at=None)
-        state = refined
-    return WLReport(INCONCLUSIVE, rounds=cap, diverged_at=None)
+        if not np.array_equal(ends[0], ends[1]):
+            return WLReport(NON_ISOMORPHIC, rounds=rounds, diverged_at=rounds)
+    return WLReport(INCONCLUSIVE, rounds=rounds, diverged_at=None)
 
 
 def distinguishable(graph: DTDG, u: int, v: int, t: int,

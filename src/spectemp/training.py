@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model_core as mc
-from .autodiff import check_finite_gradients
 from .dataio import NormStats, WindowSet, denormalize, forecast_errors
-from .errors import ConfigError, DataError, ParameterError, ShapeError
+from .errors import ConfigError, DataError, NumericalError, ParameterError, ShapeError
 
 __all__ = [
     "AdamMoments",
@@ -99,14 +98,14 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"train.lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("moment decays must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError(f"train.eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"train.eps must be positive and finite, got {self.eps}")
         for key in ("patience", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
@@ -149,7 +148,8 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
         node.backward()
     grads = {name: params[name].grad for name in state.trainable()}
     if not np.isfinite(_flat(grads.values())).all():
-        check_finite_gradients(params)
+        name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+        raise NumericalError(f"non-finite gradient for parameter {name!r}")
     return grads, float(node.data)
 
 
@@ -165,8 +165,8 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
     ignored. A missing gradient, or a ``state.params`` entry rebound after
     ``for_state`` (so no longer its view), raises ``ParameterError``.
     """
-    if lr <= 0:
-        raise ConfigError("learning rate must be positive")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     names = moments.names
     missing = set(names).difference(grads)
     if missing:
@@ -209,6 +209,8 @@ def predict(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
             chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
     """Forecasts of a window set and its targets, forwarding at most
     ``chunk`` windows at a time; with ``stats``, both on the raw scale."""
+    if chunk < 1:
+        raise ParameterError(f"chunk must be >= 1, got {chunk}")
     if windows.count == 0:
         raise DataError("cannot evaluate on an empty window set")
     mc.require_finite_windows(windows.inputs)

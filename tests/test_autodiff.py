@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from spectemp import autodiff as ad
-from spectemp.errors import NumericalError
+from spectemp import experiments as ex
+from spectemp import model_core as mc
+from spectemp import training as tr
 
 
 def numeric_gradients(fn, arrays, h=1e-6):
@@ -276,10 +278,53 @@ def test_untracked_inputs_get_no_grad():
     assert np.allclose(a.grad, 1.0)
 
 
-def test_check_finite_gradients_names_offender():
-    good = ad.Tensor(np.ones(2), requires_grad=True)
-    bad = ad.Tensor(np.ones(2), requires_grad=True)
-    good.grad = np.zeros(2)
-    bad.grad = np.array([1.0, np.nan])
-    with pytest.raises(NumericalError, match="block0.theta"):
-        ad.check_finite_gradients({"head": good, "block0.theta": bad})
+def post_order_backward(loss):
+    """The replaced replay, kept as the oracle: an explicit-stack post-order
+    DFS orders the reachable nodes, and they are replayed in reverse."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent, _ in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+    for node in order:
+        node.grad = None
+    loss.grad = np.ones((), dtype=np.float64)
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, vjp in node._parents:
+            if not parent.requires_grad:
+                continue
+            contrib = vjp(node.grad)
+            parent.grad = contrib if parent.grad is None else parent.grad + contrib
+
+
+@pytest.mark.parametrize("variant,adjacency,rtol", [("linear", "provided", 0.0),
+                                                    ("nonlinear", "provided", 0.0),
+                                                    ("linear", "learned", 1e-15),
+                                                    ("nonlinear", "learned", 1e-15)])
+def test_creation_order_replay_matches_the_post_order_oracle(variant, adjacency, rtol):
+    task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
+    bundle = ex.prepare_synth(task, 0)
+    config = ex.task_model_config(task, variant=variant, adjacency_mode=adjacency)
+    state = mc.init_state(config, task.n_nodes, rng=0, adjacency=bundle.adjacency)
+    x, y = bundle.train_windows.inputs[:64], bundle.train_windows.targets[:64]
+    grads, _ = tr.gradients(state, (x, y), config)
+    params = mc.wrap_params(state, requires_grad=True)
+    post_order_backward(mc.loss_node(mc._forward_graph(params, x, state, config), y))
+    assert list(grads) == list(state.trainable())
+    for name, grad in grads.items():
+        expected = params[name].grad
+        if rtol:
+            np.testing.assert_allclose(grad, expected, rtol=rtol,
+                                       atol=rtol * np.abs(expected).max())
+        else:
+            assert np.array_equal(grad, expected), name

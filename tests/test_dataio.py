@@ -51,6 +51,52 @@ def test_load_csv_ffill_imputation(tmp_path):
     assert ds.values[0, 1, 0] == pytest.approx(1.0)
 
 
+def ffill_oracle(table):
+    """The replaced per-element forward fill, kept as the oracle."""
+    table = table.copy()
+    for series in table:
+        valid = np.flatnonzero(~np.isnan(series))
+        series[:valid[0]] = series[valid[0]]
+        for t in range(1, series.size):
+            if np.isnan(series[t]):
+                series[t] = series[t - 1]
+    return table
+
+
+def write_table(path, table, layout):
+    rows = table.T if layout == "time_major" else table
+    path.write_text("".join(",".join("nan" if np.isnan(x) else repr(float(x)) for x in row)
+                            + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("layout", ["time_major", "variable_major"])
+def test_load_csv_ffill_matches_the_per_element_fill(tmp_path, layout):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "gappy.csv"
+    for _ in range(30):
+        n, length = rng.integers(1, 6), rng.integers(1, 25)
+        table = rng.standard_normal((n, length))
+        table[rng.random((n, length)) < rng.uniform(0.0, 0.8)] = np.nan
+        for row in table:
+            lead, trail = rng.integers(0, length + 1, size=2)
+            row[:lead] = np.nan                  # a leading gap
+            row[length - trail:] = np.nan        # a trailing gap
+            row[rng.integers(length)] = rng.standard_normal()   # one valid step
+        write_table(path, table, layout)
+        loaded = load_csv(path, layout=layout, impute="ffill").values[:, :, 0]
+        assert np.array_equal(loaded, ffill_oracle(table))
+
+
+def test_load_csv_ffill_names_the_first_entirely_nan_variable(tmp_path):
+    table = np.arange(20.0).reshape(5, 4)
+    table[[1, 3]] = np.nan
+    table[0, 2] = np.nan
+    path = tmp_path / "empty.csv"
+    write_table(path, table, "time_major")
+    with pytest.raises(DataError, match="variable 1 is entirely NaN"):
+        load_csv(path, impute="ffill")
+
+
 def test_load_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")
@@ -115,6 +161,9 @@ def test_zscore_constant_variable_uses_unit_scale():
     stats = compute_norm_stats(Dataset(values=values), "zscore")
     assert stats.scale[0, 0, 0] == 1.0
     assert 0 in stats.degenerate
+    values = np.concatenate([values, values[:1], values[1:]])
+    for method in ("zscore", "minmax"):
+        assert compute_norm_stats(Dataset(values=values), method).degenerate == (0, 2)
 
 
 def test_unknown_method_rejected():

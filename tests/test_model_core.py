@@ -68,6 +68,9 @@ def test_config_rejects_bad_values():
     for embed_dim in (0, -2):
         with pytest.raises(ConfigError, match="model.embed_dim"):
             mc.ModelConfig(**{**BASE, "adjacency_mode": "learned", "embed_dim": embed_dim})
+    for key, value in (("horizon", 0), ("horizon", -1), ("n_dims", 0), ("n_dims", -3)):
+        with pytest.raises(ConfigError, match=f"model.{key} must be >= 1"):
+            mc.ModelConfig(**{**BASE, key: value})
 
 
 def test_config_dict_roundtrip():
@@ -701,6 +704,11 @@ CORRUPTIONS = {
         raw, lambda h: h["arrays"].remove(_entry(h, "meta.a_hat"))),
     "non-finite config value": lambda raw: _rewrite_header(
         raw, lambda h: h["config"].update(alpha=float("inf"))),
+    # a consistent zero-horizon model: the head maps to no outputs
+    "zero horizon": lambda raw: _rewrite_header(
+        raw, lambda h: (h["config"].update(horizon=0),
+                        _entry(h, "head.weight").update(
+                            shape=[_entry(h, "head.weight")["shape"][0], 0], count=0))),
     # the next double above a_hat[0, 0] = 1 - L[0, 0] = 0 on the ring
     "a_hat is not I - L": lambda raw: _poke(raw, "meta.a_hat", 5e-324),
 }

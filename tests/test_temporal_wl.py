@@ -7,7 +7,7 @@ import pytest
 
 from spectemp import temporal_wl
 from spectemp.errors import DataError, ParameterError, ShapeError
-from spectemp.temporal_wl import (DTDG, check_spectral_conditions,
+from spectemp.temporal_wl import (DTDG, WLReport, check_spectral_conditions,
                                   distinguishable, fixture_path, format_dtdg,
                                   init_colors, parse_dtdg, read_dtdg,
                                   refine_step, refine_to_stable, wl_test,
@@ -633,6 +633,35 @@ def test_wl_test_rejects_size_mismatch():
     g2 = DTDG(3, (((0, 1),),))
     with pytest.raises(ShapeError):
         wl_test(g1, g2)
+
+
+def wl_pair():
+    return read_dtdg(fixture_path("wl_pair_left")), read_dtdg(fixture_path("wl_pair_right"))
+
+
+@pytest.mark.parametrize("cap", [-3, 2.5, True])
+def test_wl_test_rejects_a_round_cap_that_is_not_a_count(cap):
+    left, right = wl_pair()
+    with pytest.raises(ParameterError, match="round cap"):
+        wl_test(left, right, steps=cap)
+    assert wl_test(left, right, steps=0) == WLReport("inconclusive", 0, None)
+    assert wl_test(left, right, steps=np.int64(1)) == WLReport("non_isomorphic", 1, 1)
+
+
+@pytest.mark.parametrize("cap", [-5, 1.0, False])
+def test_refine_to_stable_rejects_a_round_cap_that_is_not_a_count(cap):
+    graph = wl_pair()[1]
+    with pytest.raises(ParameterError, match="round cap"):
+        refine_to_stable(graph, max_rounds=cap)
+    assert np.array_equal(refine_to_stable(graph, max_rounds=0).colors,
+                          init_colors(graph).colors)
+
+
+def test_distinguishable_rejects_a_negative_round_cap():
+    graph = wl_pair()[1]
+    with pytest.raises(ParameterError, match="round cap"):
+        distinguishable(graph, 0, 2, 1, steps=-1)
+    assert distinguishable(graph, 0, 2, 1, steps=0) is False
 
 
 # ---------------------------------------------------------------------------

@@ -319,16 +319,22 @@ def test_optimizer_step_rejects_a_rebound_parameter():
     assert moments.step == 0
 
 
-@pytest.mark.parametrize("name", ["block0.theta", "block0.fine_re", "head.weight"])
+# "a+b" poisons two trainable parameters: the first in state.trainable()
+# order is named (block0.theta, though block0.fine_re sorts first)
+@pytest.mark.parametrize("name", ["block0.theta", "block0.fine_re", "head.weight",
+                                  "block0.fine_re+block0.theta"])
 def test_gradients_name_the_parameter_that_makes_them_non_finite(name):
     config = tiny_config()
     state = tiny_state(config, seed=47)
-    # only ``name`` is trainable, so its gradient is the only one computed
-    state.frozen = frozenset(state.params) - {name}
-    state.params[name].reshape(-1)[1] = np.nan
+    poisoned = name.split("+")
+    # only the poisoned parameters are trainable, so only their gradients are computed
+    state.frozen = frozenset(state.params).difference(poisoned)
+    for each in poisoned:
+        state.params[each].reshape(-1)[1] = np.nan
+    first = next(each for each in state.trainable() if each in poisoned)
     rng = np.random.default_rng(48)
     batch = (rng.standard_normal((2, 3, 8, 1)), rng.standard_normal((2, 3, 2, 1)))
-    with pytest.raises(NumericalError, match=f"'{name}'"):
+    with pytest.raises(NumericalError, match=f"'{first}'"):
         tr.gradients(state, batch, config)
 
 
@@ -365,9 +371,13 @@ def test_nonpositive_learning_rate_rejected():
         tr.TrainConfig(lr=-1.0)
     with pytest.raises(ConfigError):
         tr.TrainConfig(epochs=0)
-    for key, value in (("eps", 0.0), ("eps", -1.0), ("patience", -3), ("seed", -5)):
+    for key, value in (("eps", 0.0), ("eps", -1.0), ("patience", -3), ("seed", -5),
+                       ("lr", np.nan), ("eps", np.nan), ("lr", np.inf), ("eps", np.inf)):
         with pytest.raises(ConfigError, match=f"train.{key}"):
             tr.TrainConfig(**{key: value})
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="learning rate"):
+            tr.optimizer_step(state, grads, lr, tr.AdamMoments.for_state(state))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +421,19 @@ def test_evaluate_chunking_consistent():
     b = tr.evaluate(state, config, windows, chunk=256)
     assert a["mae"] == pytest.approx(b["mae"])
     assert a["rmse"] == pytest.approx(b["rmse"])
+
+
+@pytest.mark.parametrize("chunk", [0, -2])
+def test_predict_and_evaluate_reject_a_chunk_below_one(monkeypatch, chunk):
+    config = tiny_config()
+    state = tiny_state(config, seed=21)
+    windows = random_windows(22, 5, 3, 8, 2, 1)
+    forwards = []
+    monkeypatch.setattr(mc, "forward", lambda *args: forwards.append(args))
+    for run in (tr.predict, tr.evaluate):
+        with pytest.raises(ParameterError, match="chunk must be >= 1"):
+            run(state, config, windows, chunk=chunk)
+    assert not forwards
 
 
 def _windows_with_nan(count, at):
