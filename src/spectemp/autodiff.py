@@ -1,13 +1,16 @@
 """Minimal reverse-mode gradient engine over numpy arrays.
 
-Every operation records its inputs and a vector-Jacobian closure on the
-result node, so a forward pass builds a tape implicitly (the DAG of nodes).
-Each node is numbered when it is made, and an op's inputs are made before
-its result, so ``backward`` replays the nodes the loss reaches once in
-descending number order (a Wengert list read backwards). Only float64
-real arrays are supported; a caller carries a complex quantity on a real
-axis (the model's attention interleaves re/im on the mode axis, so one
-contraction forms each complex product).
+A ``Tensor`` is a value being differentiated: a leaf the caller makes or
+the result of an op with a ``Tensor`` operand. Ops read other operands as
+float64 arrays, and an op on arrays alone returns an array and records
+nothing, so inference builds no tape. A result node lists its ``Tensor``
+inputs, each with a vector-Jacobian closure. Each node is numbered when
+it is made, and an op's inputs are made before its result, so
+``backward`` replays the nodes the loss reaches once in descending number
+order (a Wengert list read backwards). Only float64 real arrays are
+supported; a caller carries a complex quantity on a real axis (the
+model's attention interleaves re/im on the mode axis, so one contraction
+forms each complex product).
 
 The op set is what the forecasting model needs: broadcast elementwise
 arithmetic, relu/softmax, safe reciprocal square root for degree
@@ -31,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "add",
     "sub",
     "mul",
@@ -61,11 +63,10 @@ _creation = itertools.count()
 class Tensor:
     """One tape node: a float64 array plus reverse-mode bookkeeping."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_seq")
+    __slots__ = ("data", "grad", "_parents", "_seq")
 
-    def __init__(self, data, requires_grad=False, parents=()):
+    def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad = None
         # parents: tuple of (Tensor, vjp callable grad_out -> grad_parent)
         self._parents = tuple(parents)
@@ -76,7 +77,7 @@ class Tensor:
         return self.data.shape
 
     def backward(self):
-        """Fill ``grad`` on every tracked node this scalar node reaches."""
+        """Fill ``grad`` on every node this scalar node reaches."""
         if self.data.shape != ():
             raise ValueError("backward() expects a scalar loss node")
         nodes, stack = {self._seq: self}, [self]
@@ -100,18 +101,18 @@ class Tensor:
         return self
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _value(x):
+    """An op operand's array: a node's data, or ``x`` itself as float64."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def _node(data, inputs_and_vjps):
-    """Build a result node; gradient tracking is inherited from inputs."""
-    tracked = [(t, vjp) for t, vjp in inputs_and_vjps if t.requires_grad]
-    requires = bool(tracked)
-    return Tensor(data, requires_grad=requires, parents=tracked)
+    """The op's result: a node over its Tensor inputs, or ``data`` if none."""
+    tracked = [(t, vjp) for t, vjp in inputs_and_vjps if isinstance(t, Tensor)]
+    return Tensor(data, tracked) if tracked else data
 
 
 def _unbroadcast(grad, shape):
@@ -129,43 +130,42 @@ def _unbroadcast(grad, shape):
 # ---------------------------------------------------------------------------
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data + b.data, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    va, vb = _value(a), _value(b)
+    return _node(va + vb, [
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(g, vb.shape)),
     ])
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data - b.data, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
+    va, vb = _value(a), _value(b)
+    return _node(va - vb, [
+        (a, lambda g: _unbroadcast(g, va.shape)),
+        (b, lambda g: _unbroadcast(-g, vb.shape)),
     ])
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return _node(a.data * b.data, [
-        (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-        (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
+    va, vb = _value(a), _value(b)
+    return _node(va * vb, [
+        (a, lambda g: _unbroadcast(g * vb, va.shape)),
+        (b, lambda g: _unbroadcast(g * va, vb.shape)),
     ])
 
 
 def neg(a):
-    a = as_tensor(a)
-    return _node(-a.data, [(a, lambda g: -g)])
+    return _node(-_value(a), [(a, lambda g: -g)])
 
 
 def relu(a):
-    a = as_tensor(a)
-    mask = a.data > 0.0
-    return _node(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
+    va = _value(a)
+    mask = va > 0.0
+    return _node(np.where(mask, va, 0.0), [(a, lambda g: g * mask)])
 
 
 def softmax_last(a):
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    va = _value(a)
+    shifted = va - va.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -177,43 +177,38 @@ def softmax_last(a):
 
 
 def reshape(a, shape):
-    a = as_tensor(a)
-    old = a.data.shape
-    return _node(a.data.reshape(shape), [(a, lambda g: g.reshape(old))])
+    va = _value(a)
+    return _node(va.reshape(shape), [(a, lambda g: g.reshape(va.shape))])
 
 
 def transpose_last2(a):
-    a = as_tensor(a)
-    return _node(np.swapaxes(a.data, -1, -2),
+    return _node(np.swapaxes(_value(a), -1, -2),
                  [(a, lambda g: np.swapaxes(g, -1, -2))])
 
 
 def sum_all(a):
-    a = as_tensor(a)
-    shape = a.data.shape
-    return _node(np.asarray(a.data.sum()),
-                 [(a, lambda g: np.broadcast_to(g, shape).copy())])
+    va = _value(a)
+    return _node(np.asarray(va.sum()),
+                 [(a, lambda g: np.broadcast_to(g, va.shape).copy())])
 
 
 def stack(tensors):
-    """Stack equally shaped tensors along a new leading axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    return _node(np.stack([t.data for t in tensors]),
+    """Stack equally shaped operands along a new leading axis."""
+    return _node(np.stack([_value(t) for t in tensors]),
                  [(t, lambda g, k=k: g[k]) for k, t in enumerate(tensors)])
 
 
 def sum_last(a):
-    a = as_tensor(a)
-    shape = a.data.shape
-    return _node(a.data.sum(axis=-1),
-                 [(a, lambda g: np.broadcast_to(g[..., None], shape).copy())])
+    va = _value(a)
+    return _node(va.sum(axis=-1),
+                 [(a, lambda g: np.broadcast_to(g[..., None], va.shape).copy())])
 
 
 def rsqrt_safe(a):
     """x -> x**-0.5 where x is safely positive, else 0 (with zero gradient)."""
-    a = as_tensor(a)
-    ok = a.data > _DEGREE_FLOOR
-    safe = np.where(ok, a.data, 1.0)
+    va = _value(a)
+    ok = va > _DEGREE_FLOOR
+    safe = np.where(ok, va, 1.0)
     y = np.where(ok, safe ** -0.5, 0.0)
 
     def vjp(g):
@@ -279,13 +274,13 @@ def contract(spec, a, b):
     size-1 axes broadcast. Forward and VJPs each run as one ``_matmul``.
     Every operand axis must appear in the other operand or in the output.
     """
-    a, b = as_tensor(a), as_tensor(b)
+    va, vb = _value(a), _value(b)
     a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
-    return _node(_matmul(spec, a.data, b.data), [
+    return _node(_matmul(spec, va, vb), [
         (a, lambda g: _unbroadcast(
-            _matmul(f"{out_sub},{b_sub}->{a_sub}", g, b.data), a.data.shape)),
+            _matmul(f"{out_sub},{b_sub}->{a_sub}", g, vb), va.shape)),
         (b, lambda g: _unbroadcast(
-            _matmul(f"{a_sub},{out_sub}->{b_sub}", a.data, g), b.data.shape)),
+            _matmul(f"{a_sub},{out_sub}->{b_sub}", va, g), vb.shape)),
     ])
 
 
@@ -299,8 +294,7 @@ def graph_mix(m, x):
     a per-sample (B, D|1, N, N) stack; a size-1 dimension axis is shared by
     every dimension.
     """
-    m = as_tensor(m)
-    return contract(_GRAPH_MIX[m.data.ndim], m, x)
+    return contract(_GRAPH_MIX[_value(m).ndim], m, x)
 
 
 def time_mix(a, x):
@@ -309,8 +303,8 @@ def time_mix(a, x):
     ``a`` is a shared (T, T) operator or an (N|1, D|1, T, T) stack of one
     operator per variable and dimension, whose size-1 axes are shared.
     """
-    a = as_tensor(a)
-    return contract("ij,bnjd->bnid" if a.data.ndim == 2 else "ndij,bnjd->bnid", a, x)
+    spec = "ij,bnjd->bnid" if _value(a).ndim == 2 else "ndij,bnjd->bnid"
+    return contract(spec, a, x)
 
 
 def mode_filter(x, w):
@@ -339,6 +333,5 @@ def embed_map(x, w):
 
 def pair_scores(e):
     """Dot products between all variable pairs: out[b,n,m] = e[b,n,:] . e[b,m,:]."""
-    e = as_tensor(e)
     return contract("bne,bme->bnm", e, e)
 

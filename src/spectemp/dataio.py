@@ -78,6 +78,11 @@ class NormStats:
 # CSV
 # ---------------------------------------------------------------------------
 
+LAYOUTS = ("time_major", "variable_major")
+IMPUTES = (None, "ffill")
+NORM_METHODS = ("zscore", "minmax")
+
+
 def load_csv(path, layout: str = "time_major", impute: str | None = None,
              name: str | None = None) -> Dataset:
     """Parse a numeric CSV into a Dataset (D = 1).
@@ -86,10 +91,13 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
     the transpose. NaN/empty cells raise DataError unless impute="ffill",
     which forward-fills per variable (leading gaps take the first valid
     value). Infinite cells, bytes that are not UTF-8 and unparseable CSV
-    always raise DataError.
+    always raise DataError; an unknown ``layout`` or ``impute`` raises
+    ParameterError.
     """
-    if layout not in ("time_major", "variable_major"):
+    if layout not in LAYOUTS:
         raise ParameterError(f"unknown layout {layout!r}")
+    if impute not in IMPUTES:
+        raise ParameterError(f"unknown impute {impute!r}; expected one of {list(IMPUTES)}")
     rows = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -170,15 +178,15 @@ def save_csv(dataset: Dataset, path, layout: str = "time_major") -> None:
 
 def compute_norm_stats(train: Dataset, method: str) -> NormStats:
     """Statistics from (what must be) the training split."""
+    if method not in NORM_METHODS:
+        raise ParameterError(f"unknown normalization {method!r}")
     v = train.values
     if method == "zscore":
         loc = v.mean(axis=1, keepdims=True)
         scale = v.std(axis=1, keepdims=True)
-    elif method == "minmax":
+    else:
         loc = v.min(axis=1, keepdims=True)
         scale = v.max(axis=1, keepdims=True) - loc
-    else:
-        raise ParameterError(f"unknown normalization {method!r}")
     flat = scale.reshape(train.n_variables, -1)
     degenerate = tuple(np.flatnonzero((flat <= 1e-12).any(axis=1)).tolist())
     scale = np.where(scale > 1e-12, scale, 1.0)

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_core as mc
-from .dataio import (Dataset, NormStats, WindowSet, compute_norm_stats,
-                     dataset_manifest, forecast_errors, load_csv, make_windows,
-                     normalize, persistence_baseline, split, synth_signed_groups)
+from .dataio import (IMPUTES, LAYOUTS, NORM_METHODS, Dataset, NormStats, WindowSet,
+                     compute_norm_stats, dataset_manifest, forecast_errors, load_csv,
+                     make_windows, normalize, persistence_baseline, split,
+                     synth_signed_groups)
 from .errors import ConfigError, ParameterError
 from .model_core import ModelConfig, ModelState
 from .spectral_graph import BASES as BASIS_ORDER
@@ -108,6 +109,13 @@ class DataSource:
     layout: str = "time_major"
     impute: str | None = None
     normalize: str = "none"
+
+    def __post_init__(self):
+        for key, valid in (("layout", LAYOUTS), ("impute", IMPUTES),
+                           ("normalize", ("none",) + NORM_METHODS)):
+            if getattr(self, key) not in valid:
+                raise ConfigError(f"data.{key} must be one of {list(valid)}, "
+                                  f"got {getattr(self, key)!r}")
 
 
 @dataclass

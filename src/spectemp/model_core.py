@@ -32,8 +32,9 @@ S'(I - A) are derived from the state and the config and cached on the
 state, never checkpointed.
 
 The forward pass is written against the tape ops in `autodiff`, so the
-same code serves inference (constant parameters) and training (parameters
-wrapped with gradients enabled). Complex filter weights are stored as
+same code serves inference and training. Inference runs it on the
+state's arrays and builds no tape; `training.gradients` passes the
+trainable parameters as tape leaves. Complex filter weights are stored as
 separate real and imaginary arrays.
 """
 
@@ -461,7 +462,7 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     """The per-sample (B, N, N) operator M from the embedding weights: L
     when the basis runs on the Laplacian, I - L otherwise."""
     b, n, t, d = x.shape
-    xf = ad.reshape(ad.as_tensor(x), (b, n, t * d))
+    xf = ad.reshape(x, (b, n, t * d))
     emb = ad.embed_map(xf, params["adjacency.embed"])
     scores = ad.mul(ad.pair_scores(emb), 1.0 / np.sqrt(config.embed_dim))
     attn = ad.softmax_last(scores)
@@ -513,7 +514,7 @@ def require_finite_windows(x: np.ndarray) -> None:
 
 def _representation(params: dict, x: np.ndarray, state: ModelState,
                     config: ModelConfig, blocks, residual: bool):
-    """Tape forward through ``blocks`` (block indices) of the model.
+    """Forward through ``blocks`` (block indices) of the model.
 
     Each block applies one graph filter G = sum_k theta_k P_k(M) and then
     one real T x T temporal operator per variable and dimension, the fine
@@ -536,7 +537,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
     attention = config.use_fine and config.attention_enabled
     trend_matrix = moving_average_matrix(t, config.decomp_window) if attention else None
 
-    z = ad.as_tensor(x)
+    z = x
     for m in blocks:
         prefix = f"block{m}"
         theta = params[f"{prefix}.theta"]
@@ -569,7 +570,8 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
 
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
                    config: ModelConfig):
-    """Tape forward through every block and the head; returns the prediction node."""
+    """Forward through every block and the head: a prediction node when a
+    parameter in ``params`` is a tape leaf, else an array."""
     b, n, t, d = x.shape
     z = _representation(params, x, state, config, range(config.blocks),
                         config.residual)
@@ -578,18 +580,10 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
     return ad.reshape(out, (b, n, config.horizon, d))
 
 
-def wrap_params(state: ModelState, requires_grad: bool) -> dict:
-    wrapped = {}
-    for name, value in state.params.items():
-        grad = requires_grad and name not in state.frozen
-        wrapped[name] = ad.Tensor(value, requires_grad=grad)
-    return wrapped
-
-
 def loss_node(prediction, targets: np.ndarray):
-    """Tape node for the training objective: sum of squared errors divided
-    by horizon and batch size (the per-sample objective sums over variables
-    and dimensions)."""
+    """The training objective, a node when ``prediction`` is one: sum of
+    squared errors divided by horizon and batch size (the per-sample
+    objective sums over variables and dimensions)."""
     b, _, h, _ = targets.shape
     diff = ad.sub(prediction, targets)
     return ad.mul(ad.sum_all(ad.mul(diff, diff)), 1.0 / (h * b))
@@ -610,25 +604,24 @@ def _promote(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def forward(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     arr, squeeze = _promote(x)
-    prediction = _forward_graph(wrap_params(state, False), arr, state, config)
-    return prediction.data[0] if squeeze else prediction.data
+    prediction = _forward_graph(state.params, arr, state, config)
+    return prediction[0] if squeeze else prediction
 
 
 def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     """Final-block representation (N, T, D) ahead of the forecasting head."""
     arr, squeeze = _promote(x)
-    rep = _representation(wrap_params(state, False), arr, state, config,
-                          range(config.blocks), config.residual)
-    return rep.data[0] if squeeze else rep.data
+    rep = _representation(state.params, arr, state, config, range(config.blocks),
+                          config.residual)
+    return rep[0] if squeeze else rep
 
 
 def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
                block: int = 0) -> np.ndarray:
     """Run a single block (no residual, no head) on an (N, T, D) window."""
     arr, squeeze = _promote(x)
-    rep = _representation(wrap_params(state, False), arr, state, config, (block,),
-                          residual=False)
-    return rep.data[0] if squeeze else rep.data
+    rep = _representation(state.params, arr, state, config, (block,), residual=False)
+    return rep[0] if squeeze else rep
 
 
 def loss(prediction: np.ndarray, targets: np.ndarray) -> float:
@@ -637,7 +630,7 @@ def loss(prediction: np.ndarray, targets: np.ndarray) -> float:
     y, _ = _promote(targets)
     if p.shape != y.shape:
         raise ShapeError(f"shape mismatch {p.shape} vs {y.shape}")
-    return float(loss_node(p, y).data)
+    return float(loss_node(p, y))
 
 
 # ---------------------------------------------------------------------------

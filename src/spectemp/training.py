@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import model_core as mc
 from .dataio import NormStats, WindowSet, denormalize, forecast_errors
 from .errors import ConfigError, DataError, NumericalError, ParameterError, ShapeError
@@ -140,13 +141,15 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
     (x, _), (y, _) = map(mc._promote, batch)
     if x.shape[:2] != y.shape[:2]:
         raise ShapeError(f"bad batch shapes {x.shape} / {y.shape}")
-    params = mc.wrap_params(state, requires_grad=True)
+    leaves = {name: ad.Tensor(value) for name, value in state.trainable().items()}
     # A diverging run overflows here; the finite-gradient check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        prediction = mc._forward_graph(params, x, state, config)
+        prediction = mc._forward_graph({**state.params, **leaves}, x, state, config)
         node = mc.loss_node(prediction, y)
+        if not leaves:      # every parameter frozen: the pass built no tape
+            return {}, float(node)
         node.backward()
-    grads = {name: params[name].grad for name in state.trainable()}
+    grads = {name: leaf.grad for name, leaf in leaves.items()}
     if not np.isfinite(_flat(grads.values())).all():
         name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
         raise NumericalError(f"non-finite gradient for parameter {name!r}")
@@ -250,6 +253,7 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     otherwise). Epoch losses are sample-weighted means of the batch
     objective, so the history does not depend on the batch split.
     Validation scores ``val_windows`` as given, on the normalized scale.
+    A given ``state`` keeps its ``params`` entries as they were bound.
     """
     if train_windows.count == 0:
         raise DataError("cannot train on an empty window set")
@@ -262,6 +266,8 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     if state is None:
         n_nodes = train_windows.inputs.shape[1]
         state = mc.init_state(config, n_nodes, rng=rng, adjacency=adjacency)
+    # for_state rebinds the entries of a copy, not of the caller's dict
+    state = dataclasses.replace(state, params=dict(state.params))
     moments = AdamMoments.for_state(state)
     run = TrainRun(seed=tc.seed,
                    config={"model": config.to_dict(), "train": tc.to_dict()})

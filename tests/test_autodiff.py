@@ -34,13 +34,12 @@ def check_op(build, arrays, h=1e-6, tol=1e-6):
     """Compare backward() against central differences for one op graph.
 
     build(tensors) must return a Tensor; the comparison scalar is its sum.
+    The numeric side runs build on the arrays themselves, so no tape.
     """
     def scalar(values):
-        tensors = [ad.Tensor(v) for v in values]
-        out = build(tensors)
-        return float(ad.sum_all(out).data)
+        return float(ad.sum_all(build(values)))
 
-    tensors = [ad.Tensor(v, requires_grad=True) for v in arrays]
+    tensors = [ad.Tensor(v) for v in arrays]
     ad.sum_all(build(tensors)).backward()
     numeric = numeric_gradients(scalar, arrays, h=h)
     for t, num in zip(tensors, numeric):
@@ -79,15 +78,15 @@ def test_softmax_last():
     a = rng_arrays(4, (3, 6))[0]
     # sum of softmax rows is constant, so weight the entries before reducing
     probe = np.linspace(0.5, 2.0, a.size).reshape(a.shape)
-    check_op(lambda t: ad.mul(ad.softmax_last(t[0]), ad.Tensor(probe)), [a])
-    rows = ad.softmax_last(ad.Tensor(a)).data
+    check_op(lambda t: ad.mul(ad.softmax_last(t[0]), probe), [a])
+    rows = ad.softmax_last(a)
     assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_last_shift_invariant_under_large_offsets():
     a = rng_arrays(5, (2, 4))[0]
-    shifted = ad.softmax_last(ad.Tensor(a + 1000.0)).data
-    plain = ad.softmax_last(ad.Tensor(a)).data
+    shifted = ad.softmax_last(a + 1000.0)
+    plain = ad.softmax_last(a)
     assert np.allclose(shifted, plain, atol=1e-12)
     assert np.all(np.isfinite(shifted))
 
@@ -114,7 +113,7 @@ def test_rsqrt_safe():
 
 
 def test_rsqrt_safe_clamps_tiny_inputs_with_zero_gradient():
-    t = ad.Tensor(np.array([0.0, 1e-15, 4.0]), requires_grad=True)
+    t = ad.Tensor(np.array([0.0, 1e-15, 4.0]))
     out = ad.rsqrt_safe(t)
     assert np.allclose(out.data, [0.0, 0.0, 0.5])
     ad.sum_all(out).backward()
@@ -131,7 +130,7 @@ def test_graph_mix():
         check_op(lambda t: ad.graph_mix(t[0], t[1]), [m, x])
         full = np.broadcast_to(m.reshape((1,) * (4 - m.ndim) + m.shape), (2, 2, 4, 4))
         want = np.einsum("bdij,bjtd->bitd", full, x)
-        assert np.abs(ad.graph_mix(m, x).data - want).max() < 1e-12
+        assert np.abs(ad.graph_mix(m, x) - want).max() < 1e-12
 
 
 def test_time_mix():
@@ -143,7 +142,7 @@ def test_time_mix():
         check_op(lambda t: ad.time_mix(t[0], t[1]), [a, x])
         full = np.broadcast_to(a, (4, 2, 3, 3))
         want = np.einsum("ndij,bnjd->bnid", full, x)
-        assert np.abs(ad.time_mix(a, x).data - want).max() < 1e-12
+        assert np.abs(ad.time_mix(a, x) - want).max() < 1e-12
 
 
 def test_mode_filter():
@@ -158,8 +157,8 @@ def test_mode_filter_broadcasts_shared_weights():
         x, w = rng_arrays(seed, (2, 4, 3, 2), shape)
         check_op(lambda t: ad.mode_filter(t[0], t[1]), [x, w])
         full = np.broadcast_to(w, (4, 2, 3, 3)).copy()
-        tx, tw = ad.Tensor(x), ad.Tensor(w, requires_grad=True)
-        tfull = ad.Tensor(full, requires_grad=True)
+        tx, tw = x, ad.Tensor(w)
+        tfull = ad.Tensor(full)
         shared = ad.mode_filter(tx, tw)
         expanded = ad.mode_filter(tx, tfull)
         assert np.array_equal(shared.data, expanded.data)
@@ -243,7 +242,7 @@ def test_matmul_plan_matches_einsum(spec, overrides, transposed):
 def test_matmul_plan_pair_scores_with_one_operand_twice():
     e = rng_arrays(32, (3, 4, 5))[0]
     want = np.einsum("bne,bme->bnm", e, e)
-    t = ad.Tensor(e, requires_grad=True)
+    t = ad.Tensor(e)
     out = ad.pair_scores(t)
     assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
     probe = rng_arrays(33, (3, 4, 4))[0]
@@ -257,24 +256,30 @@ def test_tape_contractions_never_call_einsum():
 
 
 def test_gradient_accumulates_over_reused_nodes():
-    a = ad.Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    a = ad.Tensor(np.array([2.0, 3.0]))
     out = ad.add(ad.mul(a, a), a)   # x^2 + x, d/dx = 2x + 1
     ad.sum_all(out).backward()
     assert np.allclose(a.grad, [5.0, 7.0])
 
 
 def test_backward_rejects_non_scalar():
-    a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
+    a = ad.Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
         ad.add(a, a).backward()
 
 
 def test_untracked_inputs_get_no_grad():
-    a = ad.Tensor(np.ones(3), requires_grad=True)
-    b = ad.Tensor(np.ones(3))
-    out = ad.sum_all(ad.mul(a, b))
+    # an op on arrays alone records nothing; a mixed op's node lists only
+    # its Tensor input
+    b = np.ones(3)
+    for out in (ad.mul(b, b), ad.sum_all(b), ad.relu(b), ad.stack([b, b]),
+                ad.time_mix(np.eye(3), b.reshape(1, 1, 3, 1))):
+        assert type(out) is np.ndarray
+    a = ad.Tensor(np.ones(3))
+    prod = ad.mul(a, b)
+    assert [parent for parent, _ in prod._parents] == [a]
+    out = ad.sum_all(prod)
     out.backward()
-    assert b.grad is None
     assert np.allclose(a.grad, 1.0)
 
 
@@ -301,8 +306,6 @@ def post_order_backward(loss):
         if node.grad is None:
             continue
         for parent, vjp in node._parents:
-            if not parent.requires_grad:
-                continue
             contrib = vjp(node.grad)
             parent.grad = contrib if parent.grad is None else parent.grad + contrib
 
@@ -318,7 +321,8 @@ def test_creation_order_replay_matches_the_post_order_oracle(variant, adjacency,
     state = mc.init_state(config, task.n_nodes, rng=0, adjacency=bundle.adjacency)
     x, y = bundle.train_windows.inputs[:64], bundle.train_windows.targets[:64]
     grads, _ = tr.gradients(state, (x, y), config)
-    params = mc.wrap_params(state, requires_grad=True)
+    params = {**state.params,
+              **{name: ad.Tensor(value) for name, value in state.trainable().items()}}
     post_order_backward(mc.loss_node(mc._forward_graph(params, x, state, config), y))
     assert list(grads) == list(state.trainable())
     for name, grad in grads.items():

@@ -297,6 +297,9 @@ BAD_RUNS = {
     "race seeds negative": (["theory", "--set", "theory.race.seeds=[-1]"], 2),
     "task noise_sigma negative": (["train", "--set", "task.noise_sigma=-1"], 2),
     "task periods zero": (["train", "--set", "task.periods=0"], 2),
+    "data layout unknown value": (["train", "--set", "data.layout=bogus"], 2),
+    "data impute unknown value": (["train", "--set", "data.impute=fill"], 2),
+    "data normalize unknown value": (["train", "--set", "data.normalize=bogus"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
 }
 
@@ -314,7 +317,8 @@ def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
     assert capsys.readouterr().err.startswith(prefix)
 
 
-@pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c))
+@pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c
+                                         or "unknown value" in c))
 def test_bad_setting_error_names_its_key(tmp_path, capsys, case):
     argv, _ = BAD_RUNS[case]
     cli.main(argv + ["--config", write_config(tmp_path, TINY),

@@ -97,6 +97,14 @@ def test_load_csv_ffill_names_the_first_entirely_nan_variable(tmp_path):
         load_csv(path, impute="ffill")
 
 
+@pytest.mark.parametrize("has_nan", [False, True])
+def test_load_csv_rejects_an_unknown_impute(tmp_path, has_nan):
+    path = tmp_path / "series.csv"
+    path.write_text(f"1.0,2.0\n{'nan' if has_nan else '3.0'},4.0\n")
+    with pytest.raises(ParameterError, match="'fill'"):
+        load_csv(path, impute="fill")
+
+
 def test_load_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")

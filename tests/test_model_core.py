@@ -137,12 +137,11 @@ def test_learned_mode_matches_internal_operator():
     state, config = small_state(adjacency_mode="learned", n=4)
     x = rng.standard_normal((4, config.lookback, config.n_dims))
     public = mc.latent_correlation(x, embedding=state.params["adjacency.embed"])
-    params = mc.wrap_params(state, requires_grad=False)
-    a_hat = mc._learned_operators(params, x[None], config)
+    a_hat = mc._learned_operators(state.params, x[None], config)
     degrees = public.matrix.sum(axis=1)
     inv = np.where(degrees > 1e-12, degrees ** -0.5, 0.0)
     expected = inv[:, None] * public.matrix * inv[None, :]
-    assert np.abs(a_hat.data[0] - expected).max() < 1e-12
+    assert np.abs(a_hat[0] - expected).max() < 1e-12
 
 
 def test_windowed_mean_correlation_properties():

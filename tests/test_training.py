@@ -114,6 +114,18 @@ def test_gradients_return_loss_value():
     assert set(grads) == set(state.trainable())
 
 
+def test_gradients_with_every_parameter_frozen_return_only_the_loss():
+    config = tiny_config()
+    state = tiny_state(config, seed=6)
+    state.frozen = frozenset(state.params)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, 3, 8, 1))
+    y = rng.standard_normal((3, 3, 2, 1))
+    grads, loss = tr.gradients(state, (x, y), config)
+    assert grads == {}
+    assert loss == mc.loss(mc.forward(x, state, config), y)
+
+
 @pytest.mark.parametrize("overrides", [
     {}, {"variant": "nonlinear"}, {"adjacency_mode": "learned", "embed_dim": 4},
     {"use_attention": True, "n_dims": 2},
@@ -219,10 +231,10 @@ def reference_optimizer_step(params, grads, lr, m, v, t, beta1=0.9, beta2=0.999,
         params[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def race_state():
+def race_state(**overrides):
     task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
     bundle = ex.prepare_synth(task, 0)
-    config = ex.task_model_config(task)
+    config = ex.task_model_config(task, **overrides)
     state = mc.init_state(config, task.n_nodes, rng=0, adjacency=bundle.adjacency)
     return state, config, bundle.train_windows
 
@@ -295,6 +307,21 @@ def test_train_leaves_the_callers_arrays_unchanged():
     assert not np.array_equal(trained.params["head.weight"], copies["head.weight"])
 
 
+def test_train_leaves_the_callers_params_bound_and_can_rerun():
+    config = tiny_config()
+    state = tiny_state(config, seed=41)
+    held = dict(state.params)
+    tc = tr.TrainConfig(lr=1e-2, batch_size=4, epochs=3, seed=42)
+    windows = random_windows(43, 12, 3, 8, 2, 1), random_windows(44, 6, 3, 8, 2, 1)
+    first, run1 = tr.train(config, tc, *windows, state=state)
+    assert all(state.params[name] is value for name, value in held.items())
+    assert list(state.params) == list(held)
+    second, run2 = tr.train(config, tc, *windows, state=state)
+    assert run1.epoch_losses == run2.epoch_losses and run1.val_mae == run2.val_mae
+    for name, value in first.params.items():
+        assert np.array_equal(value, second.params[name]), name
+
+
 def test_optimizer_step_rejects_a_missing_gradient():
     config = tiny_config()
     state = tiny_state(config, seed=45)
@@ -338,12 +365,8 @@ def test_gradients_name_the_parameter_that_makes_them_non_finite(name):
         tr.gradients(state, batch, config)
 
 
-def test_linear_race_step_tape_size(monkeypatch):
-    # one contraction per temporal stage: at most 32 matmuls and 49 tape
-    # tensors per linear race step
-    state, config, windows = race_state()
-    batch = (windows.inputs[:64], windows.targets[:64])
-    tr.gradients(state, batch, config)          # builds the cached operators
+def count_tape_work(monkeypatch):
+    """Counts of ``_matmul`` and ``Tensor.__init__`` calls from now on."""
     counts = {"matmul": 0, "tensors": 0}
     matmul, init = ad._matmul, ad.Tensor.__init__
 
@@ -357,8 +380,44 @@ def test_linear_race_step_tape_size(monkeypatch):
 
     monkeypatch.setattr(ad, "_matmul", counted_matmul)
     monkeypatch.setattr(ad.Tensor, "__init__", counted_init)
+    return counts
+
+
+def race_step_counts(monkeypatch, **overrides):
+    state, config, windows = race_state(**overrides)
+    batch = (windows.inputs[:64], windows.targets[:64])
+    tr.gradients(state, batch, config)          # builds the cached operators
+    counts = count_tape_work(monkeypatch)
     tr.gradients(state, batch, config)
-    assert counts["matmul"] <= 32 and counts["tensors"] <= 49, counts
+    return counts
+
+
+def test_linear_race_step_tape_size(monkeypatch):
+    # one contraction per temporal stage, and a tensor only for a value the
+    # backward pass replays: at most 32 matmuls and 38 tape tensors per
+    # linear race step
+    counts = race_step_counts(monkeypatch)
+    assert counts["matmul"] <= 32 and counts["tensors"] <= 38, counts
+
+
+def test_nonlinear_race_step_tape_size(monkeypatch):
+    counts = race_step_counts(monkeypatch, variant="nonlinear")
+    assert counts["matmul"] <= 72 and counts["tensors"] <= 74, counts
+
+
+@pytest.mark.parametrize("overrides", [{}, {"variant": "nonlinear"},
+                                       {"adjacency_mode": "learned"},
+                                       {"variant": "nonlinear", "adjacency_mode": "learned"}])
+def test_inference_builds_no_tape(monkeypatch, overrides):
+    state, config, windows = race_state(**overrides)
+    held = WindowSet(windows.inputs[:256], windows.targets[:256], windows.origins[:256])
+    counts = count_tape_work(monkeypatch)
+    prediction = mc.forward(held.inputs, state, config)
+    mc.loss(prediction, held.targets)
+    mc.embed(held.inputs, state, config)
+    mc.tggc_block(held.inputs[0], state, config, block=1)
+    tr.evaluate(state, config, held)
+    assert counts["tensors"] == 0 and counts["matmul"] > 0, counts
 
 
 def test_nonpositive_learning_rate_rejected():
