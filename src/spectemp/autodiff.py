@@ -52,8 +52,6 @@ __all__ = [
     "mode_filter",
     "node_scores",
     "node_apply",
-    "embed_map",
-    "pair_scores",
 ]
 
 _DEGREE_FLOOR = 1e-12
@@ -324,14 +322,4 @@ def node_scores(q, k):
 def node_apply(a, v):
     """Apply per-node mixing weights: out[b,n,i,d] = sum_j a[b,n,i,j] v[b,n,j,d]."""
     return contract("bnij,bnjd->bnid", a, v)
-
-
-def embed_map(x, w):
-    """Shared linear map on the last axis: out[b,n,l] = sum_k x[b,n,k] w[k,l]."""
-    return contract("bnk,kl->bnl", x, w)
-
-
-def pair_scores(e):
-    """Dot products between all variable pairs: out[b,n,m] = e[b,n,:] . e[b,m,:]."""
-    return contract("bne,bme->bnm", e, e)
 

@@ -401,12 +401,10 @@ def cmd_synth(run: Run) -> None:
     preset = ex.SILHOUETTE_PRESET
     section = run.read("synth", SynthSection,
                        seeds=list(range(run.seed, run.seed + DEFAULT_SEEDS)))
-    # Without a task or train section the run takes the silhouette preset.
-    task = run.read("task", ex.SynthTask, **({} if run.config.get("task") else
-                                             {"noise_sigma": preset["noise_sigma"]}))
-    tc = run.read("train", TrainConfig, **(
-        {"seed": run.seed} if "train" in run.config else
-        {key: preset[key] for key in ("lr", "epochs", "batch_size")}))
+    # The silhouette preset fills every key the task and train sections omit.
+    task = run.read("task", ex.SynthTask, noise_sigma=preset["noise_sigma"])
+    tc = run.read("train", TrainConfig, seed=run.seed,
+                  **{key: preset[key] for key in ("lr", "epochs", "batch_size")})
 
     rows, first = [], None
     for seed in section.seeds:

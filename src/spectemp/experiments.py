@@ -177,9 +177,7 @@ def fit(config: ModelConfig, tc: TrainConfig, bundle: SynthBundle, seed: int,
 
 
 def task_model_config(task: SynthTask, **overrides) -> ModelConfig:
-    base = dict(lookback=task.lookback, horizon=task.horizon, n_dims=1,
-                blocks=2, degree=4, n_modes=5, decomp_window=3,
-                adjacency_mode="provided")
+    base = dict(lookback=task.lookback, horizon=task.horizon, adjacency_mode="provided")
     base.update(overrides)
     return ModelConfig(**base)
 

@@ -7,8 +7,8 @@ The nonlinear variant inserts a rectified-linear activation after the
 graph convolution and swaps the fine stage's fixed complex weights for
 mode-space attention between trend queries and seasonal keys/values.
 Blocks stack with additive residual connections, and a shared linear head
-maps each variable's flattened representation (T*D) to its forecast
-(H*D).
+maps each variable's (T, D) representation to its (H, D) forecast with
+one contraction.
 
 Every stage of a linear block is a linear operator, and the forward pass
 applies it as one. With a fixed graph operator M (provided or pearson
@@ -53,7 +53,7 @@ from . import autodiff as ad
 from .config import read_section
 from .errors import ConfigError, DataError, ParameterError, ShapeError
 from .frequency_temporal import lowest_modes, moving_average_matrix
-from .spectral_graph import (Adjacency, Recurrence, basis_recurrence,
+from .spectral_graph import (BASES, Adjacency, Recurrence, basis_recurrence,
                              normalized_laplacian, polynomial_stack)
 
 __all__ = [
@@ -107,27 +107,27 @@ class ModelConfig:
     monomial_on_laplacian: bool = False
 
     def __post_init__(self):
+        for key in ("lookback", "horizon", "n_dims", "blocks", "embed_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+        if self.degree < 0:
+            raise ConfigError(f"model.degree must be >= 0, got {self.degree}")
+        for key, valid in (("basis", BASES), ("variant", ("linear", "nonlinear")),
+                           ("adjacency_mode", ("pearson", "learned", "provided")),
+                           ("projector", ("dft", "random")),
+                           ("mode_policy", ("lowest", "random"))):
+            if getattr(self, key) not in valid:
+                raise ConfigError(f"model.{key} must be one of {list(valid)}, "
+                                  f"got {getattr(self, key)!r}")
+        for key in ("n_modes", "decomp_window"):
+            if not 1 <= getattr(self, key) <= self.lookback:
+                raise ConfigError(f"model.{key} must lie in [1, lookback="
+                                  f"{self.lookback}], got {getattr(self, key)}")
         try:
             self.recurrence()
         except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.variant not in ("linear", "nonlinear"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.adjacency_mode not in ("pearson", "learned", "provided"):
-            raise ConfigError(f"unknown adjacency mode {self.adjacency_mode!r}")
-        if self.projector not in ("dft", "random"):
-            raise ConfigError(f"unknown projector {self.projector!r}")
-        if self.mode_policy not in ("lowest", "random"):
-            raise ConfigError(f"unknown mode policy {self.mode_policy!r}")
-        if not 1 <= self.n_modes <= self.lookback:
-            raise ConfigError(f"n_modes must lie in [1, lookback], got {self.n_modes}")
-        if not 1 <= self.decomp_window <= self.lookback:
-            raise ConfigError("decomp_window must lie in [1, lookback]")
-        if self.blocks < 1 or self.degree < 0:
-            raise ConfigError("blocks must be >= 1 and degree >= 0")
-        for key in ("horizon", "n_dims", "embed_dim"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
+            raise ConfigError(f"model.alpha, model.jacobi_a or model.jacobi_b: "
+                              f"{exc}") from exc
 
     def recurrence(self) -> Recurrence:
         return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
@@ -463,12 +463,12 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
     when the basis runs on the Laplacian, I - L otherwise."""
     b, n, t, d = x.shape
     xf = ad.reshape(x, (b, n, t * d))
-    emb = ad.embed_map(xf, params["adjacency.embed"])
-    scores = ad.mul(ad.pair_scores(emb), 1.0 / np.sqrt(config.embed_dim))
+    emb = ad.contract("bnk,kl->bnl", xf, params["adjacency.embed"])
+    scores = ad.mul(ad.contract("bne,bme->bnm", emb, emb),
+                    1.0 / np.sqrt(config.embed_dim))
     attn = ad.softmax_last(scores)
-    sym = ad.mul(ad.add(attn, ad.transpose_last2(attn)), 0.5)
-    mask = 1.0 - np.eye(n)
-    adj = ad.mul(sym, mask)
+    # half-sum and zeroed diagonal in one product: exact, as the mask is 0/1
+    adj = ad.mul(ad.add(attn, ad.transpose_last2(attn)), 0.5 * (1.0 - np.eye(n)))
     degrees = ad.sum_last(adj)                       # (B, N), positive off-diagonal
     inv_sqrt = ad.rsqrt_safe(degrees)
     left = ad.reshape(inv_sqrt, (b, n, 1))
@@ -571,13 +571,14 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
                    config: ModelConfig):
     """Forward through every block and the head: a prediction node when a
-    parameter in ``params`` is a tape leaf, else an array."""
-    b, n, t, d = x.shape
+    parameter in ``params`` is a tape leaf, else an array. The head is one
+    contraction of each variable's (T, D) representation with the
+    (T*D, H*D) weight read as (T, D, H, D)."""
     z = _representation(params, x, state, config, range(config.blocks),
                         config.residual)
-    flat = ad.reshape(z, (b, n, t * d))
-    out = ad.embed_map(flat, params["head.weight"])
-    return ad.reshape(out, (b, n, config.horizon, d))
+    t, d = config.lookback, config.n_dims
+    weight = ad.reshape(params["head.weight"], (t, d, config.horizon, d))
+    return ad.contract("bntd,tdhe->bnhe", z, weight)
 
 
 def loss_node(prediction, targets: np.ndarray):

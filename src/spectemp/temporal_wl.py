@@ -54,7 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .spectral_graph import Adjacency, eigendecompose, normalized_laplacian
+from .spectral_graph import (_EIGEN_GAP, Adjacency, eigendecompose,
+                             normalized_laplacian)
 
 __all__ = [
     "DTDG",
@@ -446,7 +447,8 @@ def distinguishable(graph: DTDG, u: int, v: int, t: int,
 class SpectralConditionReport:
     """Spectral obstructions to distinguishing nodes on a fixed topology.
 
-    repeated_eigenvalues flags Laplacian eigenvalue gaps below 1e-8;
+    repeated_eigenvalues flags Laplacian eigenvalue gaps below the gap at
+    which ``spectral_graph`` counts eigenvalues as repeated;
     missing_components lists (t, i) pairs where eigencomponent i of the
     snapshot-t features has norm below tol.
     """
@@ -470,7 +472,7 @@ def check_spectral_conditions(graph: DTDG, tol: float = 1e-6) -> SpectralConditi
     spectrum = eigendecompose(normalized_laplacian(Adjacency(adjacency)))
     gaps = np.diff(spectrum.eigenvalues)
     min_gap = float(gaps.min()) if gaps.size else np.inf
-    repeated = bool(gaps.size and min_gap < 1e-8)
+    repeated = bool(gaps.size and min_gap < _EIGEN_GAP)
 
     missing = []
     for t in range(graph.n_steps):

@@ -101,10 +101,12 @@ class TrainConfig:
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"train.lr must be positive and finite, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("moment decays must lie in [0, 1)")
+        for key in ("batch_size", "epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"train.{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"train.{key} must lie in [0, 1), got {getattr(self, key)}")
         if not 0 < self.eps < math.inf:
             raise ConfigError(f"train.eps must be positive and finite, got {self.eps}")
         for key in ("patience", "seed"):

@@ -178,15 +178,18 @@ def test_node_scores_and_apply():
 
 
 def test_embed_map_and_pair_scores():
+    # the learned adjacency's shared embedding and its pairwise scores
     x, w = rng_arrays(16, (2, 5, 3), (3, 4))
-    check_op(lambda t: ad.embed_map(t[0], t[1]), [x, w])
+    check_op(lambda t: ad.contract("bnk,kl->bnl", t[0], t[1]), [x, w])
     e = rng_arrays(17, (2, 5, 3))[0]
-    check_op(lambda t: ad.pair_scores(t[0]), [e])
+    check_op(lambda t: ad.contract("bne,bme->bnm", t[0], t[0]), [e])
 
 
-# (spec, {subscripts: shape override}) for every contraction the tape runs;
-# overrides give the size-1 axes of shared mode-filter weights.
-SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5, p=3, q=4, r=2)
+# (spec, {subscripts: shape override}) for every contraction the tape runs,
+# and two earlier ones the plan still has to get right ("bij,bjtd->bitd",
+# "ndij,ijpq->ndpq"); overrides give the size-1 axes of shared weights.
+SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5, p=3, q=4, r=2,
+             z=2, h=2)
 CONTRACTIONS = [
     ("ij,bjtd->bitd", {}),
     ("bij,bjtd->bitd", {}),
@@ -209,6 +212,13 @@ CONTRACTIONS = [
     ("ndij,bnjd->bnid", {"ndij": (1, 1, 5, 6)}),
     ("ndij,ijpq->ndpq", {}),
     ("ndpr,ndrq->ndpq", {}),
+    ("ndpr,ndrq->ndpq", {"ndpr": (1, 1, 3, 2), "ndrq": (1, 1, 2, 4),
+                         "ndpq": (1, 1, 3, 4)}),
+    ("zndij,zijpq->ndpq", {}),
+    ("zndij,zijpq->ndpq", {"zndij": (2, 1, 2, 5, 6), "ndpq": (1, 2, 3, 4)}),
+    ("zndij,zijpq->ndpq", {"zndij": (2, 4, 1, 5, 6), "ndpq": (4, 1, 3, 4)}),
+    ("zndij,zijpq->ndpq", {"zndij": (2, 1, 1, 5, 6), "ndpq": (1, 1, 3, 4)}),
+    ("bntd,tdhe->bnhe", {}),
 ]
 
 
@@ -239,11 +249,36 @@ def test_matmul_plan_matches_einsum(spec, overrides, transposed):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("overrides", [
+    {}, {"variant": "nonlinear"}, {"adjacency_mode": "learned"},
+    {"variant": "nonlinear", "adjacency_mode": "learned"},
+    {"share_filter_vars": True, "share_filter_dims": True},
+    {"projector": "random"}, {"use_coarse": False, "use_fine": False}])
+def test_contractions_lists_every_spec_the_model_runs(monkeypatch, overrides):
+    listed = {contraction for spec, _ in CONTRACTIONS
+              for contraction, _, _ in _contraction_specs(spec)}
+    ran, matmul = set(), ad._matmul
+
+    def recorded(spec, a, b):
+        ran.add(spec)
+        return matmul(spec, a, b)
+
+    monkeypatch.setattr(ad, "_matmul", recorded)
+    task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
+    bundle = ex.prepare_synth(task, 0)
+    config = ex.task_model_config(task, **overrides)
+    state = mc.init_state(config, task.n_nodes, rng=0, adjacency=bundle.adjacency)
+    x, y = bundle.train_windows.inputs[:4], bundle.train_windows.targets[:4]
+    tr.gradients(state, (x, y), config)
+    mc.forward(x, state, config)
+    assert ran and ran <= listed, sorted(ran - listed)
+
+
 def test_matmul_plan_pair_scores_with_one_operand_twice():
     e = rng_arrays(32, (3, 4, 5))[0]
     want = np.einsum("bne,bme->bnm", e, e)
     t = ad.Tensor(e)
-    out = ad.pair_scores(t)
+    out = ad.contract("bne,bme->bnm", t, t)
     assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
     probe = rng_arrays(33, (3, 4, 4))[0]
     ad.sum_all(ad.mul(out, probe)).backward()

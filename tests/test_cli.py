@@ -12,11 +12,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from spectemp import cli
 from spectemp import experiments as ex
 from spectemp import model_core as mc
+from spectemp import training as tr
 from spectemp.experiments import BASIS_ORDER
 from spectemp.temporal_wl import fixture_path
 
@@ -119,6 +121,37 @@ def test_forecast_reproduces_training_metrics(tmp_path):
     rows = read_rows(fc_out / "predictions.csv")
     assert rows[0] == ["window_origin", "node_id", "step", "dim", "value"]
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("method", ["zscore", "minmax"])
+def test_normalized_csv_train_and_forecast_agree_on_the_raw_scale(tmp_path, method):
+    steps = np.arange(240)
+    series = np.stack([np.sin(2 * np.pi * steps / 24), 3 + 2 * np.cos(2 * np.pi * steps / 12),
+                       np.full(240, 5.0)], axis=1)
+    np.savetxt(tmp_path / "series.csv", series, delimiter=",")
+    data = {"csv": str(tmp_path / "series.csv"), "normalize": method}
+    payload = {**TINY, "data": data}
+    train_out, fc_out = tmp_path / "train", tmp_path / "fc"
+    assert cli.main(["train", "--config", write_config(tmp_path, payload),
+                     "--out", str(train_out)]) == 0
+    checkpoint = str(train_out / "checkpoint.stck")
+    assert cli.main(["forecast", "--out", str(fc_out), "--config", write_config(
+        tmp_path, {**payload, "forecast": {"checkpoint": checkpoint}},
+        name="forecast.json")]) == 0
+
+    train_metrics = read_json(train_out / "metrics.json")
+    fc_metrics = read_json(fc_out / "metrics.json")
+    assert (fc_metrics["mae"], fc_metrics["rmse"]) == (train_metrics["mae"],
+                                                       train_metrics["rmse"])
+    state, config = mc.load_checkpoint(checkpoint)
+    bundle = ex.prepare_data(ex.SynthTask(**TINY["task"]), 0, ex.DataSource(**data))
+    predicted, _ = tr.predict(state, config, bundle.test_windows, bundle.stats)
+    values = [float(row[-1]) for row in read_rows(fc_out / "predictions.csv")[1:]]
+    assert values == predicted.ravel().tolist()
+    for out in (train_out, fc_out):
+        dataset = read_json(out / "manifest.json")["effective_config"]["dataset"]
+        assert dataset["normalization"] == method
+        assert dataset["degenerate_variables"] == [2]
 
 
 def test_forecast_forwards_at_most_256_windows_at_once(tmp_path, monkeypatch):
@@ -300,6 +333,18 @@ BAD_RUNS = {
     "data layout unknown value": (["train", "--set", "data.layout=bogus"], 2),
     "data impute unknown value": (["train", "--set", "data.impute=fill"], 2),
     "data normalize unknown value": (["train", "--set", "data.normalize=bogus"], 2),
+    "model variant unknown value": (["train", "--set", "model.variant=bogus"], 2),
+    "model basis unknown value": (["train", "--set", "model.basis=fourier"], 2),
+    "model projector unknown value": (["train", "--set", "model.projector=x"], 2),
+    "model blocks zero": (["train", "--set", "model.blocks=0"], 2),
+    "model degree negative": (["train", "--set", "model.degree=-1"], 2),
+    "model lookback zero": (["train", "--set", "model.lookback=0"], 2),
+    "model n_modes out of range": (["train", "--set", "model.n_modes=99"], 2),
+    "model decomp_window zero": (["train", "--set", "model.decomp_window=0"], 2),
+    "train batch_size zero": (["train", "--set", "train.batch_size=0"], 2),
+    "train epochs zero": (["train", "--set", "train.epochs=0"], 2),
+    "train beta1 out of range": (["train", "--set", "train.beta1=1"], 2),
+    "train beta2 negative": (["train", "--set", "train.beta2=-0.5"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
 }
 
@@ -318,7 +363,7 @@ def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
 
 
 @pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c
-                                         or "unknown value" in c))
+                                         or "unknown value" in c or "out of range" in c))
 def test_bad_setting_error_names_its_key(tmp_path, capsys, case):
     argv, _ = BAD_RUNS[case]
     cli.main(argv + ["--config", write_config(tmp_path, TINY),
@@ -439,6 +484,19 @@ def test_twl_self_comparison_inconclusive(tmp_path):
     assert read_json(out / "twl.json")["verdict"] == "inconclusive"
 
 
+def test_twl_spectral_conditions_on_the_fixed_topology_fixture(tmp_path, capsys):
+    fixed = str(fixture_path("fixed_topology"))
+    cfg = write_config(tmp_path, {"twl": {"left": fixed, "right": fixed}})
+    out = tmp_path / "out"
+    assert cli.main(["twl", "--config", cfg, "--out", str(out)]) == 0
+    report = read_json(out / "twl.json")
+    assert report["verdict"] == "inconclusive"
+    assert report["spectral"]["left"] == {"repeated_eigenvalues": False,
+                                          "missing_components": [[0, 1], [0, 3]]}
+    assert report["spectral"]["right"] == report["spectral"]["left"]
+    assert "left: repeated eigenvalues False" in capsys.readouterr().out
+
+
 def test_theory_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "theory": {"column_sampling": {"n": 8, "t": 16, "k": 2, "s": 8,
@@ -485,6 +543,22 @@ def test_synth_embedding_exports(tmp_path, capsys):
     labels = read_rows(out / "labels.csv")
     assert len(labels) == 1 + n_nodes
     assert "model wins" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("overrides,train,noise_sigma", [
+    (["train.epochs=1"], {"lr": 3e-3, "batch_size": 64, "epochs": 1}, 0.5),
+    (["train.epochs=1", "train.lr=0.01", "task.noise_sigma=0.2"],
+     {"lr": 0.01, "batch_size": 64, "epochs": 1}, 0.2)])
+def test_synth_preset_fills_each_key_the_config_omits(tmp_path, overrides, train,
+                                                      noise_sigma):
+    task = {key: value for key, value in TINY["task"].items() if key != "noise_sigma"}
+    cfg = write_config(tmp_path, {"task": task, "synth": {"seeds": [0], "n_eval": 2}})
+    out = tmp_path / "out"
+    argv = ["synth", "--config", cfg, "--out", str(out)]
+    assert cli.main(argv + [arg for item in overrides for arg in ("--set", item)]) == 0
+    effective = read_json(out / "manifest.json")["effective_config"]
+    assert {key: effective["train"][key] for key in train} == train
+    assert effective["task"]["noise_sigma"] == noise_sigma
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -73,6 +73,27 @@ def test_config_rejects_bad_values():
             mc.ModelConfig(**{**BASE, key: value})
 
 
+def test_task_model_config_takes_the_model_defaults():
+    task = ex.SynthTask()
+    assert ex.task_model_config(task) == mc.ModelConfig(
+        lookback=task.lookback, horizon=task.horizon, n_dims=1, blocks=2, degree=4,
+        n_modes=5, decomp_window=3, adjacency_mode="provided")
+
+
+@pytest.mark.parametrize("mode,kwargs,error,message", [
+    ("pearson", {}, ConfigError, "needs an adjacency or training values"),
+    ("pearson", {"train_values": np.ones((4, 40, 2))}, ShapeError,
+     "training values variable count"),
+    ("provided", {}, ConfigError, "provided adjacency mode needs an adjacency"),
+    ("provided", {"adjacency": ring_adjacency(4)}, ShapeError,
+     "adjacency size does not match"),
+])
+def test_init_state_rejects_a_missing_or_mis_sized_adjacency(mode, kwargs, error, message):
+    config = mc.ModelConfig(**{**BASE, "adjacency_mode": mode})
+    with pytest.raises(error, match=message):
+        mc.init_state(config, 5, rng=0, **kwargs)
+
+
 def test_config_dict_roundtrip():
     config = mc.ModelConfig(**BASE)
     back = mc.ModelConfig.from_dict(config.to_dict())

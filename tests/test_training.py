@@ -394,15 +394,21 @@ def race_step_counts(monkeypatch, **overrides):
 
 def test_linear_race_step_tape_size(monkeypatch):
     # one contraction per temporal stage, and a tensor only for a value the
-    # backward pass replays: at most 32 matmuls and 38 tape tensors per
+    # backward pass replays: at most 32 matmuls and 37 tape tensors per
     # linear race step
     counts = race_step_counts(monkeypatch)
-    assert counts["matmul"] <= 32 and counts["tensors"] <= 38, counts
+    assert counts["matmul"] <= 32 and counts["tensors"] <= 37, counts
 
 
 def test_nonlinear_race_step_tape_size(monkeypatch):
     counts = race_step_counts(monkeypatch, variant="nonlinear")
-    assert counts["matmul"] <= 72 and counts["tensors"] <= 74, counts
+    assert counts["matmul"] <= 72 and counts["tensors"] <= 73, counts
+
+
+def test_learned_adjacency_race_step_tape_size(monkeypatch):
+    # the half-sum and the diagonal mask of the learned adjacency are one product
+    counts = race_step_counts(monkeypatch, adjacency_mode="learned")
+    assert counts["matmul"] <= 57 and counts["tensors"] <= 85, counts
 
 
 @pytest.mark.parametrize("overrides", [{}, {"variant": "nonlinear"},
