@@ -205,6 +205,19 @@ class Run:
         self.effective[name] = dataclasses.asdict(section)
         return section
 
+    def read_train_per_seed(self, seeds_key: str, **fallback) -> TrainConfig:
+        """The train section of a command that trains once for each seed in
+        ``seeds_key``. Each run takes its seed from there, so ``train.seed``
+        is an error and the manifest's train section records no seed."""
+        train = self.config.get("train", {})
+        if isinstance(train, dict) and "seed" in train:
+            raise ConfigError(f"train.seed does not apply to {self.args.command}, which "
+                              f"trains once with each seed in {seeds_key}; set "
+                              f"{seeds_key} instead")
+        tc = self.read("train", TrainConfig, **fallback)
+        del self.effective["train"]["seed"]
+        return tc
+
     def path(self, name: str) -> str:
         path = os.path.join(self.out, name)
         self.outputs.append(path)
@@ -290,7 +303,7 @@ def cmd_ablate(run: Run) -> None:
         valid = "basis, structure, nonlinearity"
         raise ConfigError(f"ablate needs ablate.axis; valid axes: {valid}")
     task = run.read("task", ex.SynthTask)
-    tc = run.read("train", TrainConfig, seed=run.seed)
+    tc = run.read_train_per_seed("ablate.seeds")
     result = ex.ablation_run(section.axis, task, section.seeds, tc=tc)
 
     run.write_csv("ablation_rows.csv",
@@ -403,8 +416,8 @@ def cmd_synth(run: Run) -> None:
                        seeds=list(range(run.seed, run.seed + DEFAULT_SEEDS)))
     # The silhouette preset fills every key the task and train sections omit.
     task = run.read("task", ex.SynthTask, noise_sigma=preset["noise_sigma"])
-    tc = run.read("train", TrainConfig, seed=run.seed,
-                  **{key: preset[key] for key in ("lr", "epochs", "batch_size")})
+    tc = run.read_train_per_seed(
+        "synth.seeds", **{key: preset[key] for key in ("lr", "epochs", "batch_size")})
 
     rows, first = [], None
     for seed in section.seeds:

@@ -123,6 +123,10 @@ class ModelConfig:
             if not 1 <= getattr(self, key) <= self.lookback:
                 raise ConfigError(f"model.{key} must lie in [1, lookback="
                                   f"{self.lookback}], got {getattr(self, key)}")
+        for key in ("jacobi_a", "jacobi_b"):
+            if self.basis != "jacobi" and getattr(self, key) is not None:
+                raise ConfigError(f"model.{key} applies only to basis 'jacobi', "
+                                  f"not {self.basis!r}")
         try:
             self.recurrence()
         except ParameterError as exc:

@@ -345,6 +345,12 @@ BAD_RUNS = {
     "train epochs zero": (["train", "--set", "train.epochs=0"], 2),
     "train beta1 out of range": (["train", "--set", "train.beta1=1"], 2),
     "train beta2 negative": (["train", "--set", "train.beta2=-0.5"], 2),
+    "model jacobi_a ignored by the basis": (["train", "--set", "model.jacobi_a=-5"], 2),
+    "model jacobi_b ignored by the basis": (["train", "--set", "model.basis=monomial",
+                                             "--set", "model.jacobi_b=9"], 2),
+    "synth train seed ignored": (["synth", "--set", "train.seed=7"], 2),
+    "ablate train seed ignored": (["ablate", "--set", "ablate.axis=basis",
+                                   "--set", "train.seed=7"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
 }
 
@@ -363,7 +369,8 @@ def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
 
 
 @pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c
-                                         or "unknown value" in c or "out of range" in c))
+                                         or "unknown value" in c or "out of range" in c
+                                         or "ignored" in c))
 def test_bad_setting_error_names_its_key(tmp_path, capsys, case):
     argv, _ = BAD_RUNS[case]
     cli.main(argv + ["--config", write_config(tmp_path, TINY),
@@ -559,6 +566,28 @@ def test_synth_preset_fills_each_key_the_config_omits(tmp_path, overrides, train
     effective = read_json(out / "manifest.json")["effective_config"]
     assert {key: effective["train"][key] for key in train} == train
     assert effective["task"]["noise_sigma"] == noise_sigma
+
+
+@pytest.mark.parametrize("command,seeds_key", [("synth", "synth.seeds"),
+                                                ("ablate", "ablate.seeds")])
+def test_per_seed_commands_refuse_train_seed(tmp_path, capsys, command, seeds_key):
+    cfg = write_config(tmp_path, {**TINY, "synth": {"seeds": [0], "n_eval": 2},
+                                  "ablate": {"axis": "basis", "seeds": [0]},
+                                  "train": {**TINY["train"], "seed": 7}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "train.seed" in err and seeds_key in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_synth_manifest_records_the_seeds_that_ran(tmp_path):
+    cfg = write_config(tmp_path, {**TINY, "synth": {"seeds": [3], "n_eval": 2}})
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    effective = read_json(out / "manifest.json")["effective_config"]
+    assert effective["synth"]["seeds"] == [3]
+    assert "seed" not in effective["train"]
 
 
 def test_module_entry_point_subprocess(tmp_path):

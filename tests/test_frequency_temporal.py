@@ -4,6 +4,7 @@ column-sampling bound."""
 import numpy as np
 import pytest
 
+from spectemp import frequency_temporal
 from spectemp.errors import ParameterError, ShapeError
 from spectemp.frequency_temporal import (TemporalFDMParams, coarse_fdm,
                                          column_sampling_check, decompose, dft,
@@ -278,6 +279,34 @@ def test_column_sampling_exact_rank_projects_exactly():
     w = rng.standard_normal((64, 3))
     report = column_sampling_check(a, w, k=4, s=32, trials=50, seed=0)
     assert report.max_lhs < 1e-8
+
+
+def column_sampling_reference(a, w, s, trials, seed):
+    """One pinv per trial, index sets drawn in trial order."""
+    rng = np.random.default_rng(seed)
+    aw = a @ w
+    lhs = []
+    for _ in range(trials):
+        cols = a[:, rng.choice(a.shape[1], size=s, replace=False)]
+        lhs.append(np.linalg.norm(aw - cols @ np.linalg.pinv(cols) @ aw))
+    return np.array(lhs)
+
+
+def test_column_sampling_matches_a_pinv_per_trial():
+    # criterion 7's matrices: 500 trials span a partial last block, and the
+    # rank-4 matrix makes every sampled column set rank deficient
+    assert 500 % frequency_temporal._TRIAL_BLOCK
+    rng = np.random.default_rng(107)
+    a = rng.standard_normal((32, 64))
+    w = rng.standard_normal((64, 16))
+    exact = rng.standard_normal((32, 4)) @ rng.standard_normal((4, 64))
+    for matrix, trials in ((a, 500), (exact, 50), (exact, 130)):
+        report = column_sampling_check(matrix, w, k=4, s=32, trials=trials, seed=107)
+        lhs = column_sampling_reference(matrix, w, 32, trials, 107)
+        assert abs(report.mean_lhs - lhs.mean()) <= 1e-12 * max(1.0, lhs.mean())
+        assert abs(report.max_lhs - lhs.max()) <= 1e-12 * max(1.0, lhs.max())
+        assert report.violation_rate == np.mean(lhs > report.rhs)
+        assert report.trials == trials
 
 
 def test_column_sampling_zero_w():

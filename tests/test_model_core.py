@@ -73,6 +73,14 @@ def test_config_rejects_bad_values():
             mc.ModelConfig(**{**BASE, key: value})
 
 
+@pytest.mark.parametrize("basis", ["monomial", "bernstein", "chebyshev2", "gegenbauer"])
+def test_config_rejects_jacobi_exponents_for_another_basis(basis):
+    for key in ("jacobi_a", "jacobi_b"):
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            mc.ModelConfig(**{**BASE, "basis": basis, key: 0.0})
+    mc.ModelConfig(**{**BASE, "basis": "jacobi", "jacobi_a": -0.5, "jacobi_b": 9.0})
+
+
 def test_task_model_config_takes_the_model_defaults():
     task = ex.SynthTask()
     assert ex.task_model_config(task) == mc.ModelConfig(

@@ -6,10 +6,11 @@ from scipy.special import comb, eval_chebyu, eval_gegenbauer, eval_jacobi
 
 from spectemp.errors import ParameterError, ShapeError
 from spectemp.spectral_graph import (Adjacency, FilterBank, basis_eval,
-                                     eigendecompose, filter_response,
-                                     fit_weight_alpha, graph_conv,
-                                     normalized_laplacian,
-                                     orthogonality_residual, signal_density,
+                                     basis_recurrence, eigendecompose,
+                                     filter_response, fit_weight_alpha,
+                                     graph_conv, normalized_laplacian,
+                                     orthogonality_residual,
+                                     polynomial_stack, signal_density,
                                      spectral_oracle_conv)
 
 BASES = ("monomial", "bernstein", "chebyshev2", "gegenbauer", "jacobi")
@@ -215,6 +216,46 @@ def test_bernstein_partition_of_unity():
     assert np.abs(total - 1.0).max() < 1e-12
 
 
+def bernstein_per_term(degree, p0, apply):
+    """The Bernstein stack built term by term, each (L/2)^k p0 from scratch."""
+    stack = []
+    for k in range(degree + 1):
+        term = p0
+        for _ in range(k):
+            term = apply(term) * 0.5
+        for _ in range(degree - k):
+            term = term - apply(term) * 0.5
+        stack.append(term * float(comb(degree, k, exact=True)))
+    return stack
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_polynomial_stack_apply_count(basis):
+    for degree in range(11):
+        calls = []
+        polynomial_stack(basis_recurrence(basis, degree), 1.0,
+                         lambda v: calls.append(v) or 0.5 * v)
+        expected = degree * (degree + 3) // 2 if basis == "bernstein" else degree
+        assert len(calls) == expected, (degree, len(calls))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 4, 10])
+def test_bernstein_stack_equals_the_per_term_construction_bitwise(degree):
+    rng = np.random.default_rng(degree)
+    rec = basis_recurrence("bernstein", degree)
+    for lam in rng.uniform(0.0, 2.0, 5):
+        p0 = float(rng.standard_normal())
+        ours = polynomial_stack(rec, p0, lambda v: lam * v)
+        ref = bernstein_per_term(degree, p0, lambda v: lam * v)
+        assert [np.float64(v).tobytes() for v in ours] == \
+            [np.float64(v).tobytes() for v in ref]
+    lap = normalized_laplacian(random_adjacency(rng, 12))
+    for p0 in (np.eye(12), rng.standard_normal((12, 3))):
+        ours = polynomial_stack(rec, p0, lambda v: lap @ v)
+        ref = bernstein_per_term(degree, p0, lambda v: lap @ v)
+        assert [v.tobytes() for v in ours] == [v.tobytes() for v in ref]
+
+
 def test_basis_eval_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         basis_eval("gegenbauer", 2, 0.5, alpha=-0.6)
@@ -288,6 +329,35 @@ def test_oracle_g_identity_and_eigenvector_scaling():
                       coefficients=np.array([0.0, 1.0]),
                       monomial_on_laplacian=True)
     assert np.allclose(spectral_oracle_conv(spectrum, bank, x), 2.0 * x, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(9, 3), (9, 5, 3), (9, 4, 2, 3)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_oracle_equals_the_explicit_eigenvector_product(shape, width):
+    rng = np.random.default_rng(len(shape) + width)
+    spectrum = eigendecompose(normalized_laplacian(random_adjacency(rng, shape[0])))
+    x = rng.standard_normal(shape)
+    for basis in BASES:
+        bank = FilterBank(basis=basis, degree=4, alpha=1.4,
+                          coefficients=rng.standard_normal((5, width)))
+        gains = filter_response(bank, spectrum.eigenvalues)
+        u = spectrum.eigenvectors
+        ref = np.empty_like(x)
+        for d in range(shape[-1]):
+            h = u @ np.diag(gains[:, d % width]) @ u.T
+            ref[..., d] = np.tensordot(h, x[..., d], axes=1)
+        got = spectral_oracle_conv(spectrum, bank, x)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_both_routes_filter_a_graph_without_nodes():
+    spectrum = eigendecompose(np.zeros((0, 0)))
+    for basis in BASES:
+        bank = FilterBank(basis=basis, degree=3, coefficients=np.ones((4, 2)))
+        for shape in ((0, 2), (0, 5, 2)):
+            assert graph_conv(bank, np.zeros((0, 0)), np.zeros(shape)).shape == shape
+            assert spectral_oracle_conv(spectrum, bank, np.zeros(shape)).shape == shape
 
 
 def test_graph_conv_matches_oracle_all_bases():
