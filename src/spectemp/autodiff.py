@@ -14,15 +14,20 @@ forms each complex product).
 
 The op set is what the forecasting model needs: broadcast elementwise
 arithmetic, relu/softmax, safe reciprocal square root for degree
-normalization, stacking, and bilinear contractions, each one ``contract``
-call that derives its VJP subscripts from its einsum subscripts. (``neg``
-and ``mode_filter`` have no caller in the model; the benchmark's tracer
-still wraps them by name.) Every contraction, forward or VJP, runs as
-one broadcasting ``np.matmul``: a plan made once per subscript string
-sorts the axes into batch, summed and free axes and says how to
-transpose and reshape the operands into (batch..., M, K) @ (batch..., K,
-N) and the product back to the output order. Shapes follow the model
-convention (batch, node, time, dim).
+normalization, stacking, bilinear contractions, each one ``contract``
+call that derives its VJP subscripts from its einsum subscripts, and
+attention's per-row mode products. (``neg`` and ``mode_filter`` have no
+caller in the model; the benchmark's tracer still wraps them by name.)
+Every ``contract``, forward or VJP, runs as one broadcasting
+``np.matmul``: a plan made once per subscript string sorts the axes into
+batch, summed and free axes and says how to transpose and reshape the
+operands into (batch..., M, K) @ (batch..., K, N) and the product back
+to the output order. Attention's scores and value mix contract only a
+few modes per (batch, node) pair, where a matmul pays per pair; so
+``node_scores`` and ``node_apply`` take modes with the (batch, node)
+axes innermost, (S, E, B, N), and run as broadcast products and sums
+over rows of length B*N. Elsewhere shapes follow the model convention
+(batch, node, time, dim).
 """
 
 from __future__ import annotations
@@ -157,19 +162,39 @@ def neg(a):
 
 def relu(a):
     va = _value(a)
-    mask = va > 0.0
-    return _node(np.where(mask, va, 0.0), [(a, lambda g: g * mask)])
+    # bitwise np.where(va > 0, va, 0.0), without its per-element scalar
+    # broadcast: fmax maps NaN to 0, and adding 0.0 turns a -0.0 that fmax
+    # may return on a tie into +0.0
+    y = np.fmax(va, 0.0)
+    y += 0.0
+    return _node(y, [(a, lambda g: g * (va > 0.0))])
+
+
+def _reduce_last(ufunc, a):
+    """``ufunc.reduce(a, axis=-1, keepdims=True)``, bitwise.
+
+    numpy reduces a contiguous row shorter than 8 left to right, but pays
+    a fixed cost per row; such a last axis is folded here one slice at a
+    time in the same order, so the work runs over whole slices instead.
+    """
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., 0]
+    for k in range(1, n):
+        out = ufunc(out, a[..., k])
+    return out[..., None]
 
 
 def softmax_last(a):
+    """Softmax over the last axis, in any memory layout: a layout whose
+    last axis is outermost makes each slice of a short axis one long row."""
     va = _value(a)
-    shifted = va - va.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(va - _reduce_last(np.maximum, va))
+    y = e / _reduce_last(np.add, e)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
+        return y * (g - _reduce_last(np.add, g * y))
 
     return _node(y, [(a, vjp)])
 
@@ -206,11 +231,11 @@ def rsqrt_safe(a):
     """x -> x**-0.5 where x is safely positive, else 0 (with zero gradient)."""
     va = _value(a)
     ok = va > _DEGREE_FLOOR
-    safe = np.where(ok, va, 1.0)
-    y = np.where(ok, safe ** -0.5, 0.0)
+    y = np.power(va, -0.5, out=np.zeros_like(va), where=ok)
 
     def vjp(g):
-        return np.where(ok, -0.5 * safe ** -1.5, 0.0) * g
+        slope = np.power(va, -1.5, out=np.zeros_like(va), where=ok)
+        return np.multiply(slope, -0.5, out=slope, where=ok) * g
 
     return _node(y, [(a, vjp)])
 
@@ -315,11 +340,31 @@ def mode_filter(x, w):
 
 
 def node_scores(q, k):
-    """Pairwise mode scores per node: out[b,n,i,j] = sum_d q[b,n,i,d] k[b,n,j,d]."""
-    return contract("bnid,bnjd->bnij", q, k)
+    """Pairwise mode scores per (batch, node) row.
+
+    out[i,b,n,j] = sum_e q[i,e,b,n] k[j,e,b,n] for q (I, E, B, N) and
+    k (J, E, B, N). The result is stored as (I, J, B, N): the products,
+    and ``softmax_last``'s slices over j, run over rows of length B*N
+    instead of as B*N tiny (I, E) @ (E, J) products.
+    """
+    vq, vk = _value(q), _value(k)
+    scores = (vq[:, None] * vk[None]).sum(axis=2)
+    return _node(scores.transpose(0, 2, 3, 1), [
+        (q, lambda g: (g.transpose(0, 3, 1, 2)[:, :, None] * vk[None]).sum(axis=1)),
+        (k, lambda g: (g.transpose(0, 3, 1, 2)[:, :, None] * vq[:, None]).sum(axis=0)),
+    ])
 
 
 def node_apply(a, v):
-    """Apply per-node mixing weights: out[b,n,i,d] = sum_j a[b,n,i,j] v[b,n,j,d]."""
-    return contract("bnij,bnjd->bnid", a, v)
+    """Apply per-row mixing weights to modes, as rows of length B*N.
 
+    out[i,e,b,n] = sum_j a[i,b,n,j] v[j,e,b,n] for (I, B, N, J) weights
+    (best stored as (I, J, B, N), as ``node_scores`` leaves them) and
+    (J, E, B, N) modes.
+    """
+    va, vv = _value(a), _value(v)
+    weights = va.transpose(0, 3, 1, 2)[:, :, None]
+    return _node((weights * vv[None]).sum(axis=1), [
+        (a, lambda g: (g[:, None] * vv[None]).sum(axis=2).transpose(0, 2, 3, 1)),
+        (v, lambda g: (weights * g[:, None]).sum(axis=0)),
+    ])

@@ -26,8 +26,11 @@ before its attention stage. Attention keeps re/im on one axis: real
 2S x T select kernels hold the real and imaginary parts of mode s in
 rows 2s and 2s+1, and a T x 2S rebuild kernel holds [Re R_s, -Im R_s],
 so each complex product (select, scores, mixing, rebuild) is one tape
-op. Learned adjacency differs per sample, so there the polynomial stack
-runs on the signal. The stack, the S/R kernels, A and the folded
+op. The select contractions emit (2S, D, B, N) modes, with the (batch,
+node) axes innermost, so the scores, the softmax over keys and the value
+mix run as products over rows of length B*N, not as B*N tiny matrix
+products. Learned adjacency differs per sample, so there the polynomial
+stack runs on the signal. The stack, the S/R kernels, A and the folded
 S'(I - A) are derived from the state and the config and cached on the
 state, never checkpointed.
 
@@ -490,21 +493,25 @@ def _stage_operator(params: dict, name: str, kernel: np.ndarray):
 
 def _attention_stage(trend, seasonal, params, prefix, kernels):
     """Mode-space attention with re/im interleaved on the mode axis (see
-    ``_build_operators``): each projection's (B, N, 2S, D) modes read as
-    (B, N, S, 2D), so every complex product is one op."""
+    ``_build_operators``). Each projection's select contraction emits its
+    modes as (2S, D, B, N), which reads as (S, 2D, B, N) without a copy, so
+    every complex product is one op. The scores, the softmax over keys and
+    the value mix run over rows of length B*N; the rebuild contracts the
+    mixed modes back to (B, N, T, D)."""
     select_q, select_kv, rebuild = kernels
     b, n, _, d = trend.shape
 
     def project(name, part, select):
-        modes = ad.time_mix(select, ad.relu(ad.time_mix(params[name], part)))
-        return ad.reshape(modes, (b, n, -1, 2 * d))
+        modes = ad.contract("ij,bnjd->idbn", select,
+                            ad.relu(ad.time_mix(params[name], part)))
+        return ad.reshape(modes, (-1, 2 * d, b, n))
 
     q = project(f"{prefix}.attn_q", trend, select_q)
     k = project(f"{prefix}.attn_k", seasonal, select_kv)
     v = project(f"{prefix}.attn_v", seasonal, select_kv)
     attn = ad.softmax_last(ad.node_scores(q, k))
-    out = ad.reshape(ad.node_apply(attn, v), (b, n, -1, d))
-    return ad.add(trend, ad.time_mix(rebuild, out))
+    out = ad.reshape(ad.node_apply(attn, v), (-1, d, b, n))
+    return ad.add(trend, ad.contract("ij,jdbn->bnid", rebuild, out))
 
 
 def require_finite_windows(x: np.ndarray) -> None:

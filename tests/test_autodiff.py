@@ -91,6 +91,60 @@ def test_softmax_last_shift_invariant_under_large_offsets():
     assert np.all(np.isfinite(shifted))
 
 
+def vjp_of(op, x, g):
+    """``op``'s value on ``x`` and its VJP of ``g``, from the tape."""
+    t = ad.Tensor(x)
+    out = op(t)
+    (parent, vjp), = out._parents
+    assert parent is t
+    return out.data, vjp(g)
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_relu_is_bitwise_the_comparison_formula():
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-310, -1e-310])
+    rng = np.random.default_rng(36)
+    for shape in ((8,), (4, 2, 24, 1), (3, 5, 7)):
+        x = rng.standard_normal(shape)
+        x.reshape(-1)[:8] = specials
+        g = rng.standard_normal(shape)
+        for operand, g_out in ((x, g), (x.T, g.T)):    # and a transposed layout
+            value, grad = vjp_of(ad.relu, operand, g_out)
+            same_bits(value, np.where(operand > 0, operand, 0.0))
+            same_bits(grad, g_out * (operand > 0))
+            same_bits(ad.relu(operand), value)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 207])
+def test_softmax_last_is_bitwise_the_reduce_formula(n):
+    # the attention rows (5 modes) and the learned adjacency (8 and 207 nodes)
+    rng = np.random.default_rng(37 + n)
+    x = rng.standard_normal((6, 7, n)) * np.exp(rng.uniform(-3, 3, (6, 7, 1)))
+    g = rng.standard_normal(x.shape)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    value, grad = vjp_of(ad.softmax_last, x, g)
+    same_bits(value, want)
+    same_bits(grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+    same_bits(ad.softmax_last(x), want)
+
+
+def test_rsqrt_safe_is_bitwise_the_where_formula():
+    floor = ad._DEGREE_FLOOR
+    x = np.array([0.0, -0.0, floor, np.nextafter(floor, 0.0), np.nextafter(floor, 1.0),
+                  1e-15, -2.0, np.inf, np.nan, 5e-324, 0.25, 3.0, 1e300])
+    g = np.random.default_rng(38).standard_normal(x.shape)
+    ok = x > floor
+    safe = np.where(ok, x, 1.0)
+    value, grad = vjp_of(ad.rsqrt_safe, x, g)
+    same_bits(value, np.where(ok, safe ** -0.5, 0.0))
+    same_bits(grad, np.where(ok, -0.5 * safe ** -1.5, 0.0) * g)
+
+
 def test_reshape_transpose_sums():
     a = rng_arrays(6, (2, 3, 4))[0]
     check_op(lambda t: ad.reshape(t[0], (6, 4)), [a])
@@ -171,10 +225,19 @@ def test_mode_filter_broadcasts_shared_weights():
 
 
 def test_node_scores_and_apply():
-    q, k = rng_arrays(14, (2, 3, 4, 2), (2, 3, 4, 2))
-    check_op(lambda t: ad.node_scores(t[0], t[1]), [q, k])
-    a, v = rng_arrays(15, (2, 3, 4, 4), (2, 3, 4, 2))
-    check_op(lambda t: ad.node_apply(t[0], t[1]), [a, v])
+    # (modes, features, batch, node) operands; weights (modes, batch, node, modes)
+    q, k = rng_arrays(14, (4, 2, 2, 3), (5, 2, 2, 3))
+    probe = rng_arrays(34, (4, 2, 3, 5))[0]
+    check_op(lambda t: ad.mul(ad.node_scores(t[0], t[1]), probe), [q, k])
+    want = np.einsum("iebn,jebn->ibnj", q, k)
+    assert np.abs(ad.node_scores(q, k) - want).max() <= 1e-12 * np.abs(want).max()
+    a, v = rng_arrays(15, (4, 2, 3, 5), (5, 2, 2, 3))
+    check_op(lambda t: ad.mul(ad.node_apply(t[0], t[1]), q), [a, v])
+    want = np.einsum("ibnj,jebn->iebn", a, v)
+    assert np.abs(ad.node_apply(a, v) - want).max() <= 1e-12 * np.abs(want).max()
+    # the layout node_scores leaves, as softmax_last keeps it
+    stored = np.ascontiguousarray(a.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    assert np.array_equal(ad.node_apply(stored, v), ad.node_apply(a, v))
 
 
 def test_embed_map_and_pair_scores():
@@ -186,8 +249,9 @@ def test_embed_map_and_pair_scores():
 
 
 # (spec, {subscripts: shape override}) for every contraction the tape runs,
-# and two earlier ones the plan still has to get right ("bij,bjtd->bitd",
-# "ndij,ijpq->ndpq"); overrides give the size-1 axes of shared weights.
+# and four earlier ones the plan still has to get right ("bij,bjtd->bitd",
+# "ndij,ijpq->ndpq", and the per-node attention products "bnid,bnjd->bnij"
+# and "bnij,bnjd->bnid"); overrides give the size-1 axes of shared weights.
 SIZES = dict(b=3, n=4, m=4, i=5, j=6, t=2, d=2, k=7, l=3, e=5, p=3, q=4, r=2,
              z=2, h=2)
 CONTRACTIONS = [
@@ -219,7 +283,17 @@ CONTRACTIONS = [
     ("zndij,zijpq->ndpq", {"zndij": (2, 4, 1, 5, 6), "ndpq": (4, 1, 3, 4)}),
     ("zndij,zijpq->ndpq", {"zndij": (2, 1, 1, 5, 6), "ndpq": (1, 1, 3, 4)}),
     ("bntd,tdhe->bnhe", {}),
+    ("ij,bnjd->idbn", {}),
+    ("ij,jdbn->bnid", {}),
 ]
+
+
+@pytest.mark.parametrize("spec,overrides", CONTRACTIONS)
+def test_contract_gradients(spec, overrides):
+    a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
+    a, b, probe = (np.random.default_rng(35).standard_normal(
+        overrides.get(sub, tuple(SIZES[c] for c in sub))) for sub in (a_sub, b_sub, out_sub))
+    check_op(lambda t: ad.mul(ad.contract(spec, t[0], t[1]), probe), [a, b])
 
 
 def _contraction_specs(spec):

@@ -401,8 +401,30 @@ def test_linear_race_step_tape_size(monkeypatch):
 
 
 def test_nonlinear_race_step_tape_size(monkeypatch):
+    # the attention scores and value mix run as broadcast products over
+    # (batch, node) rows, not as matmuls
     counts = race_step_counts(monkeypatch, variant="nonlinear")
-    assert counts["matmul"] <= 72 and counts["tensors"] <= 73, counts
+    assert counts["matmul"] <= 60 and counts["tensors"] <= 73, counts
+
+
+@pytest.mark.parametrize("adjacency", ["provided", "learned"])
+def test_attention_runs_its_named_ops_once_per_block(monkeypatch, adjacency):
+    # the benchmark times attention by wrapping these names, so the model
+    # must call them, once per block and pass
+    state, config, windows = race_state(variant="nonlinear", adjacency_mode=adjacency)
+    calls = {"node_scores": 0, "node_apply": 0, "softmax_last": 0}
+    for name in calls:
+        def counted(*args, op=getattr(ad, name), name=name):
+            calls[name] += 1
+            return op(*args)
+        monkeypatch.setattr(ad, name, counted)
+    softmax_per_pass = config.blocks + (adjacency == "learned")
+    mc.forward(windows.inputs[:64], state, config)
+    assert calls == {"node_scores": config.blocks, "node_apply": config.blocks,
+                     "softmax_last": softmax_per_pass}, calls
+    tr.gradients(state, (windows.inputs[:64], windows.targets[:64]), config)
+    assert calls == {"node_scores": 2 * config.blocks, "node_apply": 2 * config.blocks,
+                     "softmax_last": 2 * softmax_per_pass}, calls
 
 
 def test_learned_adjacency_race_step_tape_size(monkeypatch):
