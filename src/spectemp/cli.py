@@ -21,8 +21,11 @@ import csv
 import dataclasses
 import json
 import os
+import platform
 import sys
+import time
 from dataclasses import dataclass, field
+from importlib import metadata
 
 import numpy as np
 
@@ -231,11 +234,27 @@ class Run:
             writer.writerows([row[key] for key in header] if isinstance(row, dict)
                              else row for row in rows)
 
-    def write_manifest(self) -> None:
+    def write_manifest(self, wall_s: float) -> None:
         _write_json(os.path.join(self.out, "manifest.json"), {
             "command": self.args.command, "version": __version__,
             "seed": self.seed, "effective_config": self.effective,
-            "outputs": sorted(self.outputs)})
+            "outputs": sorted(self.outputs), "environment": _environment(wall_s)})
+
+
+def _environment(wall_s: float) -> dict:
+    """What the command ran on: the Python, numpy and scipy versions, the
+    BLAS numpy was built with, the cores this process may use, and the
+    command's wall time in seconds."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # numpy < 1.26 takes no mode
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": metadata.version("scipy"),
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "cores": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count()),
+            "wall_s": wall_s}
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = build_parser().parse_args(argv)
     try:
         run = Run(args, load_config(args))
         os.makedirs(run.out, exist_ok=True)
         args.func(run)
-        run.write_manifest()
+        run.write_manifest(time.perf_counter() - started)
         return 0
     except (ConfigError, ParameterError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)

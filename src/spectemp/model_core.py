@@ -30,9 +30,24 @@ op. The select contractions emit (2S, D, B, N) modes, with the (batch,
 node) axes innermost, so the scores, the softmax over keys and the value
 mix run as products over rows of length B*N, not as B*N tiny matrix
 products. Learned adjacency differs per sample, so there the polynomial
-stack runs on the signal. The stack, the S/R kernels, A and the folded
-S'(I - A) are derived from the state and the config and cached on the
-state, never checkpointed.
+stack runs on the signal.
+
+What is derived when:
+- Per state (``_operators``): the stack P_k(M), the S/R kernels, A and
+  the folded S'(I - A), from the state's arrays and the config. They are
+  cached on the state until one of those arrays is replaced, and never
+  checkpointed.
+- Per bind (``_bind``): from the parameters, each block's G, its
+  composed temporal operator F C, and for attention its weights and
+  kernels. No window stack enters a bind. With learned adjacency G stays
+  theta, since M comes from the windows.
+- Per window stack (``_apply``): the learned adjacency's M and every
+  product with the signal.
+
+A forward pass is a bind, then an apply. ``forward`` binds on each call
+and ``training.gradients`` once per step, on its tape leaves.
+``training.predict`` binds once per call, on a copy of the state made by
+``_bound_state``, and applies that binding to each chunk.
 
 The forward pass is written against the tape ops in `autodiff`, so the
 same code serves inference and training. Inference runs it on the
@@ -46,6 +61,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field
@@ -491,24 +507,25 @@ def _stage_operator(params: dict, name: str, kernel: np.ndarray):
     return ad.contract("zndij,zijpq->ndpq", weights, kernel)
 
 
-def _attention_stage(trend, seasonal, params, prefix, kernels):
+def _attention_stage(trend, seasonal, weights, kernels):
     """Mode-space attention with re/im interleaved on the mode axis (see
-    ``_build_operators``). Each projection's select contraction emits its
+    ``_build_operators``); ``weights`` are the block's (T, T) query, key
+    and value projections. Each projection's select contraction emits its
     modes as (2S, D, B, N), which reads as (S, 2D, B, N) without a copy, so
     every complex product is one op. The scores, the softmax over keys and
     the value mix run over rows of length B*N; the rebuild contracts the
     mixed modes back to (B, N, T, D)."""
     select_q, select_kv, rebuild = kernels
+    w_q, w_k, w_v = weights
     b, n, _, d = trend.shape
 
-    def project(name, part, select):
-        modes = ad.contract("ij,bnjd->idbn", select,
-                            ad.relu(ad.time_mix(params[name], part)))
+    def project(weight, part, select):
+        modes = ad.contract("ij,bnjd->idbn", select, ad.relu(ad.time_mix(weight, part)))
         return ad.reshape(modes, (-1, 2 * d, b, n))
 
-    q = project(f"{prefix}.attn_q", trend, select_q)
-    k = project(f"{prefix}.attn_k", seasonal, select_kv)
-    v = project(f"{prefix}.attn_v", seasonal, select_kv)
+    q = project(w_q, trend, select_q)
+    k = project(w_k, seasonal, select_kv)
+    v = project(w_v, seasonal, select_kv)
     attn = ad.softmax_last(ad.node_scores(q, k))
     out = ad.reshape(ad.node_apply(attn, v), (-1, d, b, n))
     return ad.add(trend, ad.contract("ij,jdbn->bnid", rebuild, out))
@@ -523,9 +540,117 @@ def require_finite_windows(x: np.ndarray) -> None:
         raise DataError(f"window {window}, node {node} holds a non-finite value")
 
 
+@dataclass(frozen=True)
+class _Binding:
+    """Every block's operators, bound from one set of parameters.
+
+    ``params`` is the mapping they were bound from; ``made_from`` matches
+    it to a caller's parameters by identity. ``blocks`` holds per block
+    (graph, temporal, attention):
+    - graph: G = sum_k theta_k P_k(M) as (D|1, N, N); with learned
+      adjacency M depends on the window stack, so this is theta itself;
+    - temporal: the linear stages' (N|1, D|1, T, T) operator F C (or F or
+      C alone), None when no linear stage runs;
+    - attention: (A, (W_q, W_k, W_v), kernels) of the attention fine
+      stage, else None.
+    """
+
+    params: dict
+    blocks: tuple
+
+    def made_from(self, params: dict) -> bool:
+        return (params.keys() == self.params.keys()
+                and all(params[name] is value for name, value in self.params.items()))
+
+
+def _bind(params: dict, ops: _Operators, config: ModelConfig) -> _Binding:
+    """Each block's graph filter and temporal operator from ``params``: the
+    parameter-sized half of the forward pass, which no window stack enters."""
+    attention = config.use_fine and config.attention_enabled
+    trend = (moving_average_matrix(config.lookback, config.decomp_window)
+             if attention else None)
+    blocks = []
+    for m, (coarse, fine) in enumerate(ops.blocks):
+        prefix = f"block{m}"
+        theta = params[f"{prefix}.theta"]
+        graph = theta if ops.graph is None else ad.contract("kd,kij->dij", theta, ops.graph)
+        temporal = None if coarse is None else _stage_operator(
+            params, f"{prefix}.coarse", coarse)
+        if fine is not None and not attention:
+            fine_op = ad.add(ops.trend, _stage_operator(params, f"{prefix}.fine", fine))
+            temporal = fine_op if temporal is None else ad.contract(
+                "ndpr,ndrq->ndpq", fine_op, temporal)
+        mix = None
+        if attention:
+            mix = (trend, tuple(params[f"{prefix}.attn_{tag}"] for tag in "qkv"), fine)
+        blocks.append((graph, temporal, mix))
+    return _Binding(dict(params), tuple(blocks))
+
+
+def _binding(params: dict, state: ModelState, config: ModelConfig) -> _Binding:
+    """The binding of ``params``: the one ``state.cache`` holds when it was
+    made from these very arrays (see ``_bound_state``), else a new one."""
+    bound = state.cache.get((_Binding, config))
+    if bound is not None and bound.made_from(params):
+        return bound
+    return _bind(params, _operators(state, config), config)
+
+
+def _bound_state(state: ModelState, config: ModelConfig) -> ModelState:
+    """A copy of ``state`` for forwards under unchanged parameters.
+
+    The copy shares the state's params and its operators, so the
+    (K+1, N, N) stack is not rebuilt, and its own cache also holds the
+    binding of the current ``state.params``, which its forwards reuse. The
+    binding is matched to the arrays by identity, and an in-place update
+    keeps the identity, so drop the copy before any parameter changes; the
+    state's own cache never holds a binding.
+    """
+    ops = _operators(state, config)
+    return dataclasses.replace(state, cache={
+        config: ops, (_Binding, config): _bind(state.params, ops, config)})
+
+
+def _apply(binding: _Binding, x: np.ndarray, config: ModelConfig, blocks,
+           residual: bool):
+    """Forward ``x`` through ``blocks`` (block indices) with bound operators.
+
+    Each block applies its graph filter G with one ``graph_mix``, a relu in
+    the nonlinear variant, its temporal operator with one ``time_mix``, and
+    then the attention fine stage when it has one.
+    """
+    b, n, _, _ = x.shape
+    learned_mode = config.adjacency_mode == "learned"
+    if learned_mode:
+        rec = config.recurrence()
+        learned = ad.reshape(_learned_operators(binding.params, x, config), (b, 1, n, n))
+    z = x
+    for m in blocks:
+        graph, temporal, attention = binding.blocks[m]
+        if learned_mode:
+            # A per-sample operator: the stack runs on the signal, which
+            # costs B K N^2 T D against B K N^3 for a per-sample G.
+            terms = polynomial_stack(rec, z, lambda v: ad.graph_mix(learned, v),
+                                     ad.mul, ad.add, ad.sub)
+            mixed = ad.contract("kd,kbntd->bntd", graph, ad.stack(terms))
+        else:
+            mixed = ad.graph_mix(graph, z)
+        if config.relu_enabled:
+            mixed = ad.relu(mixed)
+        if temporal is not None:
+            mixed = ad.time_mix(temporal, mixed)
+        if attention is not None:
+            trend_matrix, weights, kernels = attention
+            trend = ad.time_mix(trend_matrix, mixed)
+            mixed = _attention_stage(trend, ad.sub(mixed, trend), weights, kernels)
+        z = ad.add(mixed, z) if residual else mixed
+    return z
+
+
 def _representation(params: dict, x: np.ndarray, state: ModelState,
                     config: ModelConfig, blocks, residual: bool):
-    """Forward through ``blocks`` (block indices) of the model.
+    """Forward through ``blocks`` (block indices) of the model: bind
+    ``params`` (see ``_binding``), then apply the binding to ``x``.
 
     Each block applies one graph filter G = sum_k theta_k P_k(M) and then
     one real T x T temporal operator per variable and dimension, the fine
@@ -533,7 +658,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
     C = Re(R W^T S); the nonlinear variant puts a relu after G and runs the
     attention fine stage after C instead of F.
     """
-    b, n, t, d = x.shape
+    _, n, t, d = x.shape
     if t != config.lookback or d != config.n_dims:
         raise ShapeError(f"window shape {x.shape[1:]} does not match config "
                          f"(N, {config.lookback}, {config.n_dims})")
@@ -541,42 +666,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
         raise ShapeError(f"window has {n} variables but the model state was "
                          f"built for {state.n_nodes}")
     require_finite_windows(x)
-    ops = _operators(state, config)
-    if config.adjacency_mode == "learned":
-        rec = config.recurrence()
-        learned = ad.reshape(_learned_operators(params, x, config), (b, 1, n, n))
-    attention = config.use_fine and config.attention_enabled
-    trend_matrix = moving_average_matrix(t, config.decomp_window) if attention else None
-
-    z = x
-    for m in blocks:
-        prefix = f"block{m}"
-        theta = params[f"{prefix}.theta"]
-        if ops.graph is None:
-            # A per-sample operator: the stack runs on the signal, which
-            # costs B K N^2 T D against B K N^3 for a per-sample G.
-            terms = polynomial_stack(rec, z, lambda v: ad.graph_mix(learned, v),
-                                     ad.mul, ad.add, ad.sub)
-            mixed = ad.contract("kd,kbntd->bntd", theta, ad.stack(terms))
-        else:
-            mixed = ad.graph_mix(ad.contract("kd,kij->dij", theta, ops.graph), z)
-        if config.relu_enabled:
-            mixed = ad.relu(mixed)
-
-        coarse, fine = ops.blocks[m]
-        operator = None if coarse is None else _stage_operator(
-            params, f"{prefix}.coarse", coarse)
-        if fine is not None and not attention:
-            fine_op = ad.add(ops.trend, _stage_operator(params, f"{prefix}.fine", fine))
-            operator = fine_op if operator is None else ad.contract(
-                "ndpr,ndrq->ndpq", fine_op, operator)
-        if operator is not None:
-            mixed = ad.time_mix(operator, mixed)
-        if attention:
-            trend = ad.time_mix(trend_matrix, mixed)
-            mixed = _attention_stage(trend, ad.sub(mixed, trend), params, prefix, fine)
-        z = ad.add(mixed, z) if residual else mixed
-    return z
+    return _apply(_binding(params, state, config), x, config, blocks, residual)
 
 
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
@@ -631,6 +721,10 @@ def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
 def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
                block: int = 0) -> np.ndarray:
     """Run a single block (no residual, no head) on an (N, T, D) window."""
+    if (isinstance(block, bool) or not isinstance(block, numbers.Integral)
+            or not 0 <= block < config.blocks):
+        raise ParameterError(f"block must be an integer in [0, {config.blocks}), "
+                             f"got {block!r}")
     arr, squeeze = _promote(x)
     rep = _representation(state.params, arr, state, config, (block,), residual=False)
     return rep[0] if squeeze else rep

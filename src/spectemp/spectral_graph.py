@@ -177,8 +177,16 @@ def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.ndim != 2 or lap.shape[0] != lap.shape[1]:
         raise ShapeError(f"laplacian must be square, got {lap.shape}")
-    if not np.allclose(lap, lap.T, atol=1e-10):
-        raise ShapeError("laplacian must be symmetric")
+    # eigh reads only the lower triangle, so an asymmetric input would be
+    # decomposed as another matrix. The tolerance is absolute; a non-finite
+    # entry makes the difference NaN or inf, which fails it too.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(lap - lap.T)
+    if lap.size and not asymmetry.max() <= 1e-10:
+        if not np.isfinite(lap).all():
+            raise ParameterError("laplacian contains non-finite entries")
+        raise ShapeError(f"laplacian must be symmetric to 1e-10, but |L - L^T| "
+                         f"reaches {asymmetry.max():.3g}")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -212,16 +213,31 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
 def predict(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
             stats: NormStats | None = None,
             chunk: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Forecasts of a window set and its targets, forwarding at most
-    ``chunk`` windows at a time; with ``stats``, both on the raw scale."""
+    """Forecasts of a window set and its targets; with ``stats``, both on
+    the raw scale.
+
+    The inputs are checked for non-finite values once, so an error names
+    the window's index in ``windows``. The set then goes through
+    ``model_core.forward`` at most ``chunk`` windows at a time. The
+    parameters are bound to each block's graph and temporal operators once
+    per call, on a copy of ``state`` that lives only for the call, and
+    every chunk applies that binding, so a chunk costs only the operators'
+    application. Each chunk's forecast is bitwise that of ``forward`` on
+    the chunk alone; matmul rounds by the column count, so other chunk
+    sizes can differ in the last bits.
+    """
+    if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral):
+        raise ParameterError(f"chunk must be an integer, got {chunk!r}")
     if chunk < 1:
         raise ParameterError(f"chunk must be >= 1, got {chunk}")
     if windows.count == 0:
         raise DataError("cannot evaluate on an empty window set")
     mc.require_finite_windows(windows.inputs)
-    predicted = np.concatenate([
-        mc.forward(windows.inputs[start:start + chunk], state, config)
-        for start in range(0, windows.count, chunk)])
+    bound = mc._bound_state(state, config)
+    predicted = np.empty((windows.count, state.n_nodes, config.horizon, config.n_dims))
+    for start in range(0, windows.count, chunk):
+        predicted[start:start + chunk] = mc.forward(windows.inputs[start:start + chunk],
+                                                    bound, config)
     actual = windows.targets
     if stats is not None:
         predicted = denormalize(predicted, stats)

@@ -9,6 +9,7 @@ from spectemp import autodiff as ad
 from spectemp import experiments as ex
 from spectemp import model_core as mc
 from spectemp import training as tr
+from spectemp.dataio import WindowSet
 
 
 def numeric_gradients(fn, arrays, h=1e-6):
@@ -345,6 +346,7 @@ def test_contractions_lists_every_spec_the_model_runs(monkeypatch, overrides):
     x, y = bundle.train_windows.inputs[:4], bundle.train_windows.targets[:4]
     tr.gradients(state, (x, y), config)
     mc.forward(x, state, config)
+    tr.predict(state, config, WindowSet(x, y, np.arange(4)), chunk=3)
     assert ran and ran <= listed, sorted(ran - listed)
 
 

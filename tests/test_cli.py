@@ -68,6 +68,10 @@ def test_train_writes_expected_outputs(tmp_path, capsys):
     assert manifest["seed"] == 0
     assert manifest["effective_config"]["model"]["degree"] == 2
     assert any(p.endswith("checkpoint.stck") for p in manifest["outputs"])
+    env = manifest["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "cores", "wall_s"}
+    assert env["numpy"] == np.__version__ and set(env["blas"]) == {"name", "version"}
+    assert env["cores"] >= 1 and env["wall_s"] > 0
 
     rows = read_rows(out / "history.csv")
     assert rows[0] == ["epoch", "train_loss", "val_mae", "val_rmse", "seconds"]

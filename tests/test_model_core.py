@@ -266,6 +266,14 @@ def test_identity_initialized_block_is_near_identity():
     assert np.linalg.norm(z - x) / np.linalg.norm(x) < 0.05
 
 
+@pytest.mark.parametrize("block", [2, 5, -1, True, 1.0, "0"])
+def test_tggc_block_rejects_a_block_outside_the_model(block):
+    state, config = small_state(seed=3)
+    x = batch_input(4, 1, 5, 8, 2)[0]
+    with pytest.raises(ParameterError, match=r"block must be an integer in \[0, 2\)"):
+        mc.tggc_block(x, state, config, block=block)
+
+
 def test_linear_variant_superposition():
     state, config = small_state(seed=12)
     x1 = batch_input(13, 3, 5, 8, 2)

@@ -78,6 +78,28 @@ def test_eigendecompose_zero_matrix_identity_convention():
     assert np.allclose(spectrum.eigenvectors, np.eye(3))
 
 
+def test_eigendecompose_rejects_asymmetry_beyond_1e_10_absolute():
+    # eigh reads only the lower triangle: -0.500004 would give eigenvalues
+    # 0.499996 and 1.500004, where the matrix's own are 0.499998 and 1.500002
+    lap = np.array([[1.0, -0.5], [-0.500004, 1.0]])
+    with pytest.raises(ShapeError, match="symmetric"):
+        eigendecompose(lap)
+    lap[1, 0] = -0.5 - 2e-10
+    with pytest.raises(ShapeError, match="symmetric"):
+        eigendecompose(lap)
+    lap[1, 0] = -0.5 - 5e-11
+    assert np.allclose(eigendecompose(lap).eigenvalues, [0.5, 1.5], atol=1e-10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 2), (2, 0)])
+def test_eigendecompose_names_a_non_finite_entry(bad, where):
+    lap = np.eye(3)
+    lap[where] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        eigendecompose(lap)
+
+
 def test_eigendecompose_reconstruction_and_orthonormality():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((8, 8))

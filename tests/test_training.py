@@ -3,6 +3,7 @@ the adaptive-moment update rule, early stopping, evaluation metrics, and
 the allocator thresholds that keep training steps from faulting."""
 
 import csv
+import dataclasses
 import resource
 import sys
 
@@ -521,6 +522,87 @@ def test_predict_and_evaluate_reject_a_chunk_below_one(monkeypatch, chunk):
         with pytest.raises(ParameterError, match="chunk must be >= 1"):
             run(state, config, windows, chunk=chunk)
     assert not forwards
+
+
+@pytest.mark.parametrize("chunk", [2.5, 3.0, True, "4", None])
+def test_predict_and_evaluate_reject_a_chunk_that_is_not_an_integer(monkeypatch, chunk):
+    config = tiny_config()
+    state = tiny_state(config, seed=21)
+    windows = random_windows(22, 5, 3, 8, 2, 1)
+    forwards = []
+    monkeypatch.setattr(mc, "forward", lambda *args: forwards.append(args))
+    for run in (tr.predict, tr.evaluate):
+        with pytest.raises(ParameterError, match="chunk must be an integer"):
+            run(state, config, windows, chunk=chunk)
+    assert not forwards
+
+
+def test_predict_takes_a_numpy_integer_chunk():
+    config = tiny_config()
+    state = tiny_state(config, seed=23)
+    windows = random_windows(24, 5, 3, 8, 2, 1)
+    assert np.array_equal(tr.predict(state, config, windows, chunk=np.int64(2))[0],
+                          tr.predict(state, config, windows, chunk=2)[0])
+
+
+def _race_model(**overrides):
+    task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
+    bundle = ex.prepare_synth(task, 0)
+    config = ex.task_model_config(task, **overrides)
+    adjacency = None if config.adjacency_mode == "learned" else bundle.adjacency
+    state = mc.init_state(config, task.n_nodes, rng=3, adjacency=adjacency)
+    test = bundle.test_windows
+    return state, config, WindowSet(test.inputs[:40], test.targets[:40], test.origins[:40])
+
+
+@pytest.mark.parametrize("variant", ["linear", "nonlinear"])
+@pytest.mark.parametrize("adjacency_mode", ["pearson", "provided", "learned"])
+def test_predict_equals_forwarding_each_chunk(variant, adjacency_mode):
+    state, config, windows = _race_model(variant=variant, adjacency_mode=adjacency_mode)
+    x = windows.inputs
+    whole = mc.forward(x, state, config)
+    for chunk in (1, 7, 16, 256):
+        predicted, _ = tr.predict(state, config, windows, chunk=chunk)
+        # the binding changes no bit of any chunk's forecast
+        each = np.concatenate([mc.forward(x[start:start + chunk], state, config)
+                               for start in range(0, len(x), chunk)])
+        assert predicted.tobytes() == each.tobytes(), chunk
+        # matmul rounds by its column count, so only one chunk is bitwise whole
+        if chunk >= len(x):
+            assert predicted.tobytes() == whole.tobytes()
+        else:
+            assert np.abs(predicted - whole).max() <= 1e-13 * np.abs(whole).max()
+    assert list(state.cache) == [config]
+
+
+def test_evaluate_binds_again_after_a_parameter_changes_in_place():
+    state, config, windows = _race_model()
+    tr.evaluate(state, config, windows, chunk=16)
+    state.params["block0.theta"][1] += 0.25     # in place, as Adam updates
+    state.params["block1.coarse_re"] *= 0.5
+    predicted, _ = tr.predict(state, config, windows, chunk=16)
+    fresh = dataclasses.replace(
+        state, params={name: value.copy() for name, value in state.params.items()},
+        cache={})
+    want = np.concatenate([mc.forward(windows.inputs[start:start + 16], fresh, config)
+                           for start in range(0, windows.count, 16)])
+    assert predicted.tobytes() == want.tobytes()
+    assert tr.evaluate(state, config, windows, chunk=16) == dataio.forecast_errors(
+        want, windows.targets)
+
+
+def test_evaluate_builds_each_blocks_operators_once(monkeypatch):
+    state, config, windows = _race_model()
+    windows = WindowSet(np.concatenate([windows.inputs] * 2)[:48],
+                        np.concatenate([windows.targets] * 2)[:48], np.arange(48))
+    specs = []
+    contract = ad.contract
+    monkeypatch.setattr(ad, "contract",
+                        lambda spec, a, b: specs.append(spec) or contract(spec, a, b))
+    tr.evaluate(state, config, windows, chunk=16)
+    assert specs.count("kd,kij->dij") == config.blocks
+    assert specs.count("zndij,zijpq->ndpq") == 2 * config.blocks
+    assert specs.count("dij,bjtd->bitd") == 3 * config.blocks
 
 
 def _windows_with_nan(count, at):
