@@ -41,13 +41,17 @@ What is derived when:
   composed temporal operator F C, and for attention its weights and
   kernels. No window stack enters a bind. With learned adjacency G stays
   theta, since M comes from the windows.
-- Per window stack (``_apply``): the learned adjacency's M and every
-  product with the signal.
+- Per window stack (``_representation``): the learned adjacency's M and
+  every product with the signal.
 
-A forward pass is a bind, then an apply. ``forward`` binds on each call
-and ``training.gradients`` once per step, on its tape leaves.
-``training.predict`` binds once per call, on a copy of the state made by
-``_bound_state``, and applies that binding to each chunk.
+A forward pass binds its parameters, then applies the bound operators. A
+``_Binding`` is the parameter mapping itself, with the blocks' operators
+beside the arrays, and a forward given one applies it without binding
+again. ``forward`` binds the state's plain dict on each call, and
+``training.gradients`` binds once per step, on its tape leaves.
+``training.predict`` binds once per call, on a copy of the state whose
+params ``_bound_state`` has bound, and every chunk's ``forward`` applies
+that binding.
 
 The forward pass is written against the tape ops in `autodiff`, so the
 same code serves inference and training. Inference runs it on the
@@ -540,13 +544,11 @@ def require_finite_windows(x: np.ndarray) -> None:
         raise DataError(f"window {window}, node {node} holds a non-finite value")
 
 
-@dataclass(frozen=True)
-class _Binding:
-    """Every block's operators, bound from one set of parameters.
+class _Binding(dict):
+    """The parameters a forward pass reads, with every block's operators
+    bound from them.
 
-    ``params`` is the mapping they were bound from; ``made_from`` matches
-    it to a caller's parameters by identity. ``blocks`` holds per block
-    (graph, temporal, attention):
+    ``blocks`` holds per block (graph, temporal, attention):
     - graph: G = sum_k theta_k P_k(M) as (D|1, N, N); with learned
       adjacency M depends on the window stack, so this is theta itself;
     - temporal: the linear stages' (N|1, D|1, T, T) operator F C (or F or
@@ -555,17 +557,15 @@ class _Binding:
       stage, else None.
     """
 
-    params: dict
-    blocks: tuple
-
-    def made_from(self, params: dict) -> bool:
-        return (params.keys() == self.params.keys()
-                and all(params[name] is value for name, value in self.params.items()))
+    def __init__(self, params: dict, blocks: tuple):
+        super().__init__(params)
+        self.blocks = blocks
 
 
-def _bind(params: dict, ops: _Operators, config: ModelConfig) -> _Binding:
+def _bind(params: dict, state: ModelState, config: ModelConfig) -> _Binding:
     """Each block's graph filter and temporal operator from ``params``: the
     parameter-sized half of the forward pass, which no window stack enters."""
+    ops = _operators(state, config)
     attention = config.use_fine and config.attention_enabled
     trend = (moving_average_matrix(config.lookback, config.decomp_window)
              if attention else None)
@@ -584,49 +584,51 @@ def _bind(params: dict, ops: _Operators, config: ModelConfig) -> _Binding:
         if attention:
             mix = (trend, tuple(params[f"{prefix}.attn_{tag}"] for tag in "qkv"), fine)
         blocks.append((graph, temporal, mix))
-    return _Binding(dict(params), tuple(blocks))
-
-
-def _binding(params: dict, state: ModelState, config: ModelConfig) -> _Binding:
-    """The binding of ``params``: the one ``state.cache`` holds when it was
-    made from these very arrays (see ``_bound_state``), else a new one."""
-    bound = state.cache.get((_Binding, config))
-    if bound is not None and bound.made_from(params):
-        return bound
-    return _bind(params, _operators(state, config), config)
+    return _Binding(params, tuple(blocks))
 
 
 def _bound_state(state: ModelState, config: ModelConfig) -> ModelState:
-    """A copy of ``state`` for forwards under unchanged parameters.
+    """A copy of ``state`` whose params are bound once, for forwards under
+    unchanged parameters.
 
-    The copy shares the state's params and its operators, so the
-    (K+1, N, N) stack is not rebuilt, and its own cache also holds the
-    binding of the current ``state.params``, which its forwards reuse. The
-    binding is matched to the arrays by identity, and an in-place update
-    keeps the identity, so drop the copy before any parameter changes; the
-    state's own cache never holds a binding.
+    The copy's params are a ``_Binding`` of the state's arrays, which every
+    forward on the copy applies as it is, and it shares the state's cache,
+    so the (K+1, N, N) stack is not rebuilt. An in-place update of a
+    parameter does not reach the bound operators, so drop the copy before
+    any parameter changes. The state itself is left as it was.
     """
-    ops = _operators(state, config)
-    return dataclasses.replace(state, cache={
-        config: ops, (_Binding, config): _bind(state.params, ops, config)})
+    return dataclasses.replace(state, params=_bind(state.params, state, config))
 
 
-def _apply(binding: _Binding, x: np.ndarray, config: ModelConfig, blocks,
-           residual: bool):
-    """Forward ``x`` through ``blocks`` (block indices) with bound operators.
+def _representation(params: dict, x: np.ndarray, state: ModelState,
+                    config: ModelConfig, blocks, residual: bool):
+    """Forward ``x`` through ``blocks`` (block indices) of the model with
+    ``params`` bound (see ``_bind``), unless they already are.
 
-    Each block applies its graph filter G with one ``graph_mix``, a relu in
-    the nonlinear variant, its temporal operator with one ``time_mix``, and
-    then the attention fine stage when it has one.
+    Each block applies its graph filter G = sum_k theta_k P_k(M) with one
+    ``graph_mix``, a relu in the nonlinear variant, and then its real
+    T x T temporal operator per variable and dimension with one
+    ``time_mix``: the fine stage's F = A + Re(R' W'^T S')(I - A) times the
+    coarse stage's C = Re(R W^T S). The nonlinear variant runs the
+    attention fine stage after C instead of F.
     """
-    b, n, _, _ = x.shape
+    b, n, t, d = x.shape
+    if t != config.lookback or d != config.n_dims:
+        raise ShapeError(f"window shape {x.shape[1:]} does not match config "
+                         f"(N, {config.lookback}, {config.n_dims})")
+    if n != state.n_nodes:
+        raise ShapeError(f"window has {n} variables but the model state was "
+                         f"built for {state.n_nodes}")
+    require_finite_windows(x)
+    if not isinstance(params, _Binding):
+        params = _bind(params, state, config)
     learned_mode = config.adjacency_mode == "learned"
     if learned_mode:
         rec = config.recurrence()
-        learned = ad.reshape(_learned_operators(binding.params, x, config), (b, 1, n, n))
+        learned = ad.reshape(_learned_operators(params, x, config), (b, 1, n, n))
     z = x
     for m in blocks:
-        graph, temporal, attention = binding.blocks[m]
+        graph, temporal, attention = params.blocks[m]
         if learned_mode:
             # A per-sample operator: the stack runs on the signal, which
             # costs B K N^2 T D against B K N^3 for a per-sample G.
@@ -645,28 +647,6 @@ def _apply(binding: _Binding, x: np.ndarray, config: ModelConfig, blocks,
             mixed = _attention_stage(trend, ad.sub(mixed, trend), weights, kernels)
         z = ad.add(mixed, z) if residual else mixed
     return z
-
-
-def _representation(params: dict, x: np.ndarray, state: ModelState,
-                    config: ModelConfig, blocks, residual: bool):
-    """Forward through ``blocks`` (block indices) of the model: bind
-    ``params`` (see ``_binding``), then apply the binding to ``x``.
-
-    Each block applies one graph filter G = sum_k theta_k P_k(M) and then
-    one real T x T temporal operator per variable and dimension, the fine
-    stage's F = A + Re(R' W'^T S')(I - A) times the coarse stage's
-    C = Re(R W^T S); the nonlinear variant puts a relu after G and runs the
-    attention fine stage after C instead of F.
-    """
-    _, n, t, d = x.shape
-    if t != config.lookback or d != config.n_dims:
-        raise ShapeError(f"window shape {x.shape[1:]} does not match config "
-                         f"(N, {config.lookback}, {config.n_dims})")
-    if n != state.n_nodes:
-        raise ShapeError(f"window has {n} variables but the model state was "
-                         f"built for {state.n_nodes}")
-    require_finite_windows(x)
-    return _apply(_binding(params, state, config), x, config, blocks, residual)
 
 
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
@@ -823,10 +803,13 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
                             .decode("utf-8"))
     except ValueError as exc:
         raise malformed(f"header is not JSON ({exc})") from exc
-    missing = [key for key in ("config", "n_nodes", "arrays")
+    missing = [key for key in ("format_version", "config", "n_nodes", "arrays")
                if not isinstance(header, dict) or key not in header]
     if missing:
         raise malformed(f"header lacks {missing}")
+    if not (_is_count(header["format_version"]) and header["format_version"] == version):
+        raise malformed(f"header format_version {header['format_version']!r} differs "
+                        f"from the preamble's version {version}")
     if not isinstance(header["arrays"], list):
         raise malformed("the array directory must be a list")
     try:
@@ -880,6 +863,9 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     if not (isinstance(frozen, list) and all(isinstance(f, str) for f in frozen)):
         raise malformed("frozen must list parameter names")
     params = {k: v for k, v in arrays.items() if not k.startswith("meta.")}
+    unknown = sorted(set(frozen) - set(params))
+    if unknown:
+        raise malformed(f"frozen names no parameter: {unknown}")
     mode_sets = []
     for m in range(config.blocks):
         stages = []

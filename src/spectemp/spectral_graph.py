@@ -83,7 +83,7 @@ class Adjacency:
             raise ParameterError("adjacency contains non-finite entries")
         if np.any(m < 0):
             raise ParameterError("adjacency entries must be nonnegative")
-        if not np.allclose(m, m.T, atol=1e-12):
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
             raise ParameterError("adjacency must be symmetric")
         if np.any(np.abs(np.diag(m)) > 0):
             raise ParameterError("adjacency diagonal must be zero")

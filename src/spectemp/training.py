@@ -220,9 +220,10 @@ def predict(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
     the window's index in ``windows``. The set then goes through
     ``model_core.forward`` at most ``chunk`` windows at a time. The
     parameters are bound to each block's graph and temporal operators once
-    per call, on a copy of ``state`` that lives only for the call, and
-    every chunk applies that binding, so a chunk costs only the operators'
-    application. Each chunk's forecast is bitwise that of ``forward`` on
+    per call: a copy of ``state`` that lives only for the call holds the
+    binding as its params, and every chunk's forward applies it, so a
+    chunk costs only the operators' application. ``state`` itself keeps
+    its params and its cache as they were. Each chunk's forecast is bitwise that of ``forward`` on
     the chunk alone; matmul rounds by the column count, so other chunk
     sizes can differ in the last bits.
     """

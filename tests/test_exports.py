@@ -64,3 +64,51 @@ def test_unused_import_scan_flags_only_unread_names():
     path.name if path in SOURCES else str(path.relative_to(ROOT))))
 def test_package_modules_have_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> dict:
+    """Module-level private names a source binds, as name -> line: the
+    functions, classes and plain assignments whose names start with one
+    underscore."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Every name a source reads: loaded names, attribute names (as in
+    ``mc._promote``) and names imported from another module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_name_scan_flags_only_unread_names():
+    source = ("_LIMIT = 3\n_spare: int = 4\n__version__ = '1'\n"
+              "def _used():\n    return _LIMIT\n"
+              "def _stale():\n    return _used()\n"
+              "class _Old:\n    _inner = 1\n")
+    names = private_names(source)
+    assert names == {"_LIMIT": 1, "_spare": 2, "_used": 4, "_stale": 6, "_Old": 8}
+    assert sorted(set(names) - names_read(source)) == ["_Old", "_spare", "_stale"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    """A private helper nothing in the package reads is a leftover: delete it."""
+    sources = {path: path.read_text(encoding="utf-8") for path in SOURCES}
+    read = set().union(*map(names_read, sources.values()))
+    unread = [f"{path.name}: {name} (line {line})" for path, source in sources.items()
+              for name, line in private_names(source).items() if name not in read]
+    assert unread == []

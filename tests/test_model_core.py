@@ -745,6 +745,12 @@ CORRUPTIONS = {
         raw, lambda h: (h["config"].update(horizon=0),
                         _entry(h, "head.weight").update(
                             shape=[_entry(h, "head.weight")["shape"][0], 0], count=0))),
+    "header version disagrees with the preamble": lambda raw: _rewrite_header(
+        raw, lambda h: h.update(format_version=2)),
+    "header lacks a version": lambda raw: _rewrite_header(
+        raw, lambda h: h.pop("format_version")),
+    "frozen names no parameter": lambda raw: _rewrite_header(
+        raw, lambda h: h.update(frozen=["block0.theta", "block9.theta"])),
     # the next double above a_hat[0, 0] = 1 - L[0, 0] = 0 on the ring
     "a_hat is not I - L": lambda raw: _poke(raw, "meta.a_hat", 5e-324),
 }

@@ -1,5 +1,6 @@
 """Property tests: permutation equivariance of the forecaster, relabelling
-invariance of the temporal WL test and its color counts, checkpoint round
+invariance of the temporal WL test and its color counts, the temporal
+1-WL bound on what the forecaster can distinguish, checkpoint round
 trips, and fuzzing of checkpoint bytes, ``.dtdg`` text, CSV bytes and
 config sections.
 
@@ -24,7 +25,8 @@ from spectemp.config import read_section
 from spectemp.dataio import load_csv
 from spectemp.errors import ConfigError, DataError, SpectempError
 from spectemp.experiments import BASIS_ORDER
-from spectemp.temporal_wl import DTDG, init_colors, parse_dtdg, refine_step, wl_test
+from spectemp.temporal_wl import (DTDG, init_colors, parse_dtdg, refine_step,
+                                  refine_to_stable, wl_test)
 from spectemp.training import TrainConfig
 
 PROPERTY = settings(derandomize=True, max_examples=12, deadline=None)
@@ -127,6 +129,68 @@ def test_color_counts_match_a_recount(graphs):
             pairs = np.stack([state.colors.ravel(), colors.ravel()])
             assert (np.unique(pairs, axis=1).shape[1] == state.n_colors
                     == len(np.unique(colors)))
+
+
+# ---------------------------------------------------------------------------
+# the expressivity bound: the model separates no more than temporal 1-WL
+# ---------------------------------------------------------------------------
+
+LIFT_STEPS = 8
+
+
+@st.composite
+def two_lift(draw):
+    """A random 2-lift of a fixed-topology DTDG: node i of the base graph
+    has copies i and i + n, each base edge is kept straight (u-v, u'-v')
+    or crossed (u-v', u'-v), and both copies carry the base node's
+    features. Base nodes draw their features from three profiles, so WL
+    classes can also merge nodes of different fibers."""
+    n = draw(st.integers(3, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    edges = []
+    for u, v in base:
+        crossed = draw(st.booleans())
+        edges += [(u, v + crossed * n), (u + n, v + (not crossed) * n)]
+    profiles = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    dims = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 16))
+    features = np.random.default_rng(seed).standard_normal((3, LIFT_STEPS, dims))
+    features = np.tile(features[profiles], (2, 1, 1))
+    return DTDG(2 * n, (tuple(edges),) * LIFT_STEPS, features), seed
+
+
+@settings(PROPERTY, max_examples=10)
+@given(lift=two_lift())
+def test_forward_agrees_within_each_stable_wl_class(lift):
+    """Nodes in one stable end-time temporal 1-WL class get one forecast.
+    With the temporal filters shared across nodes, every basis, both
+    variants, and adjacency provided from the topology or learned, the
+    model distinguishes no pair of nodes that the refinement leaves
+    together: the first half of the paper's expressivity theorem."""
+    graph, seed = lift
+    classes = refine_to_stable(graph).colors[:, -1]
+    adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
+    for u, v in graph.edges[0]:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    x = graph.features[None]
+    for basis in BASIS_ORDER:
+        for variant in ("linear", "nonlinear"):
+            for mode in ("provided", "learned"):
+                config = mc.ModelConfig(lookback=LIFT_STEPS, horizon=2,
+                                        n_dims=x.shape[-1], blocks=2, degree=3,
+                                        n_modes=4, basis=basis, variant=variant,
+                                        adjacency_mode=mode, share_filter_vars=True)
+                state = mc.init_state(config, graph.n_nodes, rng=seed,
+                                      adjacency=adjacency)
+                # away from the identity initialization, so each stage mixes
+                rng = np.random.default_rng(seed + 1)
+                for value in state.params.values():
+                    value += 0.3 * rng.standard_normal(value.shape)
+                out = mc.forward(x, state, config)[0]
+                spread = max(np.abs(out[classes == c] - out[classes == c][0]).max()
+                             for c in np.unique(classes))
+                assert spread <= 1e-12 * np.abs(out).max(), (basis, variant, mode)
 
 
 # ---------------------------------------------------------------------------

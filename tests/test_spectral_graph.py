@@ -39,6 +39,13 @@ def test_adjacency_rejects_bad_matrices():
         Adjacency(np.array([[1.0, 0.0], [0.0, 0.0]]))   # nonzero diagonal
 
 
+def test_adjacency_bounds_asymmetry_absolutely():
+    # |A - A^T| = 9e-6 sits inside a relative 1e-5 of the entries
+    with pytest.raises(ParameterError, match="symmetric"):
+        Adjacency(np.array([[0.0, 1.0, 0.5], [1.000009, 0.0, 0.2], [0.5, 0.2, 0.0]]))
+    Adjacency(np.array([[0.0, 3.0], [3.0 + 1e-13, 0.0]]))   # within 1e-12 absolute
+
+
 def test_laplacian_two_node_graph():
     lap = normalized_laplacian(Adjacency(np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert np.allclose(lap, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)

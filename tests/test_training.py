@@ -559,6 +559,7 @@ def _race_model(**overrides):
 @pytest.mark.parametrize("adjacency_mode", ["pearson", "provided", "learned"])
 def test_predict_equals_forwarding_each_chunk(variant, adjacency_mode):
     state, config, windows = _race_model(variant=variant, adjacency_mode=adjacency_mode)
+    params = state.params
     x = windows.inputs
     whole = mc.forward(x, state, config)
     for chunk in (1, 7, 16, 256):
@@ -572,7 +573,9 @@ def test_predict_equals_forwarding_each_chunk(variant, adjacency_mode):
             assert predicted.tobytes() == whole.tobytes()
         else:
             assert np.abs(predicted - whole).max() <= 1e-13 * np.abs(whole).max()
+    # the binding lived on predict's own copy of the state
     assert list(state.cache) == [config]
+    assert state.params is params and type(params) is dict
 
 
 def test_evaluate_binds_again_after_a_parameter_changes_in_place():
