@@ -15,26 +15,38 @@ block. Refinement colors every (node, time) cell:
   together are visited one after the other, so their colors are directly
   comparable.
 
-A round is one array relabel (the sorting-based 1-WL of Shervashidze et
-al. 2011). A cell's key is a row of digits: its own color, its color at
-t-1 (a digit for "none" at t = 0) and its neighbor colors sorted within
-the cell, each color shifted so that every digit lies in [1, radix) for
-a radix just above the state's color span. Cells of equal degree share
-one exact-width block of rows. Each run of digits that fits 62 bits is
-read as one int64; while a row needs more than one number, the
-numbers of all such rows are ranked jointly by one sort, and the ranks
-are the next level's digits, so a row of width w takes O(log w) levels.
-The rows that became one number are deduped by one argsort per level,
-across every block and every graph refined together: no digit is 0, so
-a number also tells how many digits it read, and rows of different
-widths never share a key. Colors are issued by counting, not looked up:
-every key of a round holds an own color issued in the round before, so
-no key can repeat an earlier round's, and a key's id is the number of
-ids issued so far plus the rank of its first cell among the round's
-distinct keys. A round holds O(cells + E) integers for E edges over all
-snapshots and costs O((cells + E)*log(cells + E)) array work whatever
-the degree spread. The same dedupe yields each state's color count, so
-no pass counts colors again.
+A round is an array relabel (the sorting-based 1-WL of Shervashidze et
+al. 2011) of the classes that can split. A cell's key is a row of
+digits: its own color, its color at t-1 (a digit for "none" at t = 0)
+and its neighbor colors sorted within the cell, each color shifted so
+that every digit lies in [1, radix) for a radix just above the state's
+color span. Cells of equal degree share one exact-width block of rows.
+Each run of digits that fits 62 bits is read as one int64; while a row
+needs more than one number, the numbers of all such rows are ranked
+jointly by one sort, and the ranks are the next level's digits, so a row
+of width w takes O(log w) levels. The rows that became one number are
+deduped by one argsort per level, across every block and every graph
+refined together: no digit is 0, so a number also tells how many digits
+it read, and rows of different widths never share a key. Each class is
+led by its first cell. Colors are issued by counting, not looked up: a
+class's id is the number of ids issued so far plus the rank of its
+leader among all leaders, and every key of a round holds an own color
+issued in the round before, so no id repeats an earlier round's.
+
+A class can split in a round only if one of its cells has a neighbor, or
+its cell at t-1, in a class that split in the round before; otherwise
+its cells see the classes they saw before, and their keys stay equal
+(the worklist of colour refinement; Berkholz, Bonsma and Grohe 2017). So
+a state from ``refine_step`` carries each cell's leader and which
+classes just split, and the next round on the same graphs keys only the
+cells of the classes those splits reach. Every other class keeps its
+cells and its leader, and the leaders' ranks give every cell its new id,
+so the colors are bitwise those of keying every cell. Other states, and
+rounds after one that split every class, key every cell. A round holds
+O(cells + E) integers for E edges over all snapshots. It makes O(cells +
+E) array passes, plus O((k + e)*log(k + e)) sorting for k keyed cells
+with e edge ends, whatever the degree spread. The same dedupe yields each
+state's color count, so no pass counts colors again.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -46,7 +58,7 @@ N*T rounds, which is the default cap.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -92,7 +104,7 @@ class _CellIndex(NamedTuple):
     """
 
     order: np.ndarray      # (cells,) the cells by degree, then by cell
-    slot: np.ndarray       # (2E,) slot of each edge end's owner, ascending
+    owner: np.ndarray      # (2E,) cell owning each edge end, by slot
     neighbour: np.ndarray  # (2E,) cell across that edge, same snapshot
     degrees: tuple         # (degree d, count) per run of ``order``, d ascending
 
@@ -103,10 +115,9 @@ def _cell_index(owner: np.ndarray, neighbour: np.ndarray, size: int) -> _CellInd
     order = np.argsort(degree, kind="stable")
     slot = np.empty(size, dtype=np.int64)
     slot[order] = np.arange(size)
-    owner_slot = slot[owner]
-    by_slot = np.argsort(owner_slot)
+    by_slot = np.argsort(slot[owner])
     degrees, counts = np.unique(degree, return_counts=True)
-    return _CellIndex(order, owner_slot[by_slot], neighbour[by_slot],
+    return _CellIndex(order, owner[by_slot], neighbour[by_slot],
                       tuple(zip(degrees.tolist(), counts.tolist())))
 
 
@@ -166,8 +177,14 @@ class DTDG:
         return _cell_index(ends.T.ravel(), ends[:, ::-1].T.ravel(), n * self.n_steps)
 
     def permuted(self, perm: np.ndarray) -> "DTDG":
-        """Relabel nodes by perm (node i becomes perm[i])."""
+        """Relabel nodes by perm (node i becomes perm[i]), a permutation of
+        range(N) as integers."""
         perm = np.asarray(perm)
+        if (perm.shape != (self.n_nodes,) or not np.issubdtype(perm.dtype, np.integer)
+                or not np.array_equal(np.sort(perm), np.arange(self.n_nodes))):
+            raise ParameterError(
+                f"a node relabelling must be a permutation of range({self.n_nodes}),"
+                f" got {perm.tolist()!r}")
         edges = tuple(tuple((int(perm[u]), int(perm[v])) for u, v in snap)
                       for snap in self.edges)
         feats = None
@@ -177,6 +194,15 @@ class DTDG:
         return DTDG(self.n_nodes, edges, feats)
 
 
+class _History(NamedTuple):
+    """What a round tells the next one about the state it made."""
+
+    graphs: tuple         # the graphs the round refined
+    colors: np.ndarray    # the colors it made, read-only
+    leader: np.ndarray    # (cells,) first cell of each cell's class, (graph, t, v) order
+    split: np.ndarray     # (cells,) True where the cell's class before the round split
+
+
 @dataclass
 class ColoringState:
     """Colors per (node, time) cell and the ids issued so far.
@@ -184,11 +210,21 @@ class ColoringState:
     ``colors`` is (N, T) for one graph and (G, N, T) for G graphs refined
     together; ``n_colors`` counts the distinct colors of the whole state.
     ``palette`` is ``range(issued)``: the next round's fresh ids follow it.
+
+    A state that ``refine_step`` returns also carries its round's history
+    (not an argument, not compared): each cell's class leader and the
+    cells whose class just split. Its colors are read-only, so the
+    history cannot fall out of step with them. The next round reads the
+    history only when it refines the same graph objects and the same
+    colors array. Any other state, such as one from ``init_colors``, one
+    built by hand or one passed with other graphs, has every cell keyed.
     """
 
     colors: np.ndarray
     n_colors: int
     palette: range = range(0)
+    _history: _History | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
 
 class _Graphs(tuple):
@@ -205,17 +241,26 @@ class _Graphs(tuple):
 
     @cached_property
     def cells(self) -> _CellIndex:
-        """The graphs' own cell indices side by side, built once."""
+        """The graphs' own cell indices merged one degree run at a time:
+        the cells of each degree, graph after graph, so the joint order
+        is by degree, then by (graph, t, v). Built once."""
         if len(self) == 1:
             return self[0]._cells
-        indices = [g._cells for g in self]
         span = self[0].n_nodes * self[0].n_steps
-        shifts = range(0, span * len(self), span)
-        return _cell_index(
-            np.concatenate([index.order[index.slot] + shift
-                            for index, shift in zip(indices, shifts)]),
-            np.concatenate([index.neighbour + shift for index, shift in zip(indices, shifts)]),
-            span * len(self))
+        runs = []  # (degree, graph, the run's cells, their ends' owners, neighbours)
+        for i, index in enumerate(g._cells for g in self):
+            start = end = 0
+            for degree, count in index.degrees:
+                ends = slice(end, end + count * degree)
+                runs.append((degree, i, index.order[start:start + count] + i * span,
+                             index.owner[ends] + i * span, index.neighbour[ends] + i * span))
+                start, end = start + count, end + count * degree
+        runs.sort(key=lambda run: run[:2])
+        degrees = {}
+        for degree, _, cells, _, _ in runs:
+            degrees[degree] = degrees.get(degree, 0) + cells.size
+        return _CellIndex(*(np.concatenate([run[k] for run in runs]) for k in (2, 3, 4)),
+                          tuple(degrees.items()))
 
 
 def _powers(radix: int) -> np.ndarray:
@@ -247,7 +292,16 @@ def _runs(values: np.ndarray) -> tuple:
 
 
 def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray, int]:
-    """Id of every cell and the number of distinct keys.
+    """Id of each of the ``size`` cells that ``groups`` cover, and the
+    number of distinct keys: ``_number`` after ``_lead``."""
+    leader = np.empty(size, dtype=np.int64)
+    _lead(groups, leader, radix)
+    return _number(leader, issued)
+
+
+def _lead(groups, leader: np.ndarray, radix: int) -> np.ndarray:
+    """Set ``leader`` at each cell of ``groups`` to the first cell of
+    ``groups`` holding its key, and return those first cells.
 
     ``groups`` holds (cells, rows) pairs: one key row per cell, all rows of
     a pair equally wide, every digit in [1, radix). Each level reads each
@@ -259,18 +313,10 @@ def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray,
     are ranked jointly, and rank + 1 are the next level's digits. Ranks
     stay below 2**31, two or more to a number, so each level after the
     first at least halves a row's width: a row of width w takes O(log w)
-    levels.
-
-    Each cell is led by the first cell holding its key. The leaders,
-    numbered in cell order, get the ids ``issued + rank``: the ids a
-    palette would issue visiting cells in order, as long as no key was
-    issued before. Every refinement key holds an own color issued in the
-    round before, so that holds for a state's next round. An id depends
-    only on where a key first occurs, not on how keys sort, so any
-    injective fold gives the same ids.
+    levels. A leader depends only on where a key first occurs, not on how
+    keys sort, so any injective fold gives the same leaders.
     """
-    leader = np.empty(size, dtype=np.int64)
-    leads = np.zeros(size, dtype=bool)
+    heads = [np.empty(0, dtype=np.int64)]
     while groups:
         powers = _powers(radix)
         folded = [(cells, _fold(rows, powers)) for cells, rows in groups]
@@ -279,8 +325,8 @@ def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray,
             order, starts, lengths = _runs(np.concatenate([k for _, k in done]).ravel())
             by_key = np.concatenate([c for c, _ in done])[order]
             first = np.minimum.reduceat(by_key, starts)
-            leads[first] = True
             leader[by_key] = np.repeat(first, lengths)
+            heads.append(first)
         groups = [(cells, keys) for cells, keys in folded if keys.shape[1] > 1]
         if groups:
             order, starts, lengths = _runs(np.concatenate([k.ravel() for _, k in groups]))
@@ -290,10 +336,19 @@ def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray,
             groups = [(cells, part.reshape(keys.shape))
                       for (cells, keys), part in zip(groups, np.split(digits, bounds))]
             radix = starts.size + 1
-    heads = np.flatnonzero(leads)
-    ids = np.empty(size, dtype=np.int64)
-    ids[heads] = np.arange(issued, issued + heads.size)
-    return ids[leader], heads.size
+    return np.concatenate(heads)
+
+
+def _number(leader: np.ndarray, issued: int) -> tuple[np.ndarray, int]:
+    """Id of every cell and the number of classes: the leaders, numbered
+    in cell order, get the ids ``issued + rank``. Those are the ids a
+    palette would issue visiting cells in order, as long as no key was
+    issued before. Every refinement key holds an own color issued in the
+    round before, so that holds for a state's next round."""
+    heads = np.zeros(leader.size, dtype=bool)
+    heads[leader] = True
+    ids = np.cumsum(heads) + (issued - 1)
+    return ids[leader], int(ids[-1]) - issued + 1
 
 
 def _cell_grid(ids: np.ndarray, shape: tuple) -> np.ndarray:
@@ -332,6 +387,20 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     return ColoringState(_cell_grid(ids, shape), count, palette=range(count))
 
 
+def _reach(history: _History, cells: _CellIndex, n: int, t: int) -> np.ndarray:
+    """Which cells lie in a class the next round can split: a class
+    holding a neighbour or the time successor (v, t+1) of a cell whose
+    class just split. A class none of whose cells sees such a cell sees
+    the same classes as in the round before, so its keys stay equal."""
+    split, leader = history.split, history.leader
+    seen = np.zeros(split.size, dtype=bool)
+    seen[cells.owner[split[cells.neighbour]]] = True
+    seen.reshape(-1, t, n)[:, 1:] |= split.reshape(-1, t, n)[:, :-1]
+    marked = np.zeros(split.size, dtype=bool)
+    marked[leader[seen]] = True
+    return marked[leader]
+
+
 def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     """One refinement round of one graph, or of a tuple of graphs refined
     together; fresh ids continue ``state.palette``.
@@ -342,6 +411,15 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     the state's smallest color lo, and "none" is the digit 1, so the radix
     is the state's color span plus 3. A state's own colors span fewer
     values than it has cells; wider colors are ranked first.
+
+    Only the cells of classes that can split are keyed. When ``state``
+    came from ``refine_step`` on the same graphs, and not every class of
+    the state before it split, those are the classes its history reaches
+    (``_reach``); every other class keeps its cells and its leader, its
+    first cell. Any other state has every cell keyed. Either way a
+    class's id is ``issued`` plus the rank of its leader among all
+    leaders, so the state equals the one a round keying every cell makes.
+    The state returned carries the history for the next round.
     """
     graphs = _Graphs(graph)
     cells = graphs.cells
@@ -357,23 +435,42 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     by_step = colors.reshape(-1, n, t).transpose(0, 2, 1) - (lo - 2)
     previous = np.ones(by_step.shape, dtype=np.int64)
     previous[:, 1:] = by_step[:, :-1]
-    own = by_step.ravel()
-    # sorting slot*radix + digit sorts each cell's run of ends by digit in place
-    offset = cells.slot * radix
-    neighbours = np.sort(offset + own[cells.neighbour]) - offset
-    own, previous = own[cells.order], previous.ravel()[cells.order]
+    own, previous = by_step.ravel(), previous.ravel()
+    order, neighbour = cells.order, cells.neighbour
+    counts = [count for _, count in cells.degrees]
+    history = state._history
+    if (history is not None and history.colors is state.colors
+            and len(history.graphs) == len(graphs)
+            and all(a is b for a, b in zip(history.graphs, graphs))
+            and not history.split.all()):
+        leader = history.leader.copy()
+        keyed = _reach(history, cells, n, t)
+        kept = np.flatnonzero(keyed[order])
+        order, neighbour = order[kept], neighbour[keyed[cells.owner]]
+        counts = np.diff(np.searchsorted(kept, np.cumsum([0] + counts))).tolist()
+    else:
+        leader = np.empty(colors.size, dtype=np.int64)
+    first, second, rest = own[order], previous[order], own[neighbour]
     blocks, start, end = [], 0, 0
-    for degree, count in cells.degrees:
-        rows = np.empty((count, 2 + degree), dtype=np.int64)
-        rows[:, 0] = own[start:start + count]
-        rows[:, 1] = previous[start:start + count]
-        rows[:, 2:] = neighbours[end:end + count * degree].reshape(count, degree)
-        blocks.append((cells.order[start:start + count], rows))
+    for (degree, _), count in zip(cells.degrees, counts):
+        if count:
+            rows = np.empty((count, 2 + degree), dtype=np.int64)
+            rows[:, 0] = first[start:start + count]
+            rows[:, 1] = second[start:start + count]
+            ends = rest[end:end + count * degree].reshape(count, degree)
+            rows[:, 2:] = np.sort(ends, axis=1) if degree > 1 else ends
+            blocks.append((order[start:start + count], rows))
         start, end = start + count, end + count * degree
+    heads = _lead(blocks, leader, radix)
+    # a keyed class split when its cells now lead more than one class
+    split = np.bincount(own[heads], minlength=radix)[own] > 1
     issued = len(state.palette)
-    ids, count = _assign_ids(blocks, state.colors.size, issued, radix)
-    return ColoringState(_cell_grid(ids, state.colors.shape), count,
-                         palette=range(issued + count))
+    ids, count = _number(leader, issued)
+    grid = _cell_grid(ids, state.colors.shape)
+    grid.flags.writeable = False
+    refined = ColoringState(grid, count, palette=range(issued + count))
+    refined._history = _History(graphs, grid, leader, split)
+    return refined
 
 
 def _refinements(graph: DTDG | tuple, cap: int | None):

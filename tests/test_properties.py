@@ -15,7 +15,7 @@ import types
 import typing
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spectemp import cli
@@ -25,7 +25,9 @@ from spectemp.config import read_section
 from spectemp.dataio import load_csv
 from spectemp.errors import ConfigError, DataError, SpectempError
 from spectemp.experiments import BASIS_ORDER
-from spectemp.temporal_wl import (DTDG, init_colors, parse_dtdg, refine_step,
+from spectemp.temporal_wl import (DTDG, ColoringState, _refinements,
+                                  check_spectral_conditions, fixture_path,
+                                  init_colors, parse_dtdg, read_dtdg, refine_step,
                                   refine_to_stable, wl_test)
 from spectemp.training import TrainConfig
 
@@ -132,6 +134,82 @@ def test_color_counts_match_a_recount(graphs):
 
 
 # ---------------------------------------------------------------------------
+# worklist rounds: a round keys only the classes a split can reach
+# ---------------------------------------------------------------------------
+
+def history_free(state):
+    """The same colors and ids, without the history of the round that
+    made them."""
+    return ColoringState(state.colors, state.n_colors, state.palette)
+
+
+def assert_same_state(state, other):
+    assert np.array_equal(state.colors, other.colors)
+    assert (state.n_colors, state.palette) == (other.n_colors, other.palette)
+
+
+def assert_rounds_match_full_rounds(graph):
+    """Along `_refinements`, every state equals a round that keys every
+    cell of a history-free copy of the state before it."""
+    states = list(_refinements(graph, None))
+    for before, after in zip(states, states[1:]):
+        assert_same_state(after, refine_step(graph, history_free(before)))
+
+
+@PROPERTY
+@given(graphs=dynamic_graph_pair())
+def test_worklist_rounds_equal_full_rounds(graphs):
+    g1, g2, perm = graphs
+    assert_rounds_match_full_rounds(g1)
+    assert_rounds_match_full_rounds((g1, g2.permuted(perm)))
+
+
+@st.composite
+def moved_edge_pair(draw):
+    """A graph whose snapshots share one edge set, and a copy with one
+    snapshot-0 edge moved. The split starts in snapshot 0 and moves on
+    one snapshot per round, so late rounds key only the classes it
+    reaches."""
+    n = draw(st.integers(4, 8))
+    steps = draw(st.integers(3, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, unique=True))
+    u, v = draw(st.sampled_from(edges))
+    free = [w for w in range(n) if w not in (u, v) and (min(u, w), max(u, w)) not in edges]
+    assume(free)
+    w = draw(st.sampled_from(free))
+    moved = [e for e in edges if e != (u, v)] + [(min(u, w), max(u, w))]
+    features = None
+    if draw(st.booleans()):
+        features = np.array(draw(st.lists(st.integers(0, 1), min_size=n * steps,
+                                          max_size=n * steps)), dtype=float).reshape(n, steps)
+    base = DTDG(n, (tuple(edges),) * steps, features)
+    return base, DTDG(n, (tuple(moved),) + base.edges[1:], features)
+
+
+@PROPERTY
+@given(pair=moved_edge_pair())
+def test_worklist_rounds_follow_a_late_split(pair):
+    assert_rounds_match_full_rounds(pair)
+    assert_rounds_match_full_rounds(pair[1])
+
+
+@PROPERTY
+@given(graphs=dynamic_graph_pair())
+def test_a_state_passed_with_other_graphs_refines_as_history_free(graphs):
+    """A state's history holds only for the graphs it was refined on: with
+    other graphs, even ones with equal edges, a round keys every cell."""
+    g1, g2, perm = graphs
+    other = g2.permuted(perm)
+    for graph, elsewhere in ((g1, other), ((g1, other), (other, g1))):
+        state = init_colors(graph)
+        for _ in range(2):
+            state = refine_step(graph, state)
+        assert_same_state(refine_step(elsewhere, state),
+                          refine_step(elsewhere, history_free(state)))
+
+
+# ---------------------------------------------------------------------------
 # the expressivity bound: the model separates no more than temporal 1-WL
 # ---------------------------------------------------------------------------
 
@@ -160,6 +238,36 @@ def two_lift(draw):
     return DTDG(2 * n, (tuple(edges),) * LIFT_STEPS, features), seed
 
 
+def shared_filter_forecast(graph, basis, variant, mode, seed):
+    """The forecast for ``graph``'s features as one window, from a model
+    whose temporal filters are shared across nodes, with adjacency
+    provided from ``graph.edges[0]`` or learned, and random parameters."""
+    adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
+    for u, v in graph.edges[0]:
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    x = graph.features[None]
+    config = mc.ModelConfig(lookback=graph.n_steps, horizon=2, n_dims=x.shape[-1],
+                            blocks=2, degree=3, n_modes=min(4, graph.n_steps),
+                            basis=basis, variant=variant, adjacency_mode=mode,
+                            share_filter_vars=True)
+    state = mc.init_state(config, graph.n_nodes, rng=seed, adjacency=adjacency)
+    # away from the identity initialization, so each stage mixes
+    rng = np.random.default_rng(seed + 1)
+    for value in state.params.values():
+        value += 0.3 * rng.standard_normal(value.shape)
+    return mc.forward(x, state, config)[0]
+
+
+def separated_gaps(graph, out):
+    """Each node pair that stable end-time temporal 1-WL separates: the
+    largest difference of the pair's forecasts, relative to the largest
+    forecast."""
+    classes = refine_to_stable(graph).colors[:, -1]
+    return {(u, v): float(np.abs(out[u] - out[v]).max() / np.abs(out).max())
+            for u in range(graph.n_nodes) for v in range(u + 1, graph.n_nodes)
+            if classes[u] != classes[v]}
+
+
 @settings(PROPERTY, max_examples=10)
 @given(lift=two_lift())
 def test_forward_agrees_within_each_stable_wl_class(lift):
@@ -170,27 +278,71 @@ def test_forward_agrees_within_each_stable_wl_class(lift):
     together: the first half of the paper's expressivity theorem."""
     graph, seed = lift
     classes = refine_to_stable(graph).colors[:, -1]
-    adjacency = np.zeros((graph.n_nodes, graph.n_nodes))
-    for u, v in graph.edges[0]:
-        adjacency[u, v] = adjacency[v, u] = 1.0
-    x = graph.features[None]
     for basis in BASIS_ORDER:
         for variant in ("linear", "nonlinear"):
             for mode in ("provided", "learned"):
-                config = mc.ModelConfig(lookback=LIFT_STEPS, horizon=2,
-                                        n_dims=x.shape[-1], blocks=2, degree=3,
-                                        n_modes=4, basis=basis, variant=variant,
-                                        adjacency_mode=mode, share_filter_vars=True)
-                state = mc.init_state(config, graph.n_nodes, rng=seed,
-                                      adjacency=adjacency)
-                # away from the identity initialization, so each stage mixes
-                rng = np.random.default_rng(seed + 1)
-                for value in state.params.values():
-                    value += 0.3 * rng.standard_normal(value.shape)
-                out = mc.forward(x, state, config)[0]
+                out = shared_filter_forecast(graph, basis, variant, mode, seed)
                 spread = max(np.abs(out[classes == c] - out[classes == c][0]).max()
                              for c in np.unique(classes))
                 assert spread <= 1e-12 * np.abs(out).max(), (basis, variant, mode)
+
+
+@st.composite
+def conditioned_graph(draw):
+    """A connected fixed-topology DTDG that meets the spectral conditions:
+    no repeated Laplacian eigenvalue and no missing eigencomponent at any
+    step. Each node takes one of two random feature series, so stable
+    temporal 1-WL separates nodes of one series only by structure. The
+    first of the graphs drawn from the seed that meets the conditions."""
+    n = draw(st.integers(4, 8))
+    dims = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    for _ in range(1000):
+        tree = {(int(rng.integers(v)), v) for v in range(1, n)}
+        extra = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25}
+        series = rng.standard_normal((2, LIFT_STEPS, dims))
+        graph = DTDG(n, (tuple(tree | extra),) * LIFT_STEPS,
+                     series[rng.integers(0, 2, size=n)])
+        if check_spectral_conditions(graph).conditions_hold:
+            return graph, seed
+    raise AssertionError(f"no graph from seed {seed} meets the spectral conditions")
+
+
+@settings(PROPERTY, max_examples=10)
+@given(case=conditioned_graph())
+def test_forward_separates_each_pair_stable_wl_separates(case):
+    """On a fixed topology that meets the spectral conditions, a linear
+    model with shared temporal filters and random parameters gives
+    different forecasts to every node pair that stable temporal 1-WL
+    separates, by more than 1e-9 of the largest forecast: the converse
+    half of the paper's expressivity theorem, for every basis, with the
+    topology as the provided adjacency. The theorem is about linear
+    models; the nonlinear variant can merge such a pair exactly at random
+    parameters (its ReLU can zero the graph branch of both nodes)."""
+    graph, seed = case
+    for basis in BASIS_ORDER:
+        out = shared_filter_forecast(graph, basis, "linear", "provided", seed)
+        gaps = separated_gaps(graph, out)
+        assert min(gaps.values(), default=1.0) > 1e-9, (basis, gaps)
+
+
+def test_fixed_topology_fixture_fails_the_conditions_but_separates_every_pair():
+    """The bundled fixed-topology graph misses eigencomponents 1 and 3 at
+    step 0, so the converse does not cover it. Its features differ node
+    by node, so stable temporal 1-WL separates all four nodes, and the
+    model separates every pair anyway: by at least 0.14 of the largest
+    forecast over every basis and both variants."""
+    graph = read_dtdg(fixture_path("fixed_topology"))
+    report = check_spectral_conditions(graph)
+    assert not report.repeated_eigenvalues and not report.conditions_hold
+    assert [tuple(map(int, c)) for c in report.missing_components] == [(0, 1), (0, 3)]
+    assert len(np.unique(refine_to_stable(graph).colors[:, -1])) == graph.n_nodes
+    for basis in BASIS_ORDER:
+        for variant in ("linear", "nonlinear"):
+            gaps = separated_gaps(graph, shared_filter_forecast(graph, basis, variant,
+                                                                "provided", seed=5))
+            assert len(gaps) == 6 and min(gaps.values()) > 0.1, (basis, variant, gaps)
 
 
 # ---------------------------------------------------------------------------

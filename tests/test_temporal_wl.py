@@ -428,6 +428,80 @@ def test_moved_edge_diverges_at_last_snapshot_at_benchmark_scale(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# worklist rounds: a round keys only the classes a split can reach
+# ---------------------------------------------------------------------------
+
+def edge_ends(graphs):
+    """(owner, neighbour) for both ends of every edge of `graphs`, in their
+    joint (graph, t, v) cell numbering, read straight from the edge lists."""
+    n, t = graphs[0].n_nodes, graphs[0].n_steps
+    ends = [((i * t + step) * n + a, (i * t + step) * n + b)
+            for i, g in enumerate(graphs) for step, snapshot in enumerate(g.edges)
+            for u, v in snapshot for a, b in ((u, v), (v, u))]
+    return np.array(ends, dtype=np.int64).reshape(-1, 2).T
+
+
+def test_joint_cell_index_merges_each_graphs_own_index():
+    # Graphs refined together merge their cached indices one degree run at
+    # a time. The joint order and degree runs are those of indexing every
+    # cell at once, and so is the owner of every end; only the order of a
+    # cell's ends within its slot may differ.
+    rng = np.random.default_rng(121)
+    for trial in range(40):
+        n, t = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        graphs = tuple(oracle_dtdg(rng, n, t, (rng.uniform(0.0, 0.8),))
+                       for _ in range(int(rng.integers(2, 4))))
+        if trial % 4 == 0:
+            graphs = (graphs[0],) + graphs  # a graph beside itself
+        joint = temporal_wl._Graphs(graphs).cells
+        owner, neighbour = edge_ends(graphs)
+        at_once = temporal_wl._cell_index(owner, neighbour, len(graphs) * n * t)
+        assert np.array_equal(joint.order, at_once.order), trial
+        assert joint.degrees == at_once.degrees, trial
+        assert np.array_equal(joint.owner, at_once.owner), trial
+        assert (sorted(zip(joint.owner.tolist(), joint.neighbour.tolist()))
+                == sorted(zip(owner.tolist(), neighbour.tolist()))), trial
+
+
+def test_late_rounds_key_only_the_classes_a_split_reaches(monkeypatch):
+    # A moved snapshot-0 edge splits snapshot 0 in round 1, and the split
+    # moves on one snapshot per round. Once the graphs' own structure has
+    # settled, a round keys only the classes the split reaches, and still
+    # makes the state a round keying every cell makes.
+    n, t = 80, 10
+    rng = np.random.default_rng(122)
+    base = benchmark_shape_dtdg(rng, n, t, 120, 0.1)
+    first = list(base.edges[0])
+    u, v = first[0]
+    w = next(w for w in range(n) if w not in (u, v) and (min(u, w), max(u, w)) not in first)
+    other = DTDG(n, (tuple(first[1:] + [(min(u, w), max(u, w))]),) + base.edges[1:])
+    keyed = []
+    lead = temporal_wl._lead
+
+    def counting(groups, leader, radix):
+        keyed.append(sum(cells.size for cells, _ in groups))
+        return lead(groups, leader, radix)
+
+    monkeypatch.setattr(temporal_wl, "_lead", counting)
+    states = list(temporal_wl._refinements((base, other), None))
+    by_round = keyed[-(len(states) - 1):]
+    assert len(by_round) > t and by_round[0] == 2 * n * t
+    assert max(by_round[t // 2:]) < 2 * n * t / 4, by_round  # a quarter of the cells
+    for before, after in zip(states, states[1:]):
+        full = refine_step((base, other), temporal_wl.ColoringState(
+            before.colors, before.n_colors, before.palette))
+        assert np.array_equal(after.colors, full.colors)
+        assert (after.n_colors, after.palette) == (full.n_colors, full.palette)
+
+
+def test_refined_colors_are_read_only():
+    g = read_dtdg(fixture_path("wl_pair_right"))
+    state = refine_step(g, init_colors(g))
+    with pytest.raises(ValueError):
+        state.colors[0, 0] = 7
+
+
+# ---------------------------------------------------------------------------
 # initialization and single refinement steps
 # ---------------------------------------------------------------------------
 
@@ -744,3 +818,20 @@ def test_parse_rejects_garbage():
 def test_self_loop_rejected():
     with pytest.raises(DataError, match="self loop"):
         DTDG(3, (((1, 1),),))
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0.0, 2.0, 1.0],
+                                  [True, False, True], [[0, 1, 2]], [0, 1, 3], [-1, 0, 1]],
+                         ids=["repeated", "short", "long", "floats", "booleans", "nested",
+                              "past_the_end", "negative"])
+def test_permuted_rejects_anything_but_a_permutation(perm):
+    g = DTDG(3, (((0, 1), (1, 2)),), features=np.array([[1.0], [2.0], [3.0]]))
+    with pytest.raises(ParameterError, match="permutation"):
+        g.permuted(perm)
+
+
+def test_permuted_moves_edges_and_features():
+    g = DTDG(3, (((0, 1), (1, 2)),), features=np.array([[1.0], [2.0], [3.0]]))
+    moved = g.permuted([2, 0, 1])
+    assert moved.edges == (((0, 1), (0, 2)),)
+    assert moved.features[:, 0, 0].tolist() == [2.0, 3.0, 1.0]
