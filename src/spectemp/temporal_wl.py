@@ -37,16 +37,16 @@ A class can split in a round only if one of its cells has a neighbor, or
 its cell at t-1, in a class that split in the round before; otherwise
 its cells see the classes they saw before, and their keys stay equal
 (the worklist of colour refinement; Berkholz, Bonsma and Grohe 2017). So
-a state from ``refine_step`` carries each cell's leader and which
-classes just split, and the next round on the same graphs keys only the
-cells of the classes those splits reach. Every other class keeps its
-cells and its leader, and the leaders' ranks give every cell its new id,
-so the colors are bitwise those of keying every cell. Other states, and
-rounds after one that split every class, key every cell. A round holds
-O(cells + E) integers for E edges over all snapshots. It makes O(cells +
-E) array passes, plus O((k + e)*log(k + e)) sorting for k keyed cells
-with e edge ends, whatever the degree spread. The same dedupe yields each
-state's color count, so no pass counts colors again.
+a state from ``refine_step`` carries its joint cell index, each cell's
+leader and which classes just split, and the next round on the same
+graphs reuses the index and keys only the classes those splits reach.
+Every other class keeps its cells and its leader, and the leaders' ranks
+give every cell its new id, so the colors are bitwise those of keying
+every cell. Other states, and rounds after one that split every class,
+key every cell. A round holds O(cells + E) integers for E edges over all
+snapshots. It makes O(cells + E) array passes, plus O((k + e)*log(k + e))
+sorting for k keyed cells with e edge ends, whatever the degree spread.
+The same dedupe yields each state's color count, so no pass recounts.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -198,6 +198,7 @@ class _History(NamedTuple):
     """What a round tells the next one about the state it made."""
 
     graphs: tuple         # the graphs the round refined
+    cells: _CellIndex     # their joint cell index, which the next round reuses
     colors: np.ndarray    # the colors it made, read-only
     leader: np.ndarray    # (cells,) first cell of each cell's class, (graph, t, v) order
     split: np.ndarray     # (cells,) True where the cell's class before the round split
@@ -212,12 +213,12 @@ class ColoringState:
     ``palette`` is ``range(issued)``: the next round's fresh ids follow it.
 
     A state that ``refine_step`` returns also carries its round's history
-    (not an argument, not compared): each cell's class leader and the
-    cells whose class just split. Its colors are read-only, so the
-    history cannot fall out of step with them. The next round reads the
-    history only when it refines the same graph objects and the same
-    colors array. Any other state, such as one from ``init_colors``, one
-    built by hand or one passed with other graphs, has every cell keyed.
+    (not an argument, not compared): the joint cell index, each cell's
+    class leader and the cells whose class just split. Its colors are
+    read-only, so the history cannot fall out of step with them. The next
+    round reads it only on the same graph objects and colors array. Any
+    other state, such as one from ``init_colors``, one built by hand or
+    one passed with other graphs, has every cell keyed.
     """
 
     colors: np.ndarray
@@ -227,40 +228,36 @@ class ColoringState:
                                       compare=False)
 
 
-class _Graphs(tuple):
+def _graphs(graph: DTDG | tuple) -> tuple:
     """Graphs refined together: equal N and T, cells in (graph, t, v)
     order. A DTDG stands for the tuple of itself."""
+    graphs = (graph,) if isinstance(graph, DTDG) else tuple(graph)
+    if len({(g.n_nodes, g.n_steps) for g in graphs}) != 1:
+        raise ShapeError("graphs refined together need equal node and step counts")
+    return graphs
 
-    def __new__(cls, graph):
-        if isinstance(graph, cls):
-            return graph
-        graphs = super().__new__(cls, (graph,) if isinstance(graph, DTDG) else graph)
-        if len({(g.n_nodes, g.n_steps) for g in graphs}) != 1:
-            raise ShapeError("graphs refined together need equal node and step counts")
-        return graphs
 
-    @cached_property
-    def cells(self) -> _CellIndex:
-        """The graphs' own cell indices merged one degree run at a time:
-        the cells of each degree, graph after graph, so the joint order
-        is by degree, then by (graph, t, v). Built once."""
-        if len(self) == 1:
-            return self[0]._cells
-        span = self[0].n_nodes * self[0].n_steps
-        runs = []  # (degree, graph, the run's cells, their ends' owners, neighbours)
-        for i, index in enumerate(g._cells for g in self):
-            start = end = 0
-            for degree, count in index.degrees:
-                ends = slice(end, end + count * degree)
-                runs.append((degree, i, index.order[start:start + count] + i * span,
-                             index.owner[ends] + i * span, index.neighbour[ends] + i * span))
-                start, end = start + count, end + count * degree
-        runs.sort(key=lambda run: run[:2])
-        degrees = {}
-        for degree, _, cells, _, _ in runs:
-            degrees[degree] = degrees.get(degree, 0) + cells.size
-        return _CellIndex(*(np.concatenate([run[k] for run in runs]) for k in (2, 3, 4)),
-                          tuple(degrees.items()))
+def _joint_cells(graphs: tuple) -> _CellIndex:
+    """The graphs' own cell indices merged one degree run at a time: the
+    cells of each degree, graph after graph, so the joint order is by
+    degree, then by (graph, t, v)."""
+    if len(graphs) == 1:
+        return graphs[0]._cells
+    span = graphs[0].n_nodes * graphs[0].n_steps
+    runs = []  # (degree, graph, the run's cells, their ends' owners, neighbours)
+    for i, index in enumerate(g._cells for g in graphs):
+        start = end = 0
+        for degree, count in index.degrees:
+            ends = slice(end, end + count * degree)
+            runs.append((degree, i, index.order[start:start + count] + i * span,
+                         index.owner[ends] + i * span, index.neighbour[ends] + i * span))
+            start, end = start + count, end + count * degree
+    runs.sort(key=lambda run: run[:2])
+    degrees = {}
+    for degree, _, cells, _, _ in runs:
+        degrees[degree] = degrees.get(degree, 0) + cells.size
+    return _CellIndex(*(np.concatenate([run[k] for run in runs]) for k in (2, 3, 4)),
+                      tuple(degrees.items()))
 
 
 def _powers(radix: int) -> np.ndarray:
@@ -289,14 +286,6 @@ def _runs(values: np.ndarray) -> tuple:
     ordered = values[order]
     bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
     return order, bounds[:-1], bounds[1:] - bounds[:-1]
-
-
-def _assign_ids(groups, size: int, issued: int, radix: int) -> tuple[np.ndarray, int]:
-    """Id of each of the ``size`` cells that ``groups`` cover, and the
-    number of distinct keys: ``_number`` after ``_lead``."""
-    leader = np.empty(size, dtype=np.int64)
-    _lead(groups, leader, radix)
-    return _number(leader, issued)
 
 
 def _lead(groups, leader: np.ndarray, radix: int) -> np.ndarray:
@@ -370,7 +359,7 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     with different D never share a color. When no graph has features,
     every row is empty, so every cell gets color 0 without a dedupe.
     """
-    graphs = _Graphs(graph)
+    graphs = _graphs(graph)
     n, t = graphs[0].n_nodes, graphs[0].n_steps
     shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
     if all(g.features is None for g in graphs):
@@ -383,7 +372,9 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     bounds = np.cumsum([q.size for q in quantized])[:-1]
     blocks = [(np.arange(i * t * n, (i + 1) * t * n), part.reshape(q.shape) + 1)
               for i, (q, part) in enumerate(zip(quantized, np.split(digits, bounds)))]
-    ids, count = _assign_ids(blocks, len(graphs) * t * n, 0, values.size + 1)
+    leader = np.empty(len(graphs) * t * n, dtype=np.int64)
+    _lead(blocks, leader, values.size + 1)
+    ids, count = _number(leader, 0)
     return ColoringState(_cell_grid(ids, shape), count, palette=range(count))
 
 
@@ -419,16 +410,27 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     first cell. Any other state has every cell keyed. Either way a
     class's id is ``issued`` plus the rank of its leader among all
     leaders, so the state equals the one a round keying every cell makes.
-    The state returned carries the history for the next round.
+    The state returned carries the history, this round's joint cell index
+    included. Colors that are not integers raise ``ParameterError``, and
+    colors not shaped (N, T), or (G, N, T) for G graphs, ``ShapeError``.
     """
-    graphs = _Graphs(graph)
-    cells = graphs.cells
+    graphs = _graphs(graph)
     n, t = graphs[0].n_nodes, graphs[0].n_steps
-    colors = state.colors
+    colors = np.asarray(state.colors)
+    if not np.issubdtype(colors.dtype, np.integer):
+        raise ParameterError(f"state colors must be an integer array, got {colors.dtype}")
+    shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
+    if colors.shape != shape:
+        raise ShapeError(f"state colors must be {shape} for these graphs, got {colors.shape}")
+    history = state._history
+    if history is not None and (history.colors is not colors
+                                or list(map(id, history.graphs)) != list(map(id, graphs))):
+        history = None
+    cells = _joint_cells(graphs) if history is None else history.cells
     lo, hi = int(colors.min()), int(colors.max())
-    if hi - lo >= colors.size:
-        # colors spread wider than a state's own ids (a hand-built state):
-        # their ranks keep order and equality, within a span below the size
+    if hi - lo >= colors.size or colors.dtype != np.int64:
+        # colors spread wider than a state's own ids, or not int64 (a hand-built
+        # state): their ranks keep order and equality, within a span below the size
         colors = np.unique(colors, return_inverse=True)[1].reshape(colors.shape)
         lo, hi = 0, int(colors.max())
     radix = hi - lo + 3
@@ -438,11 +440,7 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     own, previous = by_step.ravel(), previous.ravel()
     order, neighbour = cells.order, cells.neighbour
     counts = [count for _, count in cells.degrees]
-    history = state._history
-    if (history is not None and history.colors is state.colors
-            and len(history.graphs) == len(graphs)
-            and all(a is b for a, b in zip(history.graphs, graphs))
-            and not history.split.all()):
+    if history is not None and not history.split.all():
         leader = history.leader.copy()
         keyed = _reach(history, cells, n, t)
         kept = np.flatnonzero(keyed[order])
@@ -466,10 +464,10 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     split = np.bincount(own[heads], minlength=radix)[own] > 1
     issued = len(state.palette)
     ids, count = _number(leader, issued)
-    grid = _cell_grid(ids, state.colors.shape)
+    grid = _cell_grid(ids, shape)
     grid.flags.writeable = False
     refined = ColoringState(grid, count, palette=range(issued + count))
-    refined._history = _History(graphs, grid, leader, split)
+    refined._history = _History(graphs, cells, grid, leader, split)
     return refined
 
 
@@ -478,7 +476,7 @@ def _refinements(graph: DTDG | tuple, cap: int | None):
     first round that adds no color (yielded too) or ``cap`` rounds (N*T
     when None)."""
     if cap is None:
-        first = _Graphs(graph)[0]
+        first = _graphs(graph)[0]
         cap = first.n_nodes * first.n_steps
     elif isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 0:
         raise ParameterError(f"the round cap must be a non-negative integer, got {cap!r}")
@@ -515,7 +513,7 @@ def wl_test(g1: DTDG, g2: DTDG, steps: int | None = None) -> WLReport:
     (or at the round cap). Each round is one ``refine_step`` over both
     graphs' cells, so its color count is the joint count of both graphs.
     """
-    for rounds, state in enumerate(_refinements(_Graphs((g1, g2)), steps)):
+    for rounds, state in enumerate(_refinements((g1, g2), steps)):
         ends = np.sort(state.colors[:, :, -1], axis=1)
         if not np.array_equal(ends[0], ends[1]):
             return WLReport(NON_ISOMORPHIC, rounds=rounds, diverged_at=rounds)
@@ -529,10 +527,11 @@ def distinguishable(graph: DTDG, u: int, v: int, t: int,
     partition is the same as checking every round. The partition is
     computed once per (graph, steps) and kept on the graph, so querying
     many pairs refines once."""
-    if not (0 <= u < graph.n_nodes and 0 <= v < graph.n_nodes):
-        raise ParameterError("node indices out of range")
-    if not 0 <= t < graph.n_steps:
-        raise ParameterError("time index out of range")
+    for name, index, size in (("u", u, graph.n_nodes), ("v", v, graph.n_nodes),
+                              ("t", t, graph.n_steps)):
+        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                or not 0 <= index < size):
+            raise ParameterError(f"{name} must be an integer in [0, {size}), got {index!r}")
     partitions = graph.__dict__.setdefault("_partitions", {})
     if steps not in partitions:
         partitions[steps] = refine_to_stable(graph, max_rounds=steps).colors

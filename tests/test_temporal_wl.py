@@ -270,6 +270,35 @@ def test_hand_built_state_refines_as_reference():
         assert refined.palette == range(len(np.unique(expected)))
 
 
+def test_refine_step_rejects_a_malformed_state():
+    # N=2, T=3: a (3, 2) grid was misread as (2, 3), a (4, 2) one failed
+    # to reshape, and float colors reached np.bincount
+    g = DTDG(2, (((0, 1),), (), ((0, 1),)))
+    for colors in (np.zeros((3, 2), dtype=np.int64), np.zeros((4, 2), dtype=np.int64)):
+        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
+            refine_step(g, temporal_wl.ColoringState(colors, 1))
+    with pytest.raises(ShapeError, match=r"\(1, 2, 3\)"):
+        refine_step((g,), temporal_wl.ColoringState(np.zeros((2, 3), dtype=np.int64), 1))
+    square = DTDG(2, (((0, 1),), ()))
+    with pytest.raises(ParameterError, match="integer array"):
+        refine_step(square, temporal_wl.ColoringState(np.array([[0.2, 0.2], [0.7, 0.7]]), 2))
+
+
+def test_colors_of_any_integer_dtype_refine_as_int64():
+    rng = np.random.default_rng(126)
+    for trial in range(20):
+        g = random_dtdg(rng, max_nodes=7, max_steps=4)
+        colors = rng.integers(0, 3, size=(g.n_nodes, g.n_steps))
+        if trial % 2:
+            colors -= 2 ** 31 - 2  # near the bottom of int32
+        expected = refine_step(g, temporal_wl.ColoringState(colors, 3))
+        dtypes = (np.int32,) if trial % 2 else (np.uint8, np.uint64, np.int16, np.int32)
+        for dtype in dtypes:
+            refined = refine_step(g, temporal_wl.ColoringState(colors.astype(dtype), 3))
+            assert np.array_equal(refined.colors, expected.colors), (trial, dtype)
+            assert (refined.n_colors, refined.palette) == (expected.n_colors, expected.palette)
+
+
 # ---------------------------------------------------------------------------
 # reference dedupe: np.unique over each block's rows viewed as void bytes
 # ---------------------------------------------------------------------------
@@ -293,6 +322,14 @@ def reference_assign_ids(groups, size, issued):
     return out, count
 
 
+def lead_and_number(groups, size, issued, radix):
+    """Ids of the ``size`` cells that ``groups`` cover, and the number of
+    distinct keys, as ``init_colors`` makes them."""
+    leader = np.empty(size, dtype=np.int64)
+    temporal_wl._lead(groups, leader, radix)
+    return temporal_wl._number(leader, issued)
+
+
 @pytest.mark.parametrize("values", [1, 2, 2 ** 31 - 2])
 def test_key_fold_matches_void_row_dedupe(values):
     # digits take `values` values, 1..values (radix values + 1): one value
@@ -309,7 +346,7 @@ def test_key_fold_matches_void_row_dedupe(values):
             pool = rng.integers(1, values + 1, size=(int(rng.integers(1, 8)), width))
             groups.append((np.sort(mine), pool[rng.integers(len(pool), size=mine.size)]))
         issued = int(rng.integers(0, 1000))
-        ids, count = temporal_wl._assign_ids(groups, int(sizes.sum()), issued, values + 1)
+        ids, count = lead_and_number(groups, int(sizes.sum()), issued, values + 1)
         expected, expected_count = reference_assign_ids(groups, int(sizes.sum()), issued)
         assert np.array_equal(ids, expected), (values, trial)
         assert count == expected_count
@@ -322,7 +359,7 @@ def test_key_fold_tells_rows_of_different_widths_apart():
     for radix, step in ((2 ** 31 - 1, 2), (3, 31)):
         groups = [(np.array([0]), np.array([[1] * (2 * step - 1) + [2]])),
                   (np.array([1]), np.array([[1] * (3 * step - 1) + [2]]))]
-        ids, count = temporal_wl._assign_ids(groups, 2, 0, radix)
+        ids, count = lead_and_number(groups, 2, 0, radix)
         assert (ids.tolist(), count) == ([0, 1], 2), radix
 
 
@@ -333,7 +370,7 @@ def test_key_fold_keeps_equally_wide_blocks_together():
     rows = rng.integers(1, 4, size=(50, 9))  # row c belongs to cell c
     split = rng.permutation(50)
     halves = [(np.sort(part), rows[np.sort(part)]) for part in (split[:20], split[20:])]
-    ids, count = temporal_wl._assign_ids(halves, 50, 7, 4)
+    ids, count = lead_and_number(halves, 50, 7, 4)
     expected, expected_count = reference_assign_ids([(np.arange(50), rows)], 50, 7)
     assert np.array_equal(ids, expected)
     assert count == expected_count
@@ -453,7 +490,7 @@ def test_joint_cell_index_merges_each_graphs_own_index():
                        for _ in range(int(rng.integers(2, 4))))
         if trial % 4 == 0:
             graphs = (graphs[0],) + graphs  # a graph beside itself
-        joint = temporal_wl._Graphs(graphs).cells
+        joint = temporal_wl._joint_cells(graphs)
         owner, neighbour = edge_ends(graphs)
         at_once = temporal_wl._cell_index(owner, neighbour, len(graphs) * n * t)
         assert np.array_equal(joint.order, at_once.order), trial
@@ -492,6 +529,30 @@ def test_late_rounds_key_only_the_classes_a_split_reaches(monkeypatch):
             before.colors, before.n_colors, before.palette))
         assert np.array_equal(after.colors, full.colors)
         assert (after.n_colors, after.palette) == (full.n_colors, full.palette)
+
+
+def test_a_refinement_builds_one_joint_cell_index(monkeypatch):
+    # the index travels with each round's history, so a caller refining a
+    # plain tuple round after round builds it once
+    rng = np.random.default_rng(127)
+    base = benchmark_shape_dtdg(rng, 40, 6, 60, 0.1)
+    other = base.permuted(rng.permutation(40))
+    built = []
+    joint_cells = temporal_wl._joint_cells
+
+    def counting(graphs):
+        built.append(len(graphs))
+        return joint_cells(graphs)
+
+    monkeypatch.setattr(temporal_wl, "_joint_cells", counting)
+    states = list(temporal_wl._refinements((base, other), None))
+    assert len(states) > 3 and built == [2]
+    built.clear()
+    state = init_colors((base, other))
+    for _ in range(len(states) - 1):
+        state = refine_step((base, other), state)
+    assert built == [2]
+    assert np.array_equal(state.colors, states[-1].colors)
 
 
 def test_refined_colors_are_read_only():
@@ -638,6 +699,18 @@ def test_distinguishable_validates_indices():
         distinguishable(g, 0, 5, 0)
     with pytest.raises(ParameterError):
         distinguishable(g, 0, 1, 3)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("index", [0.5, 1.0, True, "0"], ids=["half", "one", "bool", "str"])
+def test_distinguishable_rejects_indices_that_are_not_integers(index, at):
+    g = DTDG(3, (((0, 1), (1, 2)), ()))
+    args = [0, 1, 0]
+    args[at] = index
+    with pytest.raises(ParameterError, match="integer"):
+        distinguishable(g, *args)
+    assert distinguishable(g, np.int64(0), np.int32(2), np.uint8(1)) is False
+    assert distinguishable(g, np.int8(0), np.int16(1), np.int64(0)) is True
 
 
 # ---------------------------------------------------------------------------
