@@ -170,31 +170,16 @@ def relu(a):
     return _node(y, [(a, lambda g: g * (va > 0.0))])
 
 
-def _reduce_last(ufunc, a):
-    """``ufunc.reduce(a, axis=-1, keepdims=True)``, bitwise.
-
-    numpy reduces a contiguous row shorter than 8 left to right, but pays
-    a fixed cost per row; such a last axis is folded here one slice at a
-    time in the same order, so the work runs over whole slices instead.
-    """
-    n = a.shape[-1]
-    if not 0 < n < 8:
-        return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = a[..., 0]
-    for k in range(1, n):
-        out = ufunc(out, a[..., k])
-    return out[..., None]
-
-
 def softmax_last(a):
-    """Softmax over the last axis, in any memory layout: a layout whose
-    last axis is outermost makes each slice of a short axis one long row."""
+    """Softmax over the last axis. numpy reduces a last axis that is
+    outermost in memory, as in ``node_scores``' key-major scores, one whole
+    slice at a time, so a short axis costs no per-row overhead."""
     va = _value(a)
-    e = np.exp(va - _reduce_last(np.maximum, va))
-    y = e / _reduce_last(np.add, e)
+    e = np.exp(va - va.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return y * (g - _reduce_last(np.add, g * y))
+        return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _node(y, [(a, vjp)])
 
@@ -343,9 +328,10 @@ def node_scores(q, k):
     """Pairwise mode scores per (batch, node) row.
 
     out[i,b,n,j] = sum_e q[i,e,b,n] k[j,e,b,n] for q (I, E, B, N) and
-    k (J, E, B, N). The result is stored as (I, J, B, N): the products,
-    and ``softmax_last``'s slices over j, run over rows of length B*N
-    instead of as B*N tiny (I, E) @ (E, J) products.
+    k (J, E, B, N). The result is stored as (I, J, B, N): the products
+    run over rows of length B*N instead of as B*N tiny (I, E) @ (E, J)
+    products, and numpy's reductions over j in ``softmax_last`` run over
+    these key-major scores one (I, B, N) slice at a time.
     """
     vq, vk = _value(q), _value(k)
     scores = (vq[:, None] * vk[None]).sum(axis=2)

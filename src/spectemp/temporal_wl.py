@@ -4,9 +4,10 @@ A discrete-time dynamic graph (DTDG) is a fixed node set observed over T
 snapshots, each with its own edge set and optionally an (N, D) feature
 block. Refinement colors every (node, time) cell:
 
-* initial colors hash the node features (quantized to a 1e-9 grid), so
-  equal features map to equal colors wherever they appear; featureless
-  graphs start monochrome;
+* initial colors hash the node features, rounded to a 1e-9 grid below
+  2**22 in magnitude and kept exact above it (where floats are about a
+  grid step apart or more), so equal features map to equal colors
+  wherever they appear; featureless graphs start monochrome;
 * one round recolors (v, t) by the tuple (own color, color of (v, t-1),
   sorted multiset of neighbor colors at time t); at t = 0, and when T = 1,
   the previous-time entry is omitted;
@@ -93,6 +94,7 @@ NON_ISOMORPHIC = "non_isomorphic"
 INCONCLUSIVE = "inconclusive"
 
 _FEATURE_GRID = 1e-9
+_GRID_LIMIT = 2.0 ** 22     # float spacing below it is under half a grid step
 
 
 class _CellIndex(NamedTuple):
@@ -347,15 +349,27 @@ def _cell_grid(ids: np.ndarray, shape: tuple) -> np.ndarray:
     return np.ascontiguousarray(ids.reshape(-1, t, n).transpose(0, 2, 1)).reshape(shape)
 
 
+def _feature_keys(features: np.ndarray) -> np.ndarray:
+    """Each feature's initial-color key: below ``_GRID_LIMIT`` in magnitude
+    its value rounded to the 1e-9 grid, in feature units, so distinct grid
+    points stay distinct floats; above it, where adjacent floats lie about
+    a grid step or more apart, the value itself."""
+    keys = features.copy()
+    small = np.abs(features) < _GRID_LIMIT
+    keys[small] = np.rint(features[small] / _FEATURE_GRID) * _FEATURE_GRID
+    return keys
+
+
 def init_colors(graph: DTDG | tuple) -> ColoringState:
     """Feature-hash initialization (monochrome when featureless) of one
     graph, or of a tuple of graphs on one palette.
 
-    Features are quantized to the 1e-9 grid as float64 integers (never a
-    fixed-width int, which would wrap past 9.2e9). One sort ranks the
-    quantized values of every graph together, and rank + 1 are the key
-    digits, so equal values give equal digits and -0.0 meets 0.0. A cell's
-    row is its D digits: a featureless cell's row is empty, and graphs
+    Features below 2**22 in magnitude are rounded to the 1e-9 grid, and
+    larger ones keep their exact value (``_feature_keys``), so no quotient
+    overflows and no two distinct large floats share a key. One sort ranks
+    the keys of every graph together, and rank + 1 are the key digits, so
+    equal values give equal digits and -0.0 meets 0.0. A cell's row is
+    its D digits: a featureless cell's row is empty, and graphs
     with different D never share a color. When no graph has features,
     every row is empty, so every cell gets color 0 without a dedupe.
     """
@@ -364,14 +378,14 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
     shape = (n, t) if isinstance(graph, DTDG) else (len(graphs), n, t)
     if all(g.features is None for g in graphs):
         return ColoringState(np.zeros(shape, dtype=np.int64), 1, palette=range(1))
-    quantized = [np.empty((t * n, 0)) if g.features is None
-                 else np.rint(g.features / _FEATURE_GRID).transpose(1, 0, 2).reshape(t * n, -1)
-                 for g in graphs]
-    values, digits = np.unique(np.concatenate([q.ravel() for q in quantized]),
+    keyed = [np.empty((t * n, 0)) if g.features is None
+             else _feature_keys(g.features).transpose(1, 0, 2).reshape(t * n, -1)
+             for g in graphs]
+    values, digits = np.unique(np.concatenate([q.ravel() for q in keyed]),
                                return_inverse=True)
-    bounds = np.cumsum([q.size for q in quantized])[:-1]
+    bounds = np.cumsum([q.size for q in keyed])[:-1]
     blocks = [(np.arange(i * t * n, (i + 1) * t * n), part.reshape(q.shape) + 1)
-              for i, (q, part) in enumerate(zip(quantized, np.split(digits, bounds)))]
+              for i, (q, part) in enumerate(zip(keyed, np.split(digits, bounds)))]
     leader = np.empty(len(graphs) * t * n, dtype=np.int64)
     _lead(blocks, leader, values.size + 1)
     ids, count = _number(leader, 0)

@@ -169,7 +169,9 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
     values and no entry is rebound. ``grads`` must hold every name in
     ``moments.names``; other entries, such as frozen parameters, are
     ignored. A missing gradient, or a ``state.params`` entry rebound after
-    ``for_state`` (so no longer its view), raises ``ParameterError``.
+    ``for_state`` (so no longer its view), raises ``ParameterError``. An
+    update that leaves a parameter non-finite raises ``NumericalError``
+    naming the first such parameter in ``moments.names`` order.
     """
     if not 0 < lr < math.inf:
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
@@ -193,20 +195,25 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
     # The operations and their order are those of the per-array update
     # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     # p = p - lr m_hat / (sqrt(v_hat) + eps), so the result is bitwise equal.
-    np.multiply(m, beta1, out=m)
-    work = np.multiply(grad, 1.0 - beta1)
-    np.add(m, work, out=m)
-    np.multiply(v, beta2, out=v)
-    np.multiply(grad, 1.0 - beta2, out=work)
-    np.multiply(work, grad, out=work)
-    np.add(v, work, out=v)
-    np.divide(m, 1.0 - beta1 ** t, out=work)
-    np.multiply(work, lr, out=work)
-    np.divide(v, 1.0 - beta2 ** t, out=grad)
-    np.sqrt(grad, out=grad)
-    np.add(grad, eps, out=grad)
-    np.divide(work, grad, out=work)
-    np.subtract(params, work, out=params)
+    # A diverging step overflows here; the finite-parameter check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(m, beta1, out=m)
+        work = np.multiply(grad, 1.0 - beta1)
+        np.add(m, work, out=m)
+        np.multiply(v, beta2, out=v)
+        np.multiply(grad, 1.0 - beta2, out=work)
+        np.multiply(work, grad, out=work)
+        np.add(v, work, out=v)
+        np.divide(m, 1.0 - beta1 ** t, out=work)
+        np.multiply(work, lr, out=work)
+        np.divide(v, 1.0 - beta2 ** t, out=grad)
+        np.sqrt(grad, out=grad)
+        np.add(grad, eps, out=grad)
+        np.divide(work, grad, out=work)
+        np.subtract(params, work, out=params)
+    if not np.isfinite(params).all():
+        name = next(name for name in names if not np.isfinite(moments.views[name]).all())
+        raise NumericalError(f"the update left non-finite values in parameter {name!r}")
     return moments
 
 

@@ -122,16 +122,22 @@ def test_relu_is_bitwise_the_comparison_formula():
 
 @pytest.mark.parametrize("n", [1, 5, 8, 207])
 def test_softmax_last_is_bitwise_the_reduce_formula(n):
-    # the attention rows (5 modes) and the learned adjacency (8 and 207 nodes)
+    # the attention rows (5 modes) and the learned adjacency (8 and 207 nodes),
+    # as C-contiguous rows and in attention's key-major layout: (I, B, N, J)
+    # scores stored (I, J, B, N), as node_scores leaves them and as the
+    # gradient from node_apply arrives
     rng = np.random.default_rng(37 + n)
-    x = rng.standard_normal((6, 7, n)) * np.exp(rng.uniform(-3, 3, (6, 7, 1)))
-    g = rng.standard_normal(x.shape)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    want = e / e.sum(axis=-1, keepdims=True)
-    value, grad = vjp_of(ad.softmax_last, x, g)
-    same_bits(value, want)
-    same_bits(grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
-    same_bits(ad.softmax_last(x), want)
+    rows = rng.standard_normal((6, 7, n)) * np.exp(rng.uniform(-3, 3, (6, 7, 1)))
+    scale = np.exp(rng.uniform(-3, 3, (5, 1, 4, 3)))
+    key_major = (rng.standard_normal((5, n, 4, 3)) * scale).transpose(0, 2, 3, 1)
+    for x, g in ((rows, rng.standard_normal(rows.shape)),
+                 (key_major, rng.standard_normal((5, n, 4, 3)).transpose(0, 2, 3, 1))):
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        want = e / e.sum(axis=-1, keepdims=True)
+        value, grad = vjp_of(ad.softmax_last, x, g)
+        same_bits(value, want)
+        same_bits(grad, want * (g - (g * want).sum(axis=-1, keepdims=True)))
+        same_bits(ad.softmax_last(x), want)
 
 
 def test_rsqrt_safe_is_bitwise_the_where_formula():

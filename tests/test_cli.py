@@ -236,6 +236,14 @@ def test_unreadable_graph_file_exits_3(tmp_path, capsys, text):
     assert "data error" in err and repr(text.splitlines()[0]) in err
 
 
+def test_graph_file_with_a_nan_feature_exits_3(tmp_path, capsys):
+    bad = tmp_path / "nan.dtdg"
+    bad.write_text("2 1\n#\nnan\n2.0\n#\n")
+    code = cli.main(["twl", "--set", f"twl.left={bad}", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "data error: features contain non-finite values\n"
+
+
 @pytest.mark.parametrize("raw", [b'{"train": {"epochs": "\xb5"}}', b"[" * 200_000],
                          ids=["not utf8", "nested too deep"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
@@ -356,20 +364,42 @@ BAD_RUNS = {
     "ablate train seed ignored": (["ablate", "--set", "ablate.axis=basis",
                                    "--set", "train.seed=7"], 2),
     "checkpoint with renamed parameter": (["forecast"], 3),
+    "override without '='": (["train", "--set", "foo"], 2),
+    "override into a value": (["train", "--set", "model.lookback=12",
+                               "--set", "model.lookback.x=1"], 2),
+    "config file a JSON list": (["train", "--config", "list.json"], 2),
+    "twl steps negative": (["twl", "--set", "twl.steps=-1"], 2),
+    "synth n_eval zero": (["synth", "--set", "synth.n_eval=0"], 2),
+    "forecast checkpoint missing": (["forecast", "--set",
+                                     "forecast.checkpoint=no/such/model.stck"], 2),
+}
+
+# what the error says, where the key-naming test below does not check it
+BAD_RUN_MESSAGES = {
+    "override without '='": "override 'foo' must look like key=value",
+    "override into a value": "'model.lookback.x': 'lookback' is not a section",
+    "config file a JSON list": "config file must hold a JSON object",
+    "forecast checkpoint missing": "checkpoint not found: no/such/model.stck",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
-def test_malformed_input_exits_with_typed_error(tmp_path, capsys, case,
+def test_malformed_input_exits_with_typed_error(tmp_path, capsys, monkeypatch, case,
                                                 trained_checkpoint):
     argv, code = BAD_RUNS[case]
     ckpt = tmp_path / "model.stck"
     ckpt.write_bytes(trained_checkpoint.replace(b"block0.fine_re",
                                                 b"block0.fine_rf"))
     cfg = write_config(tmp_path, {**TINY, "forecast": {"checkpoint": str(ckpt)}})
-    assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / "out")]) == code
+    # a case's own --config, relative to tmp_path, comes last and so wins
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, [TINY], name="list.json")
+    assert cli.main(argv[:1] + ["--config", cfg, "--out", str(tmp_path / "out")]
+                    + argv[1:]) == code
     prefix = "data error: " if code == 3 else "error: "
-    assert capsys.readouterr().err.startswith(prefix)
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert BAD_RUN_MESSAGES.get(case, "") in err
 
 
 @pytest.mark.parametrize("case", sorted(c for c in BAD_RUNS if "negative" in c or "zero" in c
@@ -435,6 +465,19 @@ def test_divergent_training_exits_4(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
     # The non-finite gradient check reports the divergence; numpy stays quiet.
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_divergence_on_the_last_optimizer_step_exits_4(tmp_path, capsys):
+    # one epoch of one batch: no later step's gradients could catch it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["train", "--set", "train.epochs=1",
+                         "--set", "train.batch_size=100000", "--set", "train.lr=1e308",
+                         "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "run" / "checkpoint.stck").exists()
 
 
 # ---------------------------------------------------------------------------

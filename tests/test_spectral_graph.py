@@ -506,6 +506,24 @@ def test_signal_density_parseval_endpoint():
     assert np.all(density.density >= 0.0)
 
 
+def test_signal_density_merges_a_repeated_eigenvalue():
+    # K5's normalized Laplacian has eigenvalues 0 and 5/4 (four times)
+    spectrum = eigendecompose(normalized_laplacian(Adjacency(np.ones((5, 5)) - np.eye(5))))
+    x = np.array([3.0, -1.0, 0.5, 2.0, -4.0])
+    density = signal_density(spectrum, x)
+    assert density.grid == pytest.approx([0.0, 1.25], abs=1e-12)
+    assert density.cumulative[-1] == pytest.approx(x @ x, rel=1e-12)
+
+
+def test_signal_density_of_an_edgeless_graph_is_one_point():
+    spectrum = eigendecompose(normalized_laplacian(Adjacency(np.zeros((4, 4)))))
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    density = signal_density(spectrum, x)
+    assert np.array_equal(density.grid, [0.0])
+    assert density.density == pytest.approx([x @ x], rel=1e-12)
+    assert density.cumulative == pytest.approx([x @ x], rel=1e-12)
+
+
 def _density_from_profile(profile):
     from spectemp.spectral_graph import SignalDensity
     grid = np.linspace(0.05, 1.95, 64)

@@ -2,6 +2,9 @@
 soundness/monotonicity property suites, and the per-cell reference loop
 the array refinement is checked against."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -413,6 +416,18 @@ def test_large_features_stay_distinct():
     state = init_colors(g)
     assert state.colors[0, 0] != state.colors[1, 0]
     assert state.colors[0, 0] == state.colors[2, 0]
+
+
+@pytest.mark.parametrize("pair", [(1e300, 2e300), (1e12, np.nextafter(1e12, np.inf))],
+                         ids=["past_the_grid_quotient_range", "adjacent_floats"])
+def test_distinct_large_features_get_distinct_colors(pair):
+    # 1e300 / 1e-9 overflows, and 1e12 / 1e-9 rounds adjacent floats
+    # together, though they lie 1.2e-4 apart, far more than a grid step
+    g = DTDG(2, ((),), features=np.array([[pair[0]], [pair[1]]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = init_colors(g)
+    assert state.n_colors == 2
 
 
 def benchmark_shape_dtdg(rng, n, t, n_edges, churn):
@@ -886,6 +901,29 @@ def test_parse_reports_location_of_bad_edge():
 def test_parse_rejects_garbage():
     with pytest.raises(DataError):
         parse_dtdg("this is not a graph file")
+
+
+# each a malformed .dtdg document and the message its DataError carries
+BAD_DTDG = {
+    "edge with three fields": ("2 1\n0 1 2\n#\n#\n", "line 2: expected 'u v'"),
+    "non-integer endpoint": ("2 1\n0 x\n#\n#\n", "line 2: non-integer edge endpoint"),
+    "non-numeric feature row": ("2 1\n#\n1.0\nabc\n#\n", "line 4: non-numeric feature row"),
+    "no '#' after features": ("2 1\n#\n1.0\n2.0\n", "snapshot 0: missing '#' after feature block"),
+    "two feature rows for three nodes": ("3 1\n#\n1.0\n2.0\n#\n",
+                                         "feature block has 2 rows, expected 3"),
+    "features in one snapshot of two": ("2 2\n#\n1.0\n2.0\n#\n#\n#\n",
+                                        "either every snapshot has a feature block or none"),
+    "feature rows of different widths": ("2 1\n#\n1.0\n2.0 3.0\n#\n",
+                                         "inconsistent feature dimensionality"),
+    "nan feature": ("2 1\n#\nnan\n2.0\n#\n", "features contain non-finite values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DTDG))
+def test_parse_dtdg_names_what_is_malformed(case):
+    text, message = BAD_DTDG[case]
+    with pytest.raises(DataError, match=re.escape(message)):
+        parse_dtdg(text)
 
 
 def test_self_loop_rejected():

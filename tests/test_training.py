@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import resource
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,19 @@ def test_optimizer_step_rejects_a_rebound_parameter():
     with pytest.raises(ParameterError, match="'head.weight'"):
         tr.optimizer_step(state, grads, 1e-2, moments)
     assert moments.step == 0
+
+
+def test_optimizer_step_names_the_first_parameter_an_update_leaves_non_finite():
+    # lr * m_hat = 4e308 overflows on the first step; the update reports it
+    # itself, not the next step's gradients, and without a RuntimeWarning
+    config = tiny_config()
+    state = tiny_state(config, seed=49)
+    moments = tr.AdamMoments.for_state(state)
+    grads = {k: np.full_like(v, 4.0) for k, v in state.trainable().items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"'{moments.names[0]}'"):
+            tr.optimizer_step(state, grads, 1e308, moments)
 
 
 # "a+b" poisons two trainable parameters: the first in state.trainable()
@@ -755,6 +769,16 @@ def test_run_metadata():
     assert run.config["train"]["lr"] == 3e-3
     assert run.config["model"]["lookback"] == 8
     assert not run.stopped_early
+
+
+@pytest.mark.parametrize("axis", ["basis", "structure"])
+def test_ablation_run_scores_every_variant_of_an_axis(axis):
+    task = ex.SynthTask(n_per_group=2, length=200, lookback=12, horizon=2)
+    result = ex.ablation_run(axis, task, [0], tr.TrainConfig(epochs=1))
+    names = [name for name, _ in ex.ablation_variants(axis)]
+    assert result["variants"] == names
+    assert [row["variant"] for row in result["rows"]] == names
+    assert all(np.isfinite(row["mae"]) for row in result["rows"])
 
 
 # ---------------------------------------------------------------------------
