@@ -499,24 +499,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv=None) -> int:
+    """Run one command. A failed run exits 2, 3 or 4 and removes the
+    output directories it created, as long as they are still empty."""
     started = time.perf_counter()
     args = build_parser().parse_args(argv)
+    created = []
     try:
         run = Run(args, load_config(args))
+        created = _missing_dirs(run.out)
         os.makedirs(run.out, exist_ok=True)
         args.func(run)
         run.write_manifest(time.perf_counter() - started)
         return 0
     except (ConfigError, ParameterError, ShapeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {err}"
     except (DataError, OSError) as err:
-        print(f"data error: {err}", file=sys.stderr)
-        return 3
+        code, message = 3, f"data error: {err}"
     except NumericalError as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return 4
+        code, message = 4, f"numerical error: {err}"
+    print(message, file=sys.stderr)
+    for path in created:
+        try:
+            os.rmdir(path)
+        except FileNotFoundError:  # makedirs failed before it got there
+            pass
+        except OSError:  # not empty: it holds what the run wrote before it failed
+            break
+    return code
 
 
 if __name__ == "__main__":

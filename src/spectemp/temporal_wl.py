@@ -34,20 +34,26 @@ class's id is the number of ids issued so far plus the rank of its
 leader among all leaders, and every key of a round holds an own color
 issued in the round before, so no id repeats an earlier round's.
 
-A class can split in a round only if one of its cells has a neighbor, or
-its cell at t-1, in a class that split in the round before; otherwise
-its cells see the classes they saw before, and their keys stay equal
-(the worklist of colour refinement; Berkholz, Bonsma and Grohe 2017). So
-a state from ``refine_step`` carries its joint cell index, each cell's
-leader and which classes just split, and the next round on the same
-graphs reuses the index and keys only the classes those splits reach.
-Every other class keeps its cells and its leader, and the leaders' ranks
-give every cell its new id, so the colors are bitwise those of keying
-every cell. Other states, and rounds after one that split every class,
-key every cell. A round holds O(cells + E) integers for E edges over all
-snapshots. It makes O(cells + E) array passes, plus O((k + e)*log(k + e))
-sorting for k keyed cells with e edge ends, whatever the degree spread.
-The same dedupe yields each state's color count, so no pass recounts.
+A class can split in a round only if it has two or more cells and one
+of them has a neighbor, or its cell at t-1, in a class that split in the
+round before; otherwise its cells see the classes they saw before, and
+their keys stay equal (the worklist of colour refinement; Berkholz,
+Bonsma and Grohe 2017). So a state from ``refine_step`` carries its joint
+cell index, each cell's leader and which classes just split, and the
+next round on the same graphs reuses the index and keys only the classes
+of two or more cells that those splits reach. Every other class keeps
+its cells and its leader, and the leaders' ranks give every cell its new
+id, so the colors are bitwise those of keying every cell. Other states,
+and rounds after one whose split cells are at least half of all cells
+(``_DENSE_SPLIT``), key every cell: after such a split nearly every class
+is reached anyway, and finding them costs more than keying the rest. The
+index lists each cell's edge ends at per-cell offsets, so a round reads
+the ends of only its split and keyed cells. A round holds O(cells + E)
+integers for E edges over all snapshots. It makes O(cells) array passes
+plus passes over the ends of the split and keyed cells, and
+O((k + e)*log(k + e)) sorting for k keyed cells with e edge ends,
+whatever the degree spread. The same dedupe yields each state's color
+count, so no pass recounts.
 
 `wl_test` compares the end-time color multisets of two graphs after each
 round: if they ever differ the graphs are certainly non-isomorphic;
@@ -95,20 +101,36 @@ INCONCLUSIVE = "inconclusive"
 
 _FEATURE_GRID = 1e-9
 _GRID_LIMIT = 2.0 ** 22     # float spacing below it is under half a grid step
+# A round after one whose split cells are at least this share of all cells
+# keys every cell: finding the classes the split reaches costs more than
+# keying the rest. On the wl_refine moved-edge pair (N=500, T=20, seed 3),
+# rounds 3 and 4 follow splits of 99.9% and 64% of the cells and reach
+# 99.9% and 96% of them, in 3.4 and 3.6 ms, against 2.8 ms keying every
+# cell; round 5 follows a 3% split and reaches 7%. On the pairs of seeds
+# 3, 7 and 11, no round follows a split of between 6.4% and 61% of cells.
+_DENSE_SPLIT = 0.5
 
 
 class _CellIndex(NamedTuple):
     """Adjacency of a DTDG over its cells c = t*N + v, laid out by degree.
 
     A cell's slot is its place in ``order``. Edge ends are listed by the
-    slot of the cell that owns them, so the ends of the ``count`` cells of
-    one degree d are one run of count*d entries.
+    slot of the cell that owns them: the cell at slot s owns the ends
+    ``offsets[s]:offsets[s + 1]``, so a round reads the ends of only the
+    cells it needs (``_ends``), and the ends of the ``count`` cells of one
+    degree d are one run of count*d entries.
     """
 
     order: np.ndarray      # (cells,) the cells by degree, then by cell
-    owner: np.ndarray      # (2E,) cell owning each edge end, by slot
-    neighbour: np.ndarray  # (2E,) cell across that edge, same snapshot
+    neighbour: np.ndarray  # (2E,) cell across each edge end, same snapshot, by slot
+    offsets: np.ndarray    # (cells + 1,) first end of each slot, then 2E
     degrees: tuple         # (degree d, count) per run of ``order``, d ascending
+
+
+def _indexed(order: np.ndarray, neighbour: np.ndarray, degrees: tuple) -> _CellIndex:
+    """The index of cells listed by degree run, with each slot's offsets."""
+    degree = np.repeat(*np.array(degrees, dtype=np.int64).reshape(-1, 2).T)
+    return _CellIndex(order, neighbour, np.concatenate(([0], np.cumsum(degree))), degrees)
 
 
 def _cell_index(owner: np.ndarray, neighbour: np.ndarray, size: int) -> _CellIndex:
@@ -119,13 +141,79 @@ def _cell_index(owner: np.ndarray, neighbour: np.ndarray, size: int) -> _CellInd
     slot[order] = np.arange(size)
     by_slot = np.argsort(slot[owner])
     degrees, counts = np.unique(degree, return_counts=True)
-    return _CellIndex(order, owner[by_slot], neighbour[by_slot],
-                      tuple(zip(degrees.tolist(), counts.tolist())))
+    return _indexed(order, neighbour[by_slot], tuple(zip(degrees.tolist(), counts.tolist())))
+
+
+def _ends(cells: _CellIndex, slots: np.ndarray) -> np.ndarray:
+    """The neighbours of the cells at ``slots``, slot after slot: one
+    gather of their ends, not a scan of every end."""
+    starts = cells.offsets[slots]
+    lengths = cells.offsets[slots + 1] - starts
+    at = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return cells.neighbour[at + np.arange(at.size)]
+
+
+def _checked_pairs(n: int, snapshots) -> list:
+    """Every edge as a (u, v) pair of Python ints, snapshot after
+    snapshot; the first edge that is not a pair of distinct integers in
+    [0, n) raises ``DataError`` naming it and its snapshot."""
+    pairs = []
+    for t, snapshot in enumerate(snapshots):
+        for edge in snapshot:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise DataError(f"edge {edge!r} in snapshot {t} is not a pair") from None
+            if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in edge):
+                raise DataError(f"edge {edge!r} in snapshot {t} has an endpoint"
+                                " that is not an integer")
+            if u == v:
+                raise DataError(f"self loop {u}-{v} in snapshot {t}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise DataError(f"edge {u}-{v} out of range in snapshot {t}")
+            pairs.append((int(u), int(v)))
+    return pairs
+
+
+def _normal_edges(n: int, snapshots) -> tuple:
+    """Each snapshot's edges as sorted (u, v) tuples of Python ints with
+    u < v, each edge once, from one numpy pass over every edge. Only when
+    the endpoints' types, or that pass, show something amiss does
+    ``_checked_pairs`` visit edge by edge to name it."""
+    sizes = [len(snapshot) for snapshot in snapshots]
+    pairs = tuple(chain.from_iterable(snapshots))
+    if set(map(type, pairs)) - {tuple} or set(map(len, pairs)) - {2}:
+        pairs = _checked_pairs(n, snapshots)
+    ends = list(chain.from_iterable(pairs))
+    if set(map(type, ends)) - {int}:
+        ends = list(chain.from_iterable(_checked_pairs(n, snapshots)))
+    try:
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an endpoint past int64
+        _checked_pairs(n, snapshots)  # raises if it is out of range, as for any N below 2**63
+        raise
+    lo, hi = np.minimum(ends[:, 0], ends[:, 1]), np.maximum(ends[:, 0], ends[:, 1])
+    if lo.size and (np.any(lo == hi) or lo.min() < 0 or hi.max() >= n):
+        _checked_pairs(n, snapshots)  # raises at the first such edge
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((hi, lo, step))
+    step, lo, hi = step[order], lo[order], hi[order]
+    fresh = np.ones(lo.size, dtype=bool)
+    fresh[1:] = (step[1:] != step[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    cuts = np.searchsorted(step[fresh], np.arange(len(sizes) + 1)).tolist()
+    u, v = lo[fresh].tolist(), hi[fresh].tolist()
+    return tuple(tuple(zip(u[a:b], v[a:b])) for a, b in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
 class DTDG:
-    """Snapshots of an undirected graph on a persistent node set."""
+    """Snapshots of an undirected graph on a persistent node set.
+
+    Each edge is a pair of distinct integer node ids in [0, N); a bool is
+    not taken for an integer. Each snapshot's edges are stored as sorted
+    (u, v) tuples of Python ints with u < v, each edge once, and the first
+    malformed edge raises ``DataError`` naming it and its snapshot.
+    """
 
     n_nodes: int
     edges: tuple  # per snapshot: tuple of (u, v) pairs with u < v
@@ -136,17 +224,7 @@ class DTDG:
             raise ParameterError("a DTDG needs at least one node")
         if len(self.edges) < 1:
             raise ParameterError("a DTDG needs at least one snapshot")
-        norm_snapshots = []
-        for t, snapshot in enumerate(self.edges):
-            seen = set()
-            for u, v in snapshot:
-                if u == v:
-                    raise DataError(f"self loop {u}-{v} in snapshot {t}")
-                if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                    raise DataError(f"edge {u}-{v} out of range in snapshot {t}")
-                seen.add((min(u, v), max(u, v)))
-            norm_snapshots.append(tuple(sorted(seen)))
-        object.__setattr__(self, "edges", tuple(norm_snapshots))
+        object.__setattr__(self, "edges", _normal_edges(self.n_nodes, self.edges))
         if self.features is not None:
             feats = np.asarray(self.features, dtype=np.float64)
             if feats.ndim == 2:
@@ -200,7 +278,7 @@ class _History(NamedTuple):
     """What a round tells the next one about the state it made."""
 
     graphs: tuple         # the graphs the round refined
-    cells: _CellIndex     # their joint cell index, which the next round reuses
+    cells: _CellIndex     # their joint cell index and end offsets, reused next round
     colors: np.ndarray    # the colors it made, read-only
     leader: np.ndarray    # (cells,) first cell of each cell's class, (graph, t, v) order
     split: np.ndarray     # (cells,) True where the cell's class before the round split
@@ -246,20 +324,19 @@ def _joint_cells(graphs: tuple) -> _CellIndex:
     if len(graphs) == 1:
         return graphs[0]._cells
     span = graphs[0].n_nodes * graphs[0].n_steps
-    runs = []  # (degree, graph, the run's cells, their ends' owners, neighbours)
+    runs = []  # (degree, graph, the run's cells, their ends' neighbours)
     for i, index in enumerate(g._cells for g in graphs):
         start = end = 0
         for degree, count in index.degrees:
-            ends = slice(end, end + count * degree)
             runs.append((degree, i, index.order[start:start + count] + i * span,
-                         index.owner[ends] + i * span, index.neighbour[ends] + i * span))
+                         index.neighbour[end:end + count * degree] + i * span))
             start, end = start + count, end + count * degree
     runs.sort(key=lambda run: run[:2])
     degrees = {}
-    for degree, _, cells, _, _ in runs:
+    for degree, _, cells, _ in runs:
         degrees[degree] = degrees.get(degree, 0) + cells.size
-    return _CellIndex(*(np.concatenate([run[k] for run in runs]) for k in (2, 3, 4)),
-                      tuple(degrees.items()))
+    return _indexed(*(np.concatenate([run[k] for run in runs]) for k in (2, 3)),
+                    tuple(degrees.items()))
 
 
 def _powers(radix: int) -> np.ndarray:
@@ -393,16 +470,20 @@ def init_colors(graph: DTDG | tuple) -> ColoringState:
 
 
 def _reach(history: _History, cells: _CellIndex, n: int, t: int) -> np.ndarray:
-    """Which cells lie in a class the next round can split: a class
-    holding a neighbour or the time successor (v, t+1) of a cell whose
-    class just split. A class none of whose cells sees such a cell sees
-    the same classes as in the round before, so its keys stay equal."""
+    """Which cells lie in a class the next round can split: a class of
+    two or more cells holding a neighbour or the time successor (v, t+1)
+    of a cell whose class just split. A class none of whose cells sees
+    such a cell sees the same classes as in the round before, so its keys
+    stay equal, and a class of one cell cannot split. The neighbours come
+    from the split cells' own ends (edges are undirected), so the pass
+    reads those ends only."""
     split, leader = history.split, history.leader
     seen = np.zeros(split.size, dtype=bool)
-    seen[cells.owner[split[cells.neighbour]]] = True
+    seen[_ends(cells, np.flatnonzero(split[cells.order]))] = True
     seen.reshape(-1, t, n)[:, 1:] |= split.reshape(-1, t, n)[:, :-1]
     marked = np.zeros(split.size, dtype=bool)
     marked[leader[seen]] = True
+    marked &= np.bincount(leader, minlength=split.size) > 1  # one cell cannot split
     return marked[leader]
 
 
@@ -418,12 +499,14 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     values than it has cells; wider colors are ranked first.
 
     Only the cells of classes that can split are keyed. When ``state``
-    came from ``refine_step`` on the same graphs, and not every class of
-    the state before it split, those are the classes its history reaches
-    (``_reach``); every other class keeps its cells and its leader, its
-    first cell. Any other state has every cell keyed. Either way a
-    class's id is ``issued`` plus the rank of its leader among all
-    leaders, so the state equals the one a round keying every cell makes.
+    came from ``refine_step`` on the same graphs, and its round split
+    fewer than half of the cells (``_DENSE_SPLIT``), those are the classes
+    of two or more cells its history reaches (``_reach``), and the rows
+    read only the keyed cells' ends; every other class keeps its cells and
+    its leader, its first cell. Any other state has every cell keyed.
+    Either way a class's id is ``issued`` plus the rank of its leader
+    among all leaders, so the state equals the one a round keying every
+    cell makes.
     The state returned carries the history, this round's joint cell index
     included. Colors that are not integers raise ``ParameterError``, and
     colors not shaped (N, T), or (G, N, T) for G graphs, ``ShapeError``.
@@ -454,11 +537,11 @@ def refine_step(graph: DTDG | tuple, state: ColoringState) -> ColoringState:
     own, previous = by_step.ravel(), previous.ravel()
     order, neighbour = cells.order, cells.neighbour
     counts = [count for _, count in cells.degrees]
-    if history is not None and not history.split.all():
+    if (history is not None
+            and np.count_nonzero(history.split) < _DENSE_SPLIT * history.split.size):
         leader = history.leader.copy()
-        keyed = _reach(history, cells, n, t)
-        kept = np.flatnonzero(keyed[order])
-        order, neighbour = order[kept], neighbour[keyed[cells.owner]]
+        kept = np.flatnonzero(_reach(history, cells, n, t)[order])
+        order, neighbour = order[kept], _ends(cells, kept)
         counts = np.diff(np.searchsorted(kept, np.cumsum([0] + counts))).tolist()
     else:
         leader = np.empty(colors.size, dtype=np.int64)

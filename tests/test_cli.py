@@ -244,6 +244,15 @@ def test_graph_file_with_a_nan_feature_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err == "data error: features contain non-finite values\n"
 
 
+def test_graph_file_with_an_endpoint_past_int64_exits_3(tmp_path, capsys):
+    bad = tmp_path / "far.dtdg"
+    bad.write_text("2 1\n0 99999999999999999999\n#\n#\n")
+    code = cli.main(["twl", "--set", f"twl.left={bad}", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == ("data error: edge 0-99999999999999999999"
+                                       " out of range in snapshot 0\n")
+
+
 @pytest.mark.parametrize("raw", [b'{"train": {"epochs": "\xb5"}}', b"[" * 200_000],
                          ids=["not utf8", "nested too deep"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
@@ -478,6 +487,22 @@ def test_divergence_on_the_last_optimizer_step_exits_4(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "run" / "checkpoint.stck").exists()
+
+
+def test_failed_run_removes_only_the_empty_directories_it_created(tmp_path, capsys):
+    diverging = ["train", "--set", "train.epochs=1", "--set", "train.batch_size=100000",
+                 "--set", "train.lr=1e308"]
+    assert cli.main(diverging + ["--out", str(tmp_path / "dv")]) == 4
+    assert not (tmp_path / "dv").exists()
+    assert cli.main(diverging + ["--out", str(tmp_path / "a" / "b")]) == 4
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "kept").mkdir()
+    assert cli.main(diverging + ["--out", str(tmp_path / "kept")]) == 4
+    assert (tmp_path / "kept").is_dir()
+    (tmp_path / "made" / "old").mkdir(parents=True)
+    assert cli.main(diverging + ["--out", str(tmp_path / "made" / "new" / "run")]) == 4
+    assert sorted(p.name for p in (tmp_path / "made").iterdir()) == ["old"]
+    assert capsys.readouterr().err.count("numerical error") == 4
 
 
 # ---------------------------------------------------------------------------

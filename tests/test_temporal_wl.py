@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectemp import temporal_wl
 from spectemp.errors import DataError, ParameterError, ShapeError
@@ -495,9 +497,9 @@ def edge_ends(graphs):
 
 def test_joint_cell_index_merges_each_graphs_own_index():
     # Graphs refined together merge their cached indices one degree run at
-    # a time. The joint order and degree runs are those of indexing every
-    # cell at once, and so is the owner of every end; only the order of a
-    # cell's ends within its slot may differ.
+    # a time. The joint order, degree runs and end offsets are those of
+    # indexing every cell at once; only the order of a cell's ends within
+    # its slot may differ.
     rng = np.random.default_rng(121)
     for trial in range(40):
         n, t = int(rng.integers(1, 9)), int(rng.integers(1, 4))
@@ -510,9 +512,36 @@ def test_joint_cell_index_merges_each_graphs_own_index():
         at_once = temporal_wl._cell_index(owner, neighbour, len(graphs) * n * t)
         assert np.array_equal(joint.order, at_once.order), trial
         assert joint.degrees == at_once.degrees, trial
-        assert np.array_equal(joint.owner, at_once.owner), trial
-        assert (sorted(zip(joint.owner.tolist(), joint.neighbour.tolist()))
+        assert np.array_equal(joint.offsets, at_once.offsets), trial
+        joint_owner = np.repeat(joint.order, np.diff(joint.offsets))
+        assert (sorted(zip(joint_owner.tolist(), joint.neighbour.tolist()))
                 == sorted(zip(owner.tolist(), neighbour.tolist()))), trial
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_ends_read_through_the_offsets_equal_a_scan_of_every_end(data):
+    # Random graphs, alone or refined together, and random split and keyed
+    # cells: the ends `_ends` gathers by slot offsets are those a boolean
+    # scan over every edge end finds, each end's owner read from the edge
+    # lists, not from the offsets.
+    n, t, count = (data.draw(st.integers(1, most)) for most in (7, 3, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graphs = tuple(DTDG(n, tuple(tuple(p for p in pairs if data.draw(st.booleans()))
+                                 for _ in range(t))) for _ in range(count))
+    cells = temporal_wl._joint_cells(graphs)
+    size = count * n * t
+    split, keyed = (np.array(data.draw(st.lists(st.booleans(), min_size=size,
+                                                max_size=size)), dtype=bool)
+                    for _ in range(2))
+    owner, neighbour = edge_ends(graphs)
+    by_slot = np.repeat(cells.order, np.bincount(owner, minlength=size)[cells.order])
+    # a split cell's neighbours are the owners of the ends that reach it
+    reached = temporal_wl._ends(cells, np.flatnonzero(split[cells.order]))
+    assert np.array_equal(np.sort(reached), np.sort(owner[split[neighbour]]))
+    # the keyed cells' ends, slot after slot, as a scan keeps them
+    rows = temporal_wl._ends(cells, np.flatnonzero(keyed[cells.order]))
+    assert np.array_equal(rows, cells.neighbour[keyed[by_slot]])
 
 
 def test_late_rounds_key_only_the_classes_a_split_reaches(monkeypatch):
@@ -544,6 +573,40 @@ def test_late_rounds_key_only_the_classes_a_split_reaches(monkeypatch):
             before.colors, before.n_colors, before.palette))
         assert np.array_equal(after.colors, full.colors)
         assert (after.n_colors, after.palette) == (full.n_colors, full.palette)
+
+
+def test_rounds_key_no_one_cell_class_and_every_cell_after_a_dense_split(monkeypatch):
+    # The pair of the test above. A round after one that split at least
+    # half of the cells keys every cell; any other round keys no class of
+    # one cell, which cannot split.
+    n, t = 80, 10
+    rng = np.random.default_rng(122)
+    base = benchmark_shape_dtdg(rng, n, t, 120, 0.1)
+    first = list(base.edges[0])
+    u, v = first[0]
+    w = next(w for w in range(n) if w not in (u, v) and (min(u, w), max(u, w)) not in first)
+    other = DTDG(n, (tuple(first[1:] + [(min(u, w), max(u, w))]),) + base.edges[1:])
+    keyed = []
+    lead = temporal_wl._lead
+
+    def recording(groups, leader, radix):
+        keyed.append(np.concatenate([np.empty(0, dtype=np.int64)]
+                                    + [cells for cells, _ in groups]))
+        return lead(groups, leader, radix)
+
+    monkeypatch.setattr(temporal_wl, "_lead", recording)
+    states = list(temporal_wl._refinements((base, other), None))
+    assert len(keyed) == len(states) - 1  # featureless: init_colors keys nothing
+    dense = partial = 0
+    for history, cells in zip((s._history for s in states[1:-1]), keyed[1:]):
+        if np.count_nonzero(history.split) >= history.split.size / 2:
+            assert np.array_equal(np.sort(cells), np.arange(2 * n * t))
+            dense += 1
+        else:
+            alone = np.bincount(history.leader, minlength=2 * n * t)[history.leader] == 1
+            assert not alone[cells].any()
+            partial += alone.any()
+    assert dense >= 3 and partial >= 5, (dense, partial)
 
 
 def test_a_refinement_builds_one_joint_cell_index(monkeypatch):
@@ -916,6 +979,8 @@ BAD_DTDG = {
     "feature rows of different widths": ("2 1\n#\n1.0\n2.0 3.0\n#\n",
                                          "inconsistent feature dimensionality"),
     "nan feature": ("2 1\n#\nnan\n2.0\n#\n", "features contain non-finite values"),
+    "endpoint past int64": ("2 1\n0 99999999999999999999\n#\n#\n",
+                            "edge 0-99999999999999999999 out of range in snapshot 0"),
 }
 
 
@@ -924,6 +989,40 @@ def test_parse_dtdg_names_what_is_malformed(case):
     text, message = BAD_DTDG[case]
     with pytest.raises(DataError, match=re.escape(message)):
         parse_dtdg(text)
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (True, 2), (0, 1.0), (0, None)],
+                         ids=["fraction", "string", "bool", "integral_float", "none"])
+def test_edge_endpoints_must_be_integers(edge):
+    # (0, 1.5) used to be stored, refined as node 1 and written as "0 1.5",
+    # which parse_dtdg rejects; (0, "1") raised a bare TypeError
+    with pytest.raises(DataError, match=re.escape(f"edge {edge!r} in snapshot 1")):
+        DTDG(3, (((0, 1),), ((1, 2), edge)))
+
+
+@pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 5], ids=["triple", "single", "int"])
+def test_edges_must_be_pairs(edge):
+    with pytest.raises(DataError, match=re.escape(f"edge {edge!r} in snapshot 0 is not a pair")):
+        DTDG(3, ((edge,),))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.lists(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                            max_size=12), min_size=1, max_size=4),
+       st.booleans(), st.booleans())
+def test_edges_are_stored_sorted_once_each_as_python_ints(n, snapshots, numpy_ints, far):
+    # each snapshot's edges become the sorted set of (min, max) pairs;
+    # numpy integers are stored as Python ints, and far endpoints (near
+    # 2**40) sort as exactly as near ones.
+    snapshots = [[(u % n, v % n) for u, v in s if u % n != v % n] for s in snapshots]
+    if far:
+        n, snapshots = 2 ** 41, [[(u + 2 ** 40, v) for u, v in s] for s in snapshots]
+    given_edges = [[tuple(map(np.int64, e)) if numpy_ints else e for e in s]
+                   for s in snapshots]
+    graph = DTDG(n, tuple(given_edges))
+    assert graph.edges == tuple(tuple(sorted({(min(e), max(e)) for e in s}))
+                                for s in snapshots)
+    assert all(type(x) is int for s in graph.edges for e in s for x in e)
 
 
 def test_self_loop_rejected():
