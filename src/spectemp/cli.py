@@ -156,7 +156,7 @@ def load_config(args) -> dict:
     if args.config is not None:
         if not os.path.exists(args.config):
             raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             try:
                 config = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:

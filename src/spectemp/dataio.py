@@ -83,16 +83,15 @@ IMPUTES = (None, "ffill")
 NORM_METHODS = ("zscore", "minmax")
 
 
-def load_csv(path, layout: str = "time_major", impute: str | None = None,
-             name: str | None = None) -> Dataset:
-    """Parse a numeric CSV into a Dataset (D = 1).
+def load_csv(path, layout: str = "time_major", impute: str | None = None) -> Dataset:
+    """Parse a numeric CSV into a Dataset (D = 1) named after the file stem.
 
     time_major: rows are time steps, columns variables; variable_major is
     the transpose. NaN/empty cells raise DataError unless impute="ffill",
     which forward-fills per variable (leading gaps take the first valid
-    value). Infinite cells, bytes that are not UTF-8 and unparseable CSV
-    always raise DataError; an unknown ``layout`` or ``impute`` raises
-    ParameterError.
+    value). A leading UTF-8 byte order mark is skipped. Infinite cells,
+    bytes that are not UTF-8 and unparseable CSV always raise DataError;
+    an unknown ``layout`` or ``impute`` raises ParameterError.
     """
     if layout not in LAYOUTS:
         raise ParameterError(f"unknown layout {layout!r}")
@@ -100,7 +99,7 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
         raise ParameterError(f"unknown impute {impute!r}; expected one of {list(IMPUTES)}")
     rows = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             for line_no, row in enumerate(reader, start=1):
                 if not row or all(not cell.strip() for cell in row):
@@ -157,15 +156,14 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None,
         source = np.where(missing, first, np.arange(table.shape[1]))
         table[:] = np.take_along_axis(table, np.maximum.accumulate(source, axis=1), axis=1)
     return Dataset(values=table[:, :, None],
-                   name=name or os.path.splitext(os.path.basename(str(path)))[0])
+                   name=os.path.splitext(os.path.basename(str(path)))[0])
 
 
-def save_csv(dataset: Dataset, path, layout: str = "time_major") -> None:
+def save_csv(dataset: Dataset, path) -> None:
+    """Write a D = 1 dataset time-major, the layout ``load_csv`` reads by default."""
     if dataset.n_dims != 1:
         raise ShapeError("CSV export supports D = 1 only")
-    table = dataset.values[:, :, 0]
-    if layout == "time_major":
-        table = table.T
+    table = dataset.values[:, :, 0].T
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         for row in table:

@@ -281,21 +281,21 @@ def signed_groups_experiment(task: SynthTask, seed: int, tc: TrainConfig,
     }
 
 
-def convergence_race(task: SynthTask, seeds, bases=BASIS_ORDER,
-                     epochs: int = RACE_PRESET["epochs"], lr: float = RACE_PRESET["lr"],
+def convergence_race(task: SynthTask, seeds, epochs: int = RACE_PRESET["epochs"],
+                     lr: float = RACE_PRESET["lr"],
                      batch_size: int = RACE_PRESET["batch_size"]) -> dict:
     """Same data, same init noise, same shuffling; only the polynomial
-    family changes. Returns per-basis per-seed epoch-loss curves. The
-    training settings default to ``RACE_PRESET``."""
-    curves = {basis: [] for basis in bases}
+    family changes, over ``BASIS_ORDER``. Returns per-basis per-seed
+    epoch-loss curves. The training settings default to ``RACE_PRESET``."""
+    curves = {basis: [] for basis in BASIS_ORDER}
     for seed in seeds:
         bundle = prepare_synth(task, seed)
         tc = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-        for basis in bases:
+        for basis in BASIS_ORDER:
             config = task_model_config(task, basis=basis)
             _, run = fit(config, tc, bundle, seed, validate=False)
             curves[basis].append(list(run.epoch_losses))
-    return {"bases": list(bases), "seeds": list(seeds), "curves": curves,
+    return {"bases": list(BASIS_ORDER), "seeds": list(seeds), "curves": curves,
             "epochs": epochs, "lr": lr}
 
 

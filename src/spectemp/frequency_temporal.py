@@ -220,7 +220,7 @@ class ColumnSamplingReport:
 
     For random S-column subsets A' of A, compares
     lhs = ||A W - A' pinv(A') A W||_F against
-    rhs = (1 + eps) ||W||_F ||A - A_k||_F with eps = sqrt(k^2 / S) * c.
+    rhs = (1 + eps) ||W||_F ||A - A_k||_F with eps = c sqrt(k^2 / S), c = 1.
     """
 
     mean_lhs: float
@@ -235,8 +235,7 @@ _TRIAL_BLOCK = 64  # trials batched through one stacked pinv
 
 
 def column_sampling_check(a: np.ndarray, w: np.ndarray, k: int, s: int,
-                          trials: int = 500, seed: int = 0,
-                          c: float = 1.0) -> ColumnSamplingReport:
+                          trials: int = 500, seed: int = 0) -> ColumnSamplingReport:
     a = np.asarray(a, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if a.ndim != 2 or w.ndim != 2 or w.shape[0] != a.shape[1]:
@@ -251,7 +250,7 @@ def column_sampling_check(a: np.ndarray, w: np.ndarray, k: int, s: int,
 
     singular = np.linalg.svd(a, compute_uv=False)
     tail = float(np.sqrt((singular[k:] ** 2).sum()))
-    epsilon = float(np.sqrt(k * k / s) * c)
+    epsilon = float(np.sqrt(k * k / s))
     rhs = (1.0 + epsilon) * float(np.linalg.norm(w)) * tail
 
     # The index sets are drawn one trial at a time, in order, from the one

@@ -67,6 +67,7 @@ BASES = ("monomial", "bernstein", "chebyshev2", "gegenbauer", "jacobi")
 
 _EIGEN_GAP = 1e-8  # eigenvalues closer than this count as repeated
 _SIGN_EPS = 1e-12
+_ALPHA_GRID = np.arange(0.05, 3.0 + 1e-9, 0.01)  # ascending: ties go to the smaller alpha
 
 
 @dataclass(frozen=True)
@@ -439,17 +440,14 @@ def gegenbauer_weight(x: np.ndarray, alpha: float) -> np.ndarray:
     return (1.0 - np.asarray(x) ** 2) ** (alpha - 0.5)
 
 
-def fit_weight_alpha(density: SignalDensity,
-                     alpha_grid: np.ndarray | None = None) -> tuple[float, float]:
+def fit_weight_alpha(density: SignalDensity) -> tuple[float, float]:
     """Grid-search the Gegenbauer weight exponent matching a signal density.
 
     Both the density and each candidate weight (1-x^2)^(alpha-1/2) are
     normalized to unit trapezoid mass over the interior of the x = 1 - lambda
-    grid before the squared distance is taken. Ties resolve to the smaller
-    alpha (the grid is ascending and argmin returns the first minimizer).
+    grid before the squared distance is taken. The candidates are
+    ``_ALPHA_GRID`` (0.05 to 3.0 by 0.01); ties resolve to the smaller alpha.
     """
-    if alpha_grid is None:
-        alpha_grid = np.arange(0.05, 3.0 + 1e-9, 0.01)
     x = 1.0 - density.grid
     interior = np.abs(x) < 1.0 - 1e-9
     if interior.sum() < 2:
@@ -463,13 +461,10 @@ def fit_weight_alpha(density: SignalDensity,
         raise ParameterError("signal density carries no interior energy")
     di = di / mass
 
-    best_alpha, best_residual = float(alpha_grid[0]), np.inf
-    for alpha in alpha_grid:
+    best_alpha, best_residual = float(_ALPHA_GRID[0]), np.inf
+    for alpha in _ALPHA_GRID:
         w = gegenbauer_weight(xi, float(alpha))
-        w_mass = np.trapezoid(w, xi)
-        if not np.isfinite(w_mass) or w_mass <= 0:
-            continue
-        residual = float(((di - w / w_mass) ** 2).sum())
+        residual = float(((di - w / np.trapezoid(w, xi)) ** 2).sum())
         if residual < best_residual - 1e-15:
             best_alpha, best_residual = float(alpha), residual
     return best_alpha, best_residual
@@ -480,18 +475,20 @@ def fit_weight_alpha(density: SignalDensity,
 # ---------------------------------------------------------------------------
 
 def orthogonality_residual(basis: str, jmax: int = 4, alpha: float = 1.0,
-                           jacobi_a: float | None = None, jacobi_b: float | None = None,
-                           nodes: int = 32) -> float:
+                           jacobi_a: float | None = None,
+                           jacobi_b: float | None = None) -> float:
     """Max |integral of P_j P_k w| over j != k <= jmax, by Gauss-Jacobi quadrature.
 
     The weight w is the basis's own orthogonality weight for the orthogonal
-    families and the uniform weight for monomial/bernstein (which is the
-    point: their residual is far from zero).
+    families and the uniform weight for monomial/bernstein (their residual
+    is far from zero). jmax + 1 nodes integrate every P_j P_k exactly.
     """
     from scipy.special import roots_jacobi
 
+    if jmax < 0:
+        raise ParameterError(f"jmax must be a nonnegative degree, got {jmax}")
     rec = basis_recurrence(basis, jmax, alpha, jacobi_a, jacobi_b)
-    xq, wq = roots_jacobi(nodes, *rec.weight)
+    xq, wq = roots_jacobi(jmax + 1, *rec.weight)
     values = _values(rec, xq)
     gram = np.einsum("q,iq,jq->ij", wq, values, values)
     off = gram - np.diag(np.diag(gram))

@@ -265,12 +265,9 @@ class DTDG:
             raise ParameterError(
                 f"a node relabelling must be a permutation of range({self.n_nodes}),"
                 f" got {perm.tolist()!r}")
-        edges = tuple(tuple((int(perm[u]), int(perm[v])) for u, v in snap)
-                      for snap in self.edges)
-        feats = None
-        if self.features is not None:
-            feats = np.empty_like(self.features)
-            feats[perm] = self.features
+        label = perm.tolist()
+        edges = tuple(tuple((label[u], label[v]) for u, v in snap) for snap in self.edges)
+        feats = None if self.features is None else self.features[np.argsort(perm)]
         return DTDG(self.n_nodes, edges, feats)
 
 
@@ -310,10 +307,18 @@ class ColoringState:
 
 def _graphs(graph: DTDG | tuple) -> tuple:
     """Graphs refined together: equal N and T, cells in (graph, t, v)
-    order. A DTDG stands for the tuple of itself."""
+    order. A DTDG stands for the tuple of itself. No radix of ``_lead``
+    passes one more than a round's key digits (2 per cell, 1 per edge end)
+    or the feature values, and ``_powers`` packs two digits only below
+    radix 2**31, so graphs past 2**31 - 2 of either raise ``DataError``."""
     graphs = (graph,) if isinstance(graph, DTDG) else tuple(graph)
     if len({(g.n_nodes, g.n_steps) for g in graphs}) != 1:
         raise ShapeError("graphs refined together need equal node and step counts")
+    digits = sum(2 * g.n_nodes * g.n_steps + 2 * sum(map(len, g.edges)) for g in graphs)
+    values = sum(g.features.size for g in graphs if g.features is not None)
+    if max(digits, values) > 2 ** 31 - 2:
+        raise DataError(f"graphs too large to refine: {digits} key digits (2 per cell, 1 per"
+                        f" edge end) and {values} feature values, past 2**31 - 2")
     return graphs
 
 
@@ -643,7 +648,7 @@ class SpectralConditionReport:
     repeated_eigenvalues flags Laplacian eigenvalue gaps below the gap at
     which ``spectral_graph`` counts eigenvalues as repeated;
     missing_components lists (t, i) pairs where eigencomponent i of the
-    snapshot-t features has norm below tol.
+    snapshot-t features has norm below 1e-6.
     """
 
     eigenvalues: np.ndarray
@@ -653,7 +658,7 @@ class SpectralConditionReport:
     conditions_hold: bool
 
 
-def check_spectral_conditions(graph: DTDG, tol: float = 1e-6) -> SpectralConditionReport:
+def check_spectral_conditions(graph: DTDG) -> SpectralConditionReport:
     if not graph.topology_fixed:
         raise ParameterError("spectral conditions require a fixed topology")
     if graph.features is None:
@@ -671,7 +676,7 @@ def check_spectral_conditions(graph: DTDG, tol: float = 1e-6) -> SpectralConditi
     for t in range(graph.n_steps):
         hat = spectrum.eigenvectors.T @ graph.features[:, t, :]  # (N, D)
         norms = np.sqrt((hat ** 2).sum(axis=1))
-        for i in np.flatnonzero(norms < tol):
+        for i in np.flatnonzero(norms < 1e-6):
             missing.append((t, int(i)))
     return SpectralConditionReport(
         eigenvalues=spectrum.eigenvalues,
@@ -688,7 +693,8 @@ def check_spectral_conditions(graph: DTDG, tol: float = 1e-6) -> SpectralConditi
 #
 # Header line: "N T". Then, per snapshot, two '#'-terminated sections:
 # edge lines ("u v"), then N feature rows of D floats (or zero rows for a
-# featureless graph). Example with N=3, T=2, D=1:
+# featureless graph), and nothing after. Blank lines are skipped; an error
+# names its line number in the text. Example with N=3, T=2, D=1:
 #
 #     3 2
 #     0 1
@@ -706,51 +712,51 @@ def check_spectral_conditions(graph: DTDG, tol: float = 1e-6) -> SpectralConditi
 #     #
 
 def parse_dtdg(text: str) -> DTDG:
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    if not lines:
+    lines = ((no, s) for no, s in enumerate(map(str.strip, text.splitlines()), 1) if s)
+    _, header_line = next(lines, (0, ""))
+    if not header_line:
         raise DataError("empty DTDG document")
-    header = lines[0].split()
+    header = header_line.split()
     if len(header) != 2:
-        raise DataError(f"header must be 'N T', got {lines[0]!r}")
+        raise DataError(f"header must be 'N T', got {header_line!r}")
     try:
         n, t = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise DataError(f"non-integer header {lines[0]!r}") from exc
+        raise DataError(f"non-integer header {header_line!r}") from exc
     if n < 1 or t < 1:
-        raise DataError(f"header {lines[0]!r} needs N >= 1 nodes and T >= 1 snapshots")
+        raise DataError(f"header {header_line!r} needs N >= 1 nodes and T >= 1 snapshots")
 
-    pos = 1
+    def section(step: int, what: str):
+        for no, line in lines:
+            if line == "#":
+                return
+            yield no, line
+        raise DataError(f"snapshot {step}: missing '#' after {what}")
+
     snapshots, feature_blocks = [], []
     for step in range(t):
         edges = []
-        while pos < len(lines) and lines[pos] != "#":
-            parts = lines[pos].split()
+        for no, line in section(step, "edge list"):
+            parts = line.split()
             if len(parts) != 2:
-                raise DataError(f"line {pos + 1}: expected 'u v', got {lines[pos]!r}")
+                raise DataError(f"line {no}: expected 'u v', got {line!r}")
             try:
                 edges.append((int(parts[0]), int(parts[1])))
             except ValueError as exc:
-                raise DataError(f"line {pos + 1}: non-integer edge endpoint") from exc
-            pos += 1
-        if pos >= len(lines):
-            raise DataError(f"snapshot {step}: missing '#' after edge list")
-        pos += 1  # consume separator
+                raise DataError(f"line {no}: non-integer edge endpoint") from exc
         rows = []
-        while pos < len(lines) and lines[pos] != "#":
+        for no, line in section(step, "feature block"):
             try:
-                rows.append([float(x) for x in lines[pos].split()])
+                rows.append([float(x) for x in line.split()])
             except ValueError as exc:
-                raise DataError(f"line {pos + 1}: non-numeric feature row") from exc
-            pos += 1
-        if pos >= len(lines):
-            raise DataError(f"snapshot {step}: missing '#' after feature block")
-        pos += 1
+                raise DataError(f"line {no}: non-numeric feature row") from exc
         if rows and len(rows) != n:
             raise DataError(
                 f"snapshot {step}: feature block has {len(rows)} rows, expected {n}")
         snapshots.append(tuple(edges))
         feature_blocks.append(rows)
+    for no, line in lines:  # anything left follows the last snapshot
+        raise DataError(f"line {no}: {line!r} follows the last of {t} snapshots")
 
     has_features = [bool(rows) for rows in feature_blocks]
     if any(has_features) and not all(has_features):
@@ -779,7 +785,7 @@ def format_dtdg(graph: DTDG) -> str:
 
 
 def read_dtdg(path) -> DTDG:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as err:

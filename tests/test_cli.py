@@ -253,6 +253,23 @@ def test_graph_file_with_an_endpoint_past_int64_exits_3(tmp_path, capsys):
                                        " out of range in snapshot 0\n")
 
 
+def test_graph_file_too_large_to_refine_exits_3(tmp_path, capsys):
+    # the header alone asks for 2 * 10**20 cells; nothing is allocated
+    big = tmp_path / "big.dtdg"
+    big.write_text("99999999999999999999 1\n#\n#\n")
+    code = cli.main(["twl", "--set", f"twl.left={big}", "--set", f"twl.right={big}",
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "graphs too large to refine" in capsys.readouterr().err
+
+
+def test_config_file_with_a_utf8_byte_order_mark_is_read(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"twl": {"steps": 1}}).encode())
+    assert cli.main(["twl", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert read_json(tmp_path / "out" / "manifest.json")["effective_config"]["twl"]["steps"] == 1
+
+
 @pytest.mark.parametrize("raw", [b'{"train": {"epochs": "\xb5"}}', b"[" * 200_000],
                          ids=["not utf8", "nested too deep"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):

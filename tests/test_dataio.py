@@ -126,6 +126,16 @@ def test_load_csv_rejects_a_field_past_the_csv_limit(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # read as text, the mark made "\ufeff1.0" a non-numeric first cell, so
+    # the first data row was taken for a header and dropped
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    ds = load_csv(path)
+    assert ds.values[:, :, 0].tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+    assert ds.name == "bom"
+
+
 def test_csv_roundtrip(tmp_path):
     ds = linear_dataset()
     path = tmp_path / "walk.csv"

@@ -304,6 +304,8 @@ def test_basis_eval_rejects_bad_arguments():
         orthogonality_residual("jacobi", jacobi_a=-1.5)
     with pytest.raises(ParameterError):
         orthogonality_residual("gegenbauer", alpha=-0.5)
+    with pytest.raises(ParameterError, match="jmax"):
+        orthogonality_residual("gegenbauer", jmax=-1)    # read 0.0 with fixed nodes
 
 
 # ---------------------------------------------------------------------------

@@ -981,6 +981,11 @@ BAD_DTDG = {
     "nan feature": ("2 1\n#\nnan\n2.0\n#\n", "features contain non-finite values"),
     "endpoint past int64": ("2 1\n0 99999999999999999999\n#\n#\n",
                             "edge 0-99999999999999999999 out of range in snapshot 0"),
+    # blank lines count: the bad endpoint is on line 5 of the file, not 3
+    "bad endpoint after blank lines": ("3 1\n\n\n0 1\n1 x\n#\n#\n",
+                                       "line 5: non-integer edge endpoint"),
+    "a snapshot past T": ("3 1\n0 1\n#\n#\n1 2\n#\n#\n",
+                          "line 5: '1 2' follows the last of 1 snapshots"),
 }
 
 
@@ -989,6 +994,25 @@ def test_parse_dtdg_names_what_is_malformed(case):
     text, message = BAD_DTDG[case]
     with pytest.raises(DataError, match=re.escape(message)):
         parse_dtdg(text)
+
+
+def test_read_dtdg_skips_a_utf8_byte_order_mark(tmp_path):
+    graph = read_dtdg(fixture_path("wl_pair_left"))
+    path = tmp_path / "bom.dtdg"
+    path.write_bytes(b"\xef\xbb\xbf" + format_dtdg(graph).encode())
+    back = read_dtdg(path)
+    assert back.edges == graph.edges and np.array_equal(back.features, graph.features)
+
+
+@pytest.mark.parametrize("n_nodes, edges", [(2 ** 30, ()), (2 ** 30 - 1, ((0, 1),)),
+                                             (99999999999999999999, ())],
+                         ids=["2**30 cells", "2**30 - 1 cells and an edge", "N past int64"])
+def test_init_colors_rejects_graphs_too_large_to_refine(n_nodes, edges):
+    # 2 key digits per cell and 1 per edge end pass 2**31 - 2; the check
+    # runs before the (N, T) colors would be allocated
+    with pytest.raises(DataError, match=re.escape(f"{2 * n_nodes + 2 * len(edges)} key digits")):
+        init_colors(DTDG(n_nodes, (edges,)))
+    temporal_wl._graphs(DTDG(2 ** 30 - 1, ((),)))  # 2**31 - 2 digits: the largest that passes
 
 
 @pytest.mark.parametrize("edge", [(0, 1.5), (0, "1"), (True, 2), (0, 1.0), (0, None)],
