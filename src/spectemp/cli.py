@@ -43,7 +43,7 @@ from .spectral_graph import (Adjacency, eigendecompose, fit_weight_alpha,
                              signal_density)
 from .temporal_wl import (check_spectral_conditions, distinguishable,
                           fixture_path, read_dtdg, refine_to_stable, wl_test)
-from .training import TrainConfig, evaluate, predict, write_history_csv
+from .training import TrainConfig, evaluate, predict
 
 DEFAULT_SEEDS = 5
 SECTIONS = ("task", "data", "model", "train", "forecast", "ablate", "theory",
@@ -281,7 +281,11 @@ def cmd_train(run: Run) -> None:
     scores = evaluate(state, model_cfg, bundle.test_windows, stats=bundle.stats)
 
     mc.save_checkpoint(run.path("checkpoint.stck"), state, model_cfg)
-    write_history_csv(run.path("history.csv"), history)
+    blank = [""] * history.epochs_run       # for a run without validation
+    run.write_csv("history.csv", ["epoch", "train_loss", "val_mae", "val_rmse", "seconds"],
+                  zip(range(history.epochs_run), history.epoch_losses,
+                      history.val_mae or blank, history.val_rmse or blank,
+                      [f"{seconds:.6f}" for seconds in history.seconds]))
     _write_json(run.path("metrics.json"), {
         "mae": scores["mae"], "rmse": scores["rmse"],
         "epochs_run": history.epochs_run, "best_epoch": history.best_epoch,

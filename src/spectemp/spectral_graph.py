@@ -35,6 +35,7 @@ it, run as two BLAS products on the (N, rest) flattening of X.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from math import comb, prod
@@ -126,13 +127,13 @@ class FilterBank:
     monomial_on_laplacian: bool = False
 
     def __post_init__(self):
-        self.recurrence()  # rejects unknown bases and out-of-domain weights
+        self.recurrence()  # rejects bad degrees, unknown bases and out-of-domain weights
         coeff = np.asarray(self.coefficients, dtype=np.float64)
         if coeff.ndim == 1:
             coeff = coeff[:, None]
         if coeff.ndim != 2:
             raise ShapeError("coefficients must be (K+1,) or (K+1, D)")
-        if self.degree < 0 or coeff.shape[0] != self.degree + 1:
+        if coeff.shape[0] != self.degree + 1:
             raise ShapeError(
                 f"coefficient rows ({coeff.shape[0]}) must equal degree+1 ({self.degree + 1})")
         object.__setattr__(self, "coefficients", coeff)
@@ -228,8 +229,11 @@ def basis_recurrence(basis: str, degree: int, alpha: float = 1.0,
 
     chebyshev2 is Gegenbauer at alpha = 1; the Jacobi exponents default to
     a = b = alpha - 1/2 (the Gegenbauer weight). Every orthogonal family
-    needs a, b > -1, which for Gegenbauer is alpha > -1/2.
+    needs a, b > -1, which for Gegenbauer is alpha > -1/2. The degree must
+    be a non-negative integer, not a bool.
     """
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+        raise ParameterError(f"degree must be a non-negative integer, got {degree!r}")
     if basis not in BASES:
         raise ParameterError(f"unknown basis {basis!r}, expected one of {BASES}")
     if basis == "chebyshev2":

@@ -9,7 +9,6 @@ Given the same seed, config, and platform, a run reproduces bitwise.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 import numbers
@@ -33,14 +32,18 @@ __all__ = [
     "train",
     "predict",
     "evaluate",
-    "write_history_csv",
     "finite_difference_check",
 ]
 
 
+# Adam's moment decay rates and denominator offset: Kingma & Ba's (2015) defaults
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamMoments:
-    """Adaptive-moment state over one flat float64 vector of parameters.
+    """Adaptive-moment state over one flat float64 vector of parameters,
+    for Adam with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
     ``for_state`` copies a state's trainable arrays into ``params`` in
     sorted-name order (the checkpoint payload's order) and rebinds each of
@@ -94,10 +97,6 @@ class TrainConfig:
     epochs: int = 50
     patience: int = 15
     seed: int = 0
-    shuffle: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
@@ -105,11 +104,6 @@ class TrainConfig:
         for key in ("batch_size", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"train.{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"train.{key} must lie in [0, 1), got {getattr(self, key)}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"train.eps must be positive and finite, got {self.eps}")
         for key in ("patience", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"train.{key} must be >= 0, got {getattr(self, key)}")
@@ -120,7 +114,7 @@ class TrainConfig:
 
 @dataclass
 class TrainRun:
-    """Per-epoch history of one run, exportable as CSV."""
+    """Per-epoch history of one run."""
 
     epoch_losses: list = field(default_factory=list)
     val_mae: list = field(default_factory=list)
@@ -160,13 +154,12 @@ def gradients(state: mc.ModelState, batch, config: mc.ModelConfig) -> tuple[dict
 
 
 def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
-                   moments: AdamMoments, beta1: float = TrainConfig.beta1,
-                   beta2: float = TrainConfig.beta2,
-                   eps: float = TrainConfig.eps) -> AdamMoments:
-    """One adaptive-moment update with bias correction, made in place on
-    ``moments.params``: the trainable entries of ``state.params`` are views
-    of that vector (see ``AdamMoments.for_state``), so they hold the updated
-    values and no entry is rebound. ``grads`` must hold every name in
+                   moments: AdamMoments) -> AdamMoments:
+    """One Adam update with bias correction, beta1 = 0.9, beta2 = 0.999 and
+    eps = 1e-8, made in place on ``moments.params``: the trainable entries
+    of ``state.params`` are views of that vector (see
+    ``AdamMoments.for_state``), so they hold the updated values and no
+    entry is rebound. ``grads`` must hold every name in
     ``moments.names``; other entries, such as frozen parameters, are
     ignored. A missing gradient, or a ``state.params`` entry rebound after
     ``for_state`` (so no longer its view), raises ``ParameterError``. An
@@ -197,18 +190,18 @@ def optimizer_step(state: mc.ModelState, grads: dict, lr: float,
     # p = p - lr m_hat / (sqrt(v_hat) + eps), so the result is bitwise equal.
     # A diverging step overflows here; the finite-parameter check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(m, beta1, out=m)
-        work = np.multiply(grad, 1.0 - beta1)
+        np.multiply(m, _BETA1, out=m)
+        work = np.multiply(grad, 1.0 - _BETA1)
         np.add(m, work, out=m)
-        np.multiply(v, beta2, out=v)
-        np.multiply(grad, 1.0 - beta2, out=work)
+        np.multiply(v, _BETA2, out=v)
+        np.multiply(grad, 1.0 - _BETA2, out=work)
         np.multiply(work, grad, out=work)
         np.add(v, work, out=v)
-        np.divide(m, 1.0 - beta1 ** t, out=work)
+        np.divide(m, 1.0 - _BETA1 ** t, out=work)
         np.multiply(work, lr, out=work)
-        np.divide(v, 1.0 - beta2 ** t, out=grad)
+        np.divide(v, 1.0 - _BETA2 ** t, out=grad)
         np.sqrt(grad, out=grad)
-        np.add(grad, eps, out=grad)
+        np.add(grad, _EPS, out=grad)
         np.divide(work, grad, out=work)
         np.subtract(params, work, out=params)
     if not np.isfinite(params).all():
@@ -262,8 +255,8 @@ def evaluate(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
     return forecast_errors(*predict(state, config, windows, stats, chunk))
 
 
-def _epoch_batches(count: int, batch_size: int, rng, shuffle: bool):
-    order = rng.permutation(count) if shuffle else np.arange(count)
+def _epoch_batches(count: int, batch_size: int, rng):
+    order = rng.permutation(count)
     for start in range(0, count, batch_size):
         yield order[start:start + batch_size]
 
@@ -304,12 +297,10 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
     for epoch in range(tc.epochs):
         t0 = time.perf_counter()
         total, weight = 0.0, 0
-        for batch_idx in _epoch_batches(train_windows.count, tc.batch_size,
-                                        rng, tc.shuffle):
+        for batch_idx in _epoch_batches(train_windows.count, tc.batch_size, rng):
             batch = (train_windows.inputs[batch_idx], train_windows.targets[batch_idx])
             grads, batch_loss = gradients(state, batch, config)
-            moments = optimizer_step(state, grads, tc.lr, moments,
-                                     beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+            moments = optimizer_step(state, grads, tc.lr, moments)
             total += batch_loss * len(batch_idx)
             weight += len(batch_idx)
         run.epoch_losses.append(total / weight)
@@ -336,20 +327,6 @@ def train(config: mc.ModelConfig, tc: TrainConfig, train_windows: WindowSet,
             name: best[name] if name in best else value.copy()
             for name, value in state.params.items()})
     return state, run
-
-
-def write_history_csv(path, run: TrainRun) -> None:
-    """One row per epoch: epoch, train_loss, val_mae, val_rmse, seconds."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_mae", "val_rmse", "seconds"])
-        for i, loss in enumerate(run.epoch_losses):
-            writer.writerow([
-                i, repr(loss),
-                repr(run.val_mae[i]) if i < len(run.val_mae) else "",
-                repr(run.val_rmse[i]) if i < len(run.val_rmse) else "",
-                f"{run.seconds[i]:.6f}",
-            ])
 
 
 def finite_difference_check(state: mc.ModelState, config: mc.ModelConfig,

@@ -308,6 +308,20 @@ def test_basis_eval_rejects_bad_arguments():
         orthogonality_residual("gegenbauer", jmax=-1)    # read 0.0 with fixed nodes
 
 
+@pytest.mark.parametrize("make", [
+    lambda: FilterBank("gegenbauer", -1, np.ones((0, 1))),
+    lambda: FilterBank("gegenbauer", 2.0, np.ones((3, 1))),
+    lambda: FilterBank("monomial", True, np.ones((2, 1))),
+    lambda: basis_recurrence("gegenbauer", 2.5),
+    lambda: basis_recurrence("gegenbauer", -2),
+    lambda: basis_recurrence("jacobi", False),
+    lambda: basis_recurrence("bernstein", "3"),
+], ids=["bank -1", "bank 2.0", "bank True", "2.5", "-2", "False", "'3'"])
+def test_basis_degree_must_be_a_nonnegative_integer(make):
+    with pytest.raises(ParameterError, match="degree must be a non-negative integer"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # orthogonality quadrature
 # ---------------------------------------------------------------------------
