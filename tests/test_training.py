@@ -2,7 +2,9 @@
 the adaptive-moment update rule, early stopping, evaluation metrics, and
 the allocator thresholds that keep training steps from faulting."""
 
+import csv
 import dataclasses
+import json
 import resource
 import sys
 import warnings
@@ -12,6 +14,7 @@ import pytest
 
 import spectemp
 from spectemp import autodiff as ad
+from spectemp import cli
 from spectemp import dataio
 from spectemp import experiments as ex
 from spectemp import model_core as mc
@@ -740,6 +743,33 @@ def test_epoch_loss_is_sample_weighted():
     # lr is vanishingly small, so the second batch sees near-initial params
     blended = (4 * expected_first + 1 * expected_last) / 5
     assert run.epoch_losses[0] == pytest.approx(blended, rel=1e-6)
+
+
+def test_history_csv_layout(tmp_path, monkeypatch):
+    # history.csv is written by `spectemp train`; capture the run it records
+    runs, ex_fit = [], ex.fit
+
+    def fit(*args):
+        state, run = ex_fit(*args)
+        runs.append(run)
+        return state, run
+
+    monkeypatch.setattr(ex, "fit", fit)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "task": {"n_per_group": 2, "length": 240, "periods": 8,
+                 "noise_sigma": 0.2, "lookback": 8, "horizon": 2},
+        "model": {"blocks": 1, "degree": 2, "n_modes": 4, "decomp_window": 3},
+        "train": {"epochs": 3, "batch_size": 64, "lr": 3e-3, "seed": 35}}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    (run,) = runs
+    with open(out / "history.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["epoch", "train_loss", "val_mae", "val_rmse", "seconds"]
+    assert len(rows) == 1 + run.epochs_run
+    assert rows[1] == ["0", repr(run.epoch_losses[0]), repr(run.val_mae[0]),
+                       repr(run.val_rmse[0]), f"{run.seconds[0]:.6f}"]
 
 
 def test_run_metadata():
