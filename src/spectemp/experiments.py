@@ -21,7 +21,7 @@ from .dataio import (IMPUTES, LAYOUTS, NORM_METHODS, Dataset, NormStats, WindowS
                      make_windows, normalize, persistence_baseline, split,
                      synth_signed_groups)
 from .errors import ConfigError, ParameterError
-from .model_core import ModelConfig, ModelState
+from .model_core import VARIANTS, ModelConfig, ModelState
 from .spectral_graph import BASES as BASIS_ORDER
 from .training import TrainConfig, TrainRun, evaluate, train
 
@@ -354,11 +354,7 @@ def ablation_variants(axis: str) -> list[tuple[str, dict]]:
             ("no_fine", {"use_fine": False}),
         ]
     if axis == "nonlinearity":
-        return [
-            ("linear", {}),
-            ("relu_only", {"use_relu": True, "use_attention": False}),
-            ("nonlinear", {"variant": "nonlinear"}),
-        ]
+        return [(variant, {"variant": variant}) for variant in VARIANTS]
     raise ConfigError(
         f"unknown ablation axis {axis!r}; valid axes: basis, structure, nonlinearity")
 

@@ -3,9 +3,9 @@
 One block chains a polynomial graph convolution (node mixing) with two
 frequency-domain temporal stages: a coarse stage filtering the raw window
 and a fine stage filtering the seasonal component on top of the trend.
-The nonlinear variant inserts a rectified-linear activation after the
-graph convolution and swaps the fine stage's fixed complex weights for
-mode-space attention between trend queries and seasonal keys/values.
+The relu_only and nonlinear variants insert a relu after the graph
+convolution; nonlinear also swaps the fine stage's fixed complex weights
+for mode-space attention between trend queries and seasonal keys/values.
 Blocks stack with additive residual connections, and a shared linear head
 maps each variable's (T, D) representation to its (H, D) forecast with
 one contraction.
@@ -21,8 +21,8 @@ F = A + Re(R' W'^T S')(I - A), where S and R select and rebuild the kept
 modes and A is the moving average. Each stage folds S and R into one
 (2, S, S, T, T) kernel [K_re; K_im], so its operator is one contraction
 of the stacked [W_re; W_im] weights; M_t is applied with one
-``time_mix``. The nonlinear variant applies G before its relu and C
-before its attention stage. Attention keeps re/im on one axis: real
+``time_mix``. Both relu variants apply G before their relu; nonlinear
+applies C before attention. Attention keeps re/im on one axis: real
 2S x T select kernels hold the real and imaginary parts of mode s in
 rows 2s and 2s+1, and a T x 2S rebuild kernel holds [Re R_s, -Im R_s],
 so each complex product (select, scores, mixing, rebuild) is one tape
@@ -80,6 +80,7 @@ from .spectral_graph import (BASES, Adjacency, Recurrence, basis_recurrence,
                              normalized_laplacian, polynomial_stack)
 
 __all__ = [
+    "VARIANTS",
     "ModelConfig",
     "ModelState",
     "latent_correlation",
@@ -97,11 +98,17 @@ __all__ = [
 CHECKPOINT_MAGIC = b"STCK"
 CHECKPOINT_VERSION = 1
 _PREAMBLE_BYTES = 16        # magic, u32 version, u64 header length
+# removed config keys, with the one value every checkpoint wrote for each
+_REMOVED_CONFIG_KEYS = {"use_relu": None, "use_attention": None, "residual": True,
+                        "monomial_on_laplacian": False}
+
+VARIANTS = ("linear", "relu_only", "nonlinear")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and data-geometry settings (training knobs live apart)."""
+    """Architecture and data-geometry settings (training knobs live apart).
+    Every block adds its input back; ``variant`` is one of ``VARIANTS``."""
 
     lookback: int = 12
     horizon: int = 3
@@ -115,10 +122,7 @@ class ModelConfig:
     n_modes: int = 5
     mode_policy: str = "lowest"          # "lowest" | "random"
     decomp_window: int = 3
-    variant: str = "linear"              # "linear" | "nonlinear"
-    use_relu: bool | None = None         # override; default follows variant
-    use_attention: bool | None = None    # override; default follows variant
-    residual: bool = True
+    variant: str = "linear"              # one of VARIANTS
     adjacency_mode: str = "pearson"      # "pearson" | "learned" | "provided"
     embed_dim: int = 16                  # learned-adjacency embedding width
     projector: str = "dft"               # "dft" | "random"
@@ -127,15 +131,14 @@ class ModelConfig:
     share_theta_dims: bool = False       # one coefficient column for all dims
     share_filter_dims: bool = False      # one temporal filter per variable
     share_filter_vars: bool = False      # one temporal filter for all variables
-    monomial_on_laplacian: bool = False
 
     def __post_init__(self):
         for key in ("lookback", "horizon", "n_dims", "blocks", "embed_dim"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
-        if self.degree < 0:
-            raise ConfigError(f"model.degree must be >= 0, got {self.degree}")
-        for key, valid in (("basis", BASES), ("variant", ("linear", "nonlinear")),
+        if not _is_count(self.degree):
+            raise ConfigError(f"model.degree must be a non-negative integer, got {self.degree!r}")
+        for key, valid in (("basis", BASES), ("variant", VARIANTS),
                            ("adjacency_mode", ("pearson", "learned", "provided")),
                            ("projector", ("dft", "random")),
                            ("mode_policy", ("lowest", "random"))):
@@ -157,17 +160,15 @@ class ModelConfig:
                               f"{exc}") from exc
 
     def recurrence(self) -> Recurrence:
-        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
-                                self.jacobi_b, self.monomial_on_laplacian)
+        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a, self.jacobi_b)
 
     @property
     def relu_enabled(self) -> bool:
-        return self.variant == "nonlinear" if self.use_relu is None else self.use_relu
+        return self.variant != "linear"
 
     @property
     def attention_enabled(self) -> bool:
-        return (self.variant == "nonlinear" if self.use_attention is None
-                else self.use_attention)
+        return self.variant == "nonlinear"
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -606,7 +607,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
     ``params`` bound (see ``_bind``), unless they already are.
 
     Each block applies its graph filter G = sum_k theta_k P_k(M) with one
-    ``graph_mix``, a relu in the nonlinear variant, and then its real
+    ``graph_mix``, a relu unless the variant is linear, and then its real
     T x T temporal operator per variable and dimension with one
     ``time_mix``: the fine stage's F = A + Re(R' W'^T S')(I - A) times the
     coarse stage's C = Re(R W^T S). The nonlinear variant runs the
@@ -655,8 +656,7 @@ def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
     parameter in ``params`` is a tape leaf, else an array. The head is one
     contraction of each variable's (T, D) representation with the
     (T*D, H*D) weight read as (T, D, H, D)."""
-    z = _representation(params, x, state, config, range(config.blocks),
-                        config.residual)
+    z = _representation(params, x, state, config, range(config.blocks), residual=True)
     t, d = config.lookback, config.n_dims
     weight = ad.reshape(params["head.weight"], (t, d, config.horizon, d))
     return ad.contract("bntd,tdhe->bnhe", z, weight)
@@ -694,7 +694,7 @@ def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     """Final-block representation (N, T, D) ahead of the forecasting head."""
     arr, squeeze = _promote(x)
     rep = _representation(state.params, arr, state, config, range(config.blocks),
-                          config.residual)
+                          residual=True)
     return rep[0] if squeeze else rep
 
 
@@ -777,12 +777,12 @@ def save_checkpoint(path, state: ModelState, config: ModelConfig) -> None:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     """Read a checkpoint written by ``save_checkpoint``; any malformed or
-    truncated file raises ``DataError``."""
+    truncated file raises ``DataError``. A dropped config key loads only at its one old value."""
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -812,8 +812,13 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
                         f"from the preamble's version {version}")
     if not isinstance(header["arrays"], list):
         raise malformed("the array directory must be a list")
+    stored = header["config"]
+    for key, written in _REMOVED_CONFIG_KEYS.items():
+        if isinstance(stored, dict) and (value := stored.pop(key, written)) is not written:
+            raise malformed(f"removed config key {key!r} holds {json.dumps(value)}; "
+                            f"only {json.dumps(written)} loads")
     try:
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig.from_dict(stored)
     except (TypeError, ValueError) as exc:
         raise malformed(f"bad config ({exc})") from exc
     n_nodes = header["n_nodes"]
@@ -875,6 +880,8 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
                           & (idx < config.lookback)):
                 raise malformed(f"meta.modes{m}.{stage} must list integer mode "
                                 f"indices in [0, {config.lookback})")
+            if np.unique(idx).size != idx.size:
+                raise malformed(f"meta.modes{m}.{stage} repeats a mode index")
             stages.append(idx.astype(np.intp))
         mode_sets.append(tuple(stages))
     return (ModelState(params=params,

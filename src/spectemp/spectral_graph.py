@@ -7,7 +7,7 @@ lies in [0, 2]. Filters are expressed in one of five polynomial bases:
 ========== ============================== ==========================
 basis      P_k evaluated on               matrix operand
 ========== ============================== ==========================
-monomial   x^k, x = 1 - lambda            I - L   (L via a flag)
+monomial   x^k, x = 1 - lambda            I - L
 bernstein  binom(K,k) (1-l/2)^(K-k)(l/2)^k  L (lambda in [0, 2])
 chebyshev2 Gegenbauer with alpha = 1      I - L
 gegenbauer C_k^alpha(x), x = 1 - lambda   I - L
@@ -115,7 +115,7 @@ class FilterBank:
 
     coefficients has shape (K+1, D); column d holds the polynomial
     coefficients of the filter applied to feature dimension d. A single
-    column is broadcast across all dimensions.
+    column is broadcast across all dimensions; M is L for Bernstein, else I - L.
     """
 
     basis: str
@@ -124,7 +124,6 @@ class FilterBank:
     alpha: float = 1.0
     jacobi_a: float | None = None
     jacobi_b: float | None = None
-    monomial_on_laplacian: bool = False
 
     def __post_init__(self):
         self.recurrence()  # rejects bad degrees, unknown bases and out-of-domain weights
@@ -139,8 +138,7 @@ class FilterBank:
         object.__setattr__(self, "coefficients", coeff)
 
     def recurrence(self) -> Recurrence:
-        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a,
-                                self.jacobi_b, self.monomial_on_laplacian)
+        return basis_recurrence(self.basis, self.degree, self.alpha, self.jacobi_a, self.jacobi_b)
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ def eigendecompose(laplacian: np.ndarray) -> GraphSpectrum:
 class Recurrence:
     """A basis with resolved parameters: rows[k-1] = (A_k, B_k, C_k, 1/D_k).
 
-    M is I - L (x = 1 - lambda) unless ``on_laplacian``; ``weight`` is the
+    M is I - L (x = 1 - lambda), L for Bernstein (``on_laplacian``); ``weight`` is the
     Jacobi pair (a, b) of the orthogonality weight (1-x)^a (1+x)^b, uniform
     for the power bases. Bernstein has no rows.
     """
@@ -223,14 +221,13 @@ class Recurrence:
 
 
 def basis_recurrence(basis: str, degree: int, alpha: float = 1.0,
-                     jacobi_a: float | None = None, jacobi_b: float | None = None,
-                     monomial_on_laplacian: bool = False) -> Recurrence:
+                     jacobi_a: float | None = None, jacobi_b: float | None = None) -> Recurrence:
     """Resolve a basis's parameters once and tabulate its recurrence.
 
     chebyshev2 is Gegenbauer at alpha = 1; the Jacobi exponents default to
     a = b = alpha - 1/2 (the Gegenbauer weight). Every orthogonal family
     needs a, b > -1, which for Gegenbauer is alpha > -1/2. The degree must
-    be a non-negative integer, not a bool.
+    be a non-negative integer, not a bool. M is L for Bernstein, else I - L.
     """
     if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
         raise ParameterError(f"degree must be a non-negative integer, got {degree!r}")
@@ -263,9 +260,8 @@ def basis_recurrence(basis: str, degree: int, alpha: float = 1.0,
             c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
             c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
             rows.append((c3, c2, c4, 1.0 / c1))
-    on_laplacian = basis == "bernstein" or (basis == "monomial" and monomial_on_laplacian)
     return Recurrence(basis=basis, degree=degree, rows=tuple(rows),
-                      on_laplacian=on_laplacian, weight=(float(a), float(b)))
+                      on_laplacian=basis == "bernstein", weight=(float(a), float(b)))
 
 
 def polynomial_stack(rec: Recurrence, p0, apply, mul=operator.mul, add=operator.add,

@@ -399,6 +399,12 @@ BAD_RUNS = {
     "train key beta2 removed": (["train", "--set", "train.beta2=0.999"], 2),
     "train key eps removed": (["train", "--set", "train.eps=1e-8"], 2),
     "train key shuffle removed": (["train", "--set", "train.shuffle=true"], 2),
+    # the variant alone picks the nonlinearity; the residual and I - L are fixed
+    "model key use_relu removed": (["train", "--set", "model.use_relu=true"], 2),
+    "model key use_attention removed": (["train", "--set", "model.use_attention=false"], 2),
+    "model key residual removed": (["train", "--set", "model.residual=true"], 2),
+    "model key monomial_on_laplacian removed": (
+        ["train", "--set", "model.monomial_on_laplacian=false"], 2),
 }
 
 # what the error says, where the key-naming test below does not check it
@@ -409,6 +415,8 @@ BAD_RUN_MESSAGES = {
     "forecast checkpoint missing": "checkpoint not found: no/such/model.stck",
     **{f"train key {key} removed": f"unknown train keys: ['{key}']"
        for key in ("beta1", "beta2", "eps", "shuffle")},
+    **{f"model key {key} removed": f"unknown model keys: ['{key}']"
+       for key in ("use_relu", "use_attention", "residual", "monomial_on_laplacian")},
 }
 
 

@@ -3,6 +3,7 @@ loss, and the checkpoint container."""
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import struct
 
@@ -108,21 +109,26 @@ def test_config_dict_roundtrip():
     assert back == config
     with pytest.raises(ConfigError):
         mc.ModelConfig.from_dict({**config.to_dict(), "wormhole": 1})
-    assert mc.ModelConfig.from_dict({"alpha": 2, "use_relu": None}).alpha == 2
+    assert mc.ModelConfig.from_dict({"alpha": 2, "jacobi_a": None}).alpha == 2
     for key, value in (("degree", True), ("degree", 2.0), ("alpha", "1"),
-                       ("use_relu", 1), ("basis", 3), ("jacobi_a", [0.5])):
+                       ("use_fine", 1), ("basis", 3), ("jacobi_a", [0.5])):
         with pytest.raises(ConfigError, match=f"model.{key} must be"):
             mc.ModelConfig.from_dict({key: value})
 
 
 def test_variant_defaults():
-    linear = mc.ModelConfig(**BASE)
-    assert not linear.relu_enabled and not linear.attention_enabled
-    nonlin = mc.ModelConfig(**{**BASE, "variant": "nonlinear"})
-    assert nonlin.relu_enabled and nonlin.attention_enabled
-    mixed = mc.ModelConfig(**{**BASE, "variant": "nonlinear",
-                              "use_attention": False})
-    assert mixed.relu_enabled and not mixed.attention_enabled
+    configs = {v: mc.ModelConfig(**{**BASE, "variant": v}) for v in mc.VARIANTS}
+    assert {v: (c.relu_enabled, c.attention_enabled) for v, c in configs.items()} == {
+        "linear": (False, False), "relu_only": (True, False), "nonlinear": (True, True)}
+    names = {f.name for f in dataclasses.fields(mc.ModelConfig)}
+    assert len(names) == 21
+    assert not names & {"use_relu", "use_attention", "residual", "monomial_on_laplacian"}
+
+
+@pytest.mark.parametrize("degree", [2.5, True, -1])
+def test_config_names_the_degree_when_it_is_not_a_count(degree):
+    with pytest.raises(ConfigError, match="^model.degree must be a non-negative integer"):
+        mc.ModelConfig(**{**BASE, "degree": degree})
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +309,7 @@ def test_permutation_consistency():
     assert np.abs(out - np.einsum("ij,bjtd->bitd", p, base)).max() < 1e-10
 
 
-BLOCK_BASES = [dict(basis="monomial"), dict(basis="monomial", monomial_on_laplacian=True),
-               dict(basis="bernstein"), dict(basis="chebyshev2"),
+BLOCK_BASES = [dict(basis="monomial"), dict(basis="bernstein"), dict(basis="chebyshev2"),
                dict(basis="gegenbauer", alpha=1.7),
                dict(basis="jacobi", jacobi_a=0.3, jacobi_b=-0.4)]
 
@@ -317,8 +322,7 @@ def test_block_matches_composed_public_operations():
         bank = FilterBank(basis=config.basis, degree=config.degree,
                           coefficients=state.params["block0.theta"],
                           alpha=config.alpha, jacobi_a=config.jacobi_a,
-                          jacobi_b=config.jacobi_b,
-                          monomial_on_laplacian=config.monomial_on_laplacian)
+                          jacobi_b=config.jacobi_b)
         conv = np.stack([graph_conv(bank, state.laplacian, x[:, t, :])
                          for t in range(config.lookback)], axis=1)
         coarse_idx, fine_idx = state.mode_sets[0]
@@ -402,8 +406,7 @@ def _oracle_blocks(x, state, config, blocks, residual):
         param = lambda name: state.params[f"block{m}.{name}"]
         bank = FilterBank(basis=config.basis, degree=config.degree,
                           coefficients=param("theta"), alpha=config.alpha,
-                          jacobi_a=config.jacobi_a, jacobi_b=config.jacobi_b,
-                          monomial_on_laplacian=config.monomial_on_laplacian)
+                          jacobi_a=config.jacobi_a, jacobi_b=config.jacobi_b)
         out = graph_conv(bank, lap, z)
         if config.relu_enabled:
             out = np.maximum(out, 0.0)
@@ -431,7 +434,7 @@ ORACLE_GRID = [
     for (variant, adjacency, d), basis in zip(
         [(v, a, d) for v in ("linear", "nonlinear")
          for a in ("provided", "pearson", "learned") for d in (1, 2)],
-        BLOCK_BASES * 2)
+        itertools.cycle(BLOCK_BASES))
 ] + [
     dict(share_theta_dims=True), dict(share_filter_dims=True),
     dict(share_filter_vars=True), dict(projector="random"),
@@ -439,7 +442,7 @@ ORACLE_GRID = [
     dict(variant="nonlinear", projector="random"),
     dict(use_coarse=False), dict(use_fine=False), dict(use_coarse=False, use_fine=False),
     dict(variant="nonlinear", use_coarse=False), dict(variant="nonlinear", use_fine=False),
-    dict(variant="nonlinear", use_attention=False), dict(mode_policy="random"),
+    dict(variant="relu_only"), dict(mode_policy="random"),
 ]
 
 
@@ -495,11 +498,14 @@ def test_graph_stack_is_built_once_per_state(monkeypatch):
     assert len(built) == 2
 
 
-# sha256 of checkpoints saved before the operators were cached on the state
+# sha256 of checkpoints saved before the operators were cached on the state,
+# re-pinned when the config echo in the header lost use_relu, use_attention,
+# residual and monomial_on_laplacian (the payload after the header is
+# byte-equal, and the old header minus those keys is the new header)
 CHECKPOINT_SHA256 = {
-    "linear": "caabdac65d0a5200d4cee7f8e78a7218ace0ed35bd4556e563e00d1740b515a2",
-    "nonlinear": "6b56e362233a54082fc1cca25e9e4a4a56f8dfe3543a74e64a16a074bc2b9f44",
-    "learned": "a559e5fdc325259f9fc6fb009b103504fcfce399c5f7596b2dd586fed05856a4",
+    "linear": "b29fb6cb14a5b222b75d9d247d0df7351f99d72434944d76a60466005c6778dd",
+    "nonlinear": "ca7739fe22184807a1480bef7927a317ffb300c331ce1c19743781c53afc5459",
+    "learned": "8fbb962a061d3e6f842cae3d3a05acb1c7bb4e7657aea8ff149c8408ee9dbf14",
 }
 
 
@@ -537,32 +543,21 @@ def test_fit_passes_the_pearson_adjacency_through(monkeypatch):
     assert calls == []
 
 
-# sha256 of the forward output when the learned forward built both I - L
-# and L and the basis read L, re-pinned when each temporal stage became one
-# contraction over the stacked re/im weights (67 of the 90 entries moved,
-# by at most 1.8e-15, with |out| <= 10.1)
+# sha256 of the learned forward output through Bernstein, the basis that
+# reads L, computed with the code as it was before the monomial basis lost
+# its option to run on L (which this test used to pin)
 LEARNED_ON_LAPLACIAN_SHA256 = (
-    "d711a44b768d251f4f09685b7d3792c7a61737647817c2b0d4219065e53726d9")
+    "fc19423326022018176e8a3b02b9287c6d757def1743d07673c0c6daf489e6d7")
 
 
 def test_learned_forward_on_the_laplacian_is_unchanged():
-    config = mc.ModelConfig(**{**BASE, "adjacency_mode": "learned", "basis": "monomial",
-                               "monomial_on_laplacian": True})
+    config = mc.ModelConfig(**{**BASE, "adjacency_mode": "learned", "basis": "bernstein"})
     state = mc.init_state(config, 5, rng=47)
     rng = np.random.default_rng(48)
     for name, value in state.params.items():
         state.params[name] = value + 0.2 * rng.standard_normal(value.shape)
     out = mc.forward(rng.standard_normal((3, 5, 8, 2)), state, config)
     assert hashlib.sha256(out.tobytes()).hexdigest() == LEARNED_ON_LAPLACIAN_SHA256
-
-
-def test_residual_toggle():
-    state, config = small_state(seed=22)
-    x = batch_input(23, 1, 5, 8, 2)
-    no_res = dataclasses.replace(config, residual=False)
-    with_res = mc.embed(x[0], state, config)
-    without = mc.embed(x[0], state, no_res)
-    assert not np.allclose(with_res, without)
 
 
 def test_embed_shape_matches_input():
@@ -706,6 +701,14 @@ def _poke(raw: bytes, name: str, value: float) -> bytes:
     return raw[:start] + struct.pack("<d", value) + raw[start + 8:]
 
 
+# the config keys ModelConfig dropped, at the one value every run wrote
+LEGACY_CONFIG = {"use_relu": None, "use_attention": None, "residual": True,
+                 "monomial_on_laplacian": False}
+# the other values a run could write for those keys with the linear model's arrays
+LEGACY_VALUES = [("use_relu", True), ("use_relu", False), ("use_attention", False),
+                 ("residual", False), ("monomial_on_laplacian", True)]
+
+
 CORRUPTIONS = {
     "truncated": lambda raw: raw[:-100],
     "preamble only": lambda raw: raw[:10],
@@ -724,6 +727,8 @@ CORRUPTIONS = {
     "negative count": lambda raw: _rewrite_header(
         raw, lambda h: _entry(h, "head.weight").update(count=-1)),
     "mode index out of range": lambda raw: _poke(raw, "meta.modes0.fine", 8.0),
+    # the lowest modes are 0, 1, 2, 3: the first becomes the second
+    "repeated mode index": lambda raw: _poke(raw, "meta.modes0.fine", 1.0),
     "fractional mode index": lambda raw: _poke(raw, "meta.modes1.coarse", 1.5),
     "missing mode array": lambda raw: _rewrite_header(
         raw, lambda h: h["arrays"].remove(_entry(h, "meta.modes1.coarse"))),
@@ -753,6 +758,10 @@ CORRUPTIONS = {
         raw, lambda h: h.update(frozen=["block0.theta", "block9.theta"])),
     # the next double above a_hat[0, 0] = 1 - L[0, 0] = 0 on the ring
     "a_hat is not I - L": lambda raw: _poke(raw, "meta.a_hat", 5e-324),
+    **{f"removed key {key} set to {json.dumps(value)}":
+       (lambda raw, key=key, value=value: _rewrite_header(
+           raw, lambda h: h["config"].update({key: value})))
+       for key, value in LEGACY_VALUES},
 }
 
 
@@ -763,6 +772,36 @@ def test_checkpoint_rejects_malformed_files(tmp_path, corruption):
     mc.save_checkpoint(path, state, config)
     path.write_bytes(CORRUPTIONS[corruption](path.read_bytes()))
     with pytest.raises(DataError, match="malformed checkpoint"):
+        mc.load_checkpoint(path)
+
+
+def test_checkpoint_with_the_removed_config_keys_loads(tmp_path):
+    """A header that still holds the dropped keys at their one value loads
+    to the state and config of the same file without them."""
+    state, config = small_state(seed=37, variant="nonlinear", mode_policy="random")
+    path, legacy = tmp_path / "model.stck", tmp_path / "legacy.stck"
+    mc.save_checkpoint(path, state, config)
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    assert not LEGACY_CONFIG.keys() & json.loads(raw[16:16 + length])["config"].keys()
+    legacy.write_bytes(_rewrite_header(raw, lambda h: h["config"].update(LEGACY_CONFIG)))
+    (want, want_config), (got, got_config) = map(mc.load_checkpoint, (path, legacy))
+    assert got_config == want_config == config
+    assert got.params.keys() == want.params.keys()
+    assert all(np.array_equal(got.params[k], want.params[k]) for k in want.params)
+    assert all(np.array_equal(a, b) for g, w in zip(got.mode_sets, want.mode_sets)
+               for a, b in zip(g, w))
+    assert np.array_equal(got.laplacian, want.laplacian)
+    assert (got.n_nodes, got.frozen) == (want.n_nodes, want.frozen)
+
+
+def test_checkpoint_error_names_a_removed_key_and_its_value(tmp_path):
+    state, config = small_state(seed=37)
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    path.write_bytes(_rewrite_header(path.read_bytes(),
+                                     lambda h: h["config"].update(use_attention=True)))
+    with pytest.raises(DataError, match="removed config key 'use_attention' holds true"):
         mc.load_checkpoint(path)
 
 

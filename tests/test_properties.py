@@ -407,8 +407,7 @@ def checkpoint_case(draw):
     adjacency modes, projectors, nonlinearities, sharing flags, a missing
     coarse or fine stage, two bases, both mode policies, and the frozen
     low-pass control."""
-    nonlinearity = draw(st.sampled_from([{}, {"variant": "nonlinear"},
-                                         {"use_relu": True, "use_attention": False}]))
+    variant = draw(st.sampled_from(mc.VARIANTS))
     stages = draw(st.sampled_from([{}, {"use_coarse": False}, {"use_fine": False}]))
     config = mc.ModelConfig(
         lookback=8, horizon=2, n_dims=2, blocks=2, degree=3, n_modes=3,
@@ -417,7 +416,7 @@ def checkpoint_case(draw):
         projector=draw(st.sampled_from(["dft", "random"])),
         mode_policy=draw(st.sampled_from(["lowest", "random"])),
         share_theta_dims=draw(st.booleans()), share_filter_dims=draw(st.booleans()),
-        share_filter_vars=draw(st.booleans()), **nonlinearity, **stages)
+        share_filter_vars=draw(st.booleans()), variant=variant, **stages)
     seed = draw(st.integers(0, 2 ** 16))
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.uniform(0.0, 1.0, (5, 5)), 1)

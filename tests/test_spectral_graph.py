@@ -366,13 +366,11 @@ def test_graph_conv_first_order_gegenbauer_is_twice_a_hat():
 def test_oracle_g_identity_and_eigenvector_scaling():
     spectrum = eigendecompose(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     x = np.array([[1.0], [-1.0]])
-    bank = FilterBank(basis="monomial", degree=0, coefficients=np.array([1.0]),
-                      monomial_on_laplacian=True)
+    bank = FilterBank(basis="bernstein", degree=0, coefficients=np.array([1.0]))
     assert np.allclose(spectral_oracle_conv(spectrum, bank, x), x, atol=1e-12)
-    # g(lambda) = lambda on the lambda=2 eigenvector doubles it
-    bank = FilterBank(basis="monomial", degree=1,
-                      coefficients=np.array([0.0, 1.0]),
-                      monomial_on_laplacian=True)
+    # g(lambda) = 2 (lambda/2) = lambda on the lambda=2 eigenvector doubles it
+    bank = FilterBank(basis="bernstein", degree=1,
+                      coefficients=np.array([0.0, 2.0]))
     assert np.allclose(spectral_oracle_conv(spectrum, bank, x), 2.0 * x, atol=1e-12)
 
 
@@ -456,10 +454,7 @@ def test_monomial_matrix_argument_flag():
     x = rng.standard_normal((5, 1))
     theta = np.array([0.0, 1.0])
     on_a = FilterBank(basis="monomial", degree=1, coefficients=theta)
-    on_l = FilterBank(basis="monomial", degree=1, coefficients=theta,
-                      monomial_on_laplacian=True)
     assert np.allclose(graph_conv(on_a, adj, x), (np.eye(5) - lap) @ x, atol=1e-12)
-    assert np.allclose(graph_conv(on_l, adj, x), lap @ x, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

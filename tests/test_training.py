@@ -61,8 +61,7 @@ def test_gradients_match_finite_differences_linear():
 
 
 @pytest.mark.parametrize("basis", [
-    dict(basis="monomial"), dict(basis="monomial", monomial_on_laplacian=True),
-    dict(basis="bernstein"), dict(basis="chebyshev2"),
+    dict(basis="monomial"), dict(basis="bernstein"), dict(basis="chebyshev2"),
     dict(basis="gegenbauer", alpha=1.7), dict(basis="jacobi", jacobi_a=0.3, jacobi_b=-0.4),
 ], ids=lambda b: "-".join(str(v) for v in b.values()))
 def test_gradients_match_finite_differences_every_basis(basis):
@@ -132,7 +131,7 @@ def test_gradients_with_every_parameter_frozen_return_only_the_loss():
 
 @pytest.mark.parametrize("overrides", [
     {}, {"variant": "nonlinear"}, {"adjacency_mode": "learned", "embed_dim": 4},
-    {"use_attention": True, "n_dims": 2},
+    {"variant": "nonlinear", "n_dims": 2},
 ], ids=["linear", "nonlinear", "learned", "attention"])
 def test_gradients_share_no_memory(overrides):
     # the tape stores a parent's first gradient contribution as is, and that
