@@ -99,10 +99,12 @@ CHECKPOINT_MAGIC = b"STCK"
 CHECKPOINT_VERSION = 1
 _PREAMBLE_BYTES = 16        # magic, u32 version, u64 header length
 # removed config keys, with the one value every checkpoint wrote for each
-_REMOVED_CONFIG_KEYS = {"use_relu": None, "use_attention": None, "residual": True,
-                        "monomial_on_laplacian": False}
+_REMOVED_CONFIG_KEYS = {"residual": True, "monomial_on_laplacian": False}
 
 VARIANTS = ("linear", "relu_only", "nonlinear")
+# the removed (use_relu, use_attention) switches: the pair each variant runs
+_VARIANT_SWITCHES = {(False, False): "linear", (True, False): "relu_only",
+                     (True, True): "nonlinear"}
 
 
 @dataclass(frozen=True)
@@ -782,7 +784,11 @@ def _is_count(value) -> bool:
 
 def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
     """Read a checkpoint written by ``save_checkpoint``; any malformed or
-    truncated file raises ``DataError``. A dropped config key loads only at its one old value."""
+    truncated file raises ``DataError``. ``residual`` and
+    ``monomial_on_laplacian``, dropped config keys, load only at their one
+    old value. A header that holds the dropped ``use_relu`` and
+    ``use_attention`` loads as the variant their (relu, attention) pair runs,
+    each null following the stored variant as the old config did."""
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -817,6 +823,16 @@ def load_checkpoint(path) -> tuple[ModelState, ModelConfig]:
         if isinstance(stored, dict) and (value := stored.pop(key, written)) is not written:
             raise malformed(f"removed config key {key!r} holds {json.dumps(value)}; "
                             f"only {json.dumps(written)} loads")
+    switches = {key: stored.pop(key) for key in ("use_relu", "use_attention")
+                if isinstance(stored, dict) and key in stored}
+    if switches and (variant := stored.get("variant")) in VARIANTS:
+        pair = tuple(default if switches.get(key) is None else switches[key]
+                     for key, default in (("use_relu", variant != "linear"),
+                                          ("use_attention", variant == "nonlinear")))
+        if not all(isinstance(on, bool) for on in pair) or pair not in _VARIANT_SWITCHES:
+            raise malformed(f"removed config keys use_relu ({json.dumps(pair[0])}) and "
+                            f"use_attention ({json.dumps(pair[1])}) name no variant")
+        stored["variant"] = _VARIANT_SWITCHES[pair]
     try:
         config = ModelConfig.from_dict(stored)
     except (TypeError, ValueError) as exc:

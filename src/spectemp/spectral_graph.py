@@ -24,13 +24,17 @@ Gegenbauer, for one, has A_1 = 2 alpha, A_k = 2 (k + alpha - 1),
 C_k = k + 2 alpha - 2, D_k = k, and is orthogonal on [-1, 1] under the
 weight (1 - x^2)^(alpha - 1/2). `polynomial_stack` runs the table (or the
 Bernstein construction) with the "apply M" step and the arithmetic passed
-in, so one driver serves the scalar evaluators, the numpy `graph_conv`
-(matrix-vector products, never a dense P_k(L)) and the model's autodiff
-tape. A recurrence basis applies M K times. Bernstein carries (L/2)^k p0
-from one term to the next and applies (I - L/2) K - k times to term k:
-K(K+3)/2 applies in all (65 at K = 10). `spectral_oracle_conv` is the
-independent eigendecomposition route U g(Lambda) U^T X that cross-checks
-it, run as two BLAS products on the (N, rest) flattening of X.
+in, so one driver serves the scalar evaluators, the recurrence bases of
+the numpy `graph_conv` (matrix-vector products, never a dense P_k(L)) and
+the model's autodiff tape. A recurrence basis applies M K times.
+Bernstein's stack carries (L/2)^k p0 from one term to the next and applies
+(I - L/2) K - k times to term k: K(K+3)/2 applies in all (65 at K = 10).
+`graph_conv` needs only the weighted sum of the Bernstein terms, which it
+takes by Horner's rule in L/2: 2K applies (20 at K = 10), still products
+of powers of L/2 and I - L/2, not a change of basis.
+`spectral_oracle_conv` is the independent eigendecomposition route
+U g(Lambda) U^T X that cross-checks both, with g(lambda) from the stack,
+run as two BLAS products on the (N, rest) flattening of X.
 """
 
 from __future__ import annotations
@@ -315,27 +319,28 @@ def basis_eval(basis: str, k: int, x, alpha: float = 1.0, degree: int | None = N
     """Evaluate the k-th basis polynomial at x in [-1, 1] (x = 1 - lambda).
 
     Bernstein needs the family degree K (its members depend on it); for the
-    other bases ``degree`` defaults to k.
+    other bases ``degree`` defaults to k. k must be a non-negative integer,
+    not a bool, and x must lie in [-1, 1] (NaN does not).
     """
-    if k < 0:
-        raise ParameterError("polynomial index k must be nonnegative")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ParameterError(f"polynomial index k must be a non-negative integer, got {k!r}")
     if degree is None and basis == "bernstein":
         raise ParameterError("bernstein basis requires the family degree")
-    deg = k if degree is None else degree
-    if k > deg:
-        raise ParameterError(f"polynomial index k={k} exceeds the family degree {deg}")
-    rec = basis_recurrence(basis, deg, alpha, jacobi_a, jacobi_b)
+    rec = basis_recurrence(basis, k if degree is None else degree, alpha, jacobi_a, jacobi_b)
+    if k > rec.degree:
+        raise ParameterError(f"polynomial index k={k} exceeds the family degree {rec.degree}")
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(x_arr) > 1.0 + 1e-9):
+    if not np.all(np.abs(x_arr) <= 1.0 + 1e-9):
         raise ParameterError("basis argument x must lie in [-1, 1]")
     values = _values(rec, x_arr)[k]
     return float(values) if np.isscalar(x) or x_arr.ndim == 0 else values
 
 
 def filter_response(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
-    """g(lambda) for each feature dimension; shape (len(lambdas), D)."""
+    """g(lambda) for each feature dimension; shape (len(lambdas), D).
+    Each lambda must lie in [0, 2] (NaN does not)."""
     lam = np.atleast_1d(np.asarray(lambdas, dtype=np.float64))
-    if np.any(lam < -1e-9) or np.any(lam > 2.0 + 1e-9):
+    if not np.all((lam >= -1e-9) & (lam <= 2.0 + 1e-9)):
         raise ParameterError("eigenvalue arguments must lie in [0, 2]")
     values = _values(bank.recurrence(), 1.0 - lam)
     return np.einsum("kl,kd->ld", values, bank.coefficients)
@@ -363,11 +368,36 @@ def _check_width(coefficients: np.ndarray, d: int) -> None:
             f"feature dimension ({d})")
 
 
+def _bernstein_conv(lap: np.ndarray, x: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_k theta_k binom(K,k) (L/2)^k (I - L/2)^(K-k) x by Horner's rule in L/2.
+
+    L/2 and I - L/2 commute, so starting from y = binom(K,K) theta_K x and
+    m = x, each k = K-1, ..., 0 takes m <- (I - L/2) m and then
+    y <- (L/2) y + binom(K,k) theta_k m: 2K applies of L, and every term
+    stays a product of powers of L/2 and I - L/2. theta broadcasts on the
+    last axis.
+    """
+    degree = len(coefficients) - 1
+    flat = (lap.shape[0], prod(x.shape[1:]))
+
+    def half_apply(v):
+        return (lap @ v.reshape(flat)).reshape(x.shape) * 0.5
+
+    out, power = x * coefficients[degree], x
+    for k in range(degree - 1, -1, -1):
+        power = power - half_apply(power)
+        out = half_apply(out) + power * (comb(degree, k) * coefficients[k])
+    return out
+
+
 def graph_conv(bank: FilterBank, adj_or_laplacian, x_t: np.ndarray) -> np.ndarray:
     """Filter the node-axis signal x_t (N, ..., D) through the bank.
 
-    Runs the basis recurrence on vectors, so only matrix-vector products
-    against the operator are needed (never a dense P_k(L)).
+    Only matrix-vector products against the operator are needed (never a
+    dense P_k(L)). A recurrence basis runs ``polynomial_stack`` on I - L and
+    weights its K + 1 terms: K applies. Bernstein sums its terms by Horner's
+    rule in L/2 (``_bernstein_conv``): 2K applies of L, against K(K+3)/2 for
+    its stack.
     """
     lap = _resolve_laplacian(adj_or_laplacian)
     x = np.asarray(x_t, dtype=np.float64)
@@ -375,9 +405,11 @@ def graph_conv(bank: FilterBank, adj_or_laplacian, x_t: np.ndarray) -> np.ndarra
         raise ShapeError(
             f"signal must be (N, ..., D) with N={lap.shape[0]}, got {x.shape}")
     _check_width(bank.coefficients, x.shape[-1])
-    n = lap.shape[0]
     rec = bank.recurrence()
-    mat = lap if rec.on_laplacian else np.eye(n) - lap
+    if rec.on_laplacian:
+        return _bernstein_conv(lap, x, bank.coefficients)
+    n = lap.shape[0]
+    mat = np.eye(n) - lap
     stack = polynomial_stack(rec, x.reshape(n, prod(x.shape[1:])), lambda flat: mat @ flat)
     out = np.zeros_like(x)
     for term, theta in zip(stack, bank.coefficients):

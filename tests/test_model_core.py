@@ -704,9 +704,15 @@ def _poke(raw: bytes, name: str, value: float) -> bytes:
 # the config keys ModelConfig dropped, at the one value every run wrote
 LEGACY_CONFIG = {"use_relu": None, "use_attention": None, "residual": True,
                  "monomial_on_laplacian": False}
-# the other values a run could write for those keys with the linear model's arrays
-LEGACY_VALUES = [("use_relu", True), ("use_relu", False), ("use_attention", False),
-                 ("residual", False), ("monomial_on_laplacian", True)]
+# values of those keys that name no model, with the linear model's arrays
+LEGACY_VALUES = [("residual", False), ("monomial_on_laplacian", True), ("use_relu", 1),
+                 ("use_attention", True)]
+# (variant, use_relu, use_attention) as headers wrote them before the two
+# switches went, and the variant each header loads as
+LEGACY_SWITCHES = [("nonlinear", False, False, "linear"),
+                   ("linear", True, False, "relu_only"),
+                   ("nonlinear", None, False, "relu_only"),
+                   ("linear", True, True, "nonlinear")]
 
 
 CORRUPTIONS = {
@@ -800,8 +806,40 @@ def test_checkpoint_error_names_a_removed_key_and_its_value(tmp_path):
     path = tmp_path / "model.stck"
     mc.save_checkpoint(path, state, config)
     path.write_bytes(_rewrite_header(path.read_bytes(),
-                                     lambda h: h["config"].update(use_attention=True)))
-    with pytest.raises(DataError, match="removed config key 'use_attention' holds true"):
+                                     lambda h: h["config"].update(residual=False)))
+    with pytest.raises(DataError, match="removed config key 'residual' holds false"):
+        mc.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("old_variant,use_relu,use_attention,variant", LEGACY_SWITCHES)
+def test_checkpoint_with_the_removed_switches_loads_as_their_variant(
+        tmp_path, old_variant, use_relu, use_attention, variant):
+    """A header written while use_relu and use_attention still overrode the
+    variant loads as the model they ran: a null follows the stored variant,
+    and the (relu, attention) pair names linear, relu_only or nonlinear."""
+    state, config = small_state(seed=41, variant=variant)
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    path.write_bytes(_rewrite_header(path.read_bytes(), lambda h: h["config"].update(
+        LEGACY_CONFIG, variant=old_variant, use_relu=use_relu, use_attention=use_attention)))
+    loaded, loaded_config = mc.load_checkpoint(path)
+    assert loaded_config == config
+    assert all(np.array_equal(loaded.params[k], v) for k, v in state.params.items())
+    x = batch_input(42, 2, 5, 8, 2)
+    assert np.array_equal(mc.forward(x, loaded, loaded_config), mc.forward(x, state, config))
+
+
+@pytest.mark.parametrize("old_variant,use_relu", [("linear", False), ("nonlinear", False)])
+def test_checkpoint_with_attention_but_no_relu_names_both_switches(tmp_path, old_variant,
+                                                                   use_relu):
+    """No variant runs attention without the relu, so that pair is malformed."""
+    state, config = small_state(seed=43, variant="nonlinear")
+    path = tmp_path / "model.stck"
+    mc.save_checkpoint(path, state, config)
+    path.write_bytes(_rewrite_header(path.read_bytes(), lambda h: h["config"].update(
+        LEGACY_CONFIG, variant=old_variant, use_relu=use_relu, use_attention=True)))
+    with pytest.raises(DataError, match=r"use_relu \(false\) and use_attention \(true\) "
+                                        "name no variant"):
         mc.load_checkpoint(path)
 
 

@@ -289,14 +289,21 @@ def test_forward_agrees_within_each_stable_wl_class(lift):
 
 @st.composite
 def conditioned_graph(draw):
-    """A connected fixed-topology DTDG that meets the spectral conditions:
-    no repeated Laplacian eigenvalue and no missing eigencomponent at any
-    step. Each node takes one of two random feature series, so stable
-    temporal 1-WL separates nodes of one series only by structure. The
-    first of the graphs drawn from the seed that meets the conditions."""
+    """A connected fixed-topology DTDG that meets the spectral conditions,
+    with the seed it was drawn from (see ``seeded_conditioned_graph``)."""
     n = draw(st.integers(4, 8))
     dims = draw(st.integers(1, 2))
     seed = draw(st.integers(0, 2 ** 16))
+    return seeded_conditioned_graph(n, dims, seed), seed
+
+
+def seeded_conditioned_graph(n, dims, seed):
+    """A connected fixed-topology DTDG on n nodes with dims features that
+    meets the spectral conditions: no repeated Laplacian eigenvalue and no
+    missing eigencomponent at any step. Each node takes one of two random
+    feature series, so stable temporal 1-WL separates nodes of one series
+    only by structure. The first of the graphs drawn from the seed that
+    meets the conditions."""
     rng = np.random.default_rng(seed)
     for _ in range(1000):
         tree = {(int(rng.integers(v)), v) for v in range(1, n)}
@@ -305,7 +312,7 @@ def conditioned_graph(draw):
         graph = DTDG(n, (tuple(tree | extra),) * LIFT_STEPS,
                      series[rng.integers(0, 2, size=n)])
         if check_spectral_conditions(graph).conditions_hold:
-            return graph, seed
+            return graph
     raise AssertionError(f"no graph from seed {seed} meets the spectral conditions")
 
 
@@ -325,6 +332,20 @@ def test_forward_separates_each_pair_stable_wl_separates(case):
         out = shared_filter_forecast(graph, basis, "linear", "provided", seed)
         gaps = separated_gaps(graph, out)
         assert min(gaps.values(), default=1.0) > 1e-9, (basis, gaps)
+
+
+def test_the_nonlinear_variant_can_merge_a_pair_stable_wl_separates():
+    """The converse half of the theorem covers linear models only. On this
+    conditioned graph stable temporal 1-WL separates nodes 3 and 5, and the
+    linear monomial model with shared temporal filters gives them forecasts
+    5.4e-2 of the largest forecast apart; the nonlinear one, at the same
+    random parameters, gives both the same forecast exactly."""
+    graph = seeded_conditioned_graph(6, 1, seed=39)
+    linear = separated_gaps(graph, shared_filter_forecast(graph, "monomial", "linear",
+                                                          "provided", seed=39))
+    assert linear[3, 5] > 0.05
+    nonlinear = shared_filter_forecast(graph, "monomial", "nonlinear", "provided", seed=39)
+    assert np.array_equal(nonlinear[3], nonlinear[5])
 
 
 def test_fixed_topology_fixture_fails_the_conditions_but_separates_every_pair():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import comb, eval_chebyu, eval_gegenbauer, eval_jacobi
 
+from spectemp import spectral_graph
 from spectemp.errors import ParameterError, ShapeError
 from spectemp.spectral_graph import (Adjacency, FilterBank, basis_eval,
                                      basis_recurrence, eigendecompose,
@@ -308,6 +309,29 @@ def test_basis_eval_rejects_bad_arguments():
         orthogonality_residual("gegenbauer", jmax=-1)    # read 0.0 with fixed nodes
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: basis_eval("gegenbauer", 1.5, 0.3, degree=3), "index k must be a non-negative"),
+    (lambda: basis_eval("gegenbauer", True, 0.3, degree=3), "index k must be a non-negative"),
+    (lambda: basis_eval("monomial", "2", 0.3), "index k must be a non-negative"),
+    (lambda: basis_eval("gegenbauer", 2, float("nan")), r"x must lie in \[-1, 1\]"),
+    (lambda: basis_eval("bernstein", 1, np.array([0.2, np.nan]), degree=2),
+     r"x must lie in \[-1, 1\]"),
+    (lambda: filter_response(FilterBank("monomial", 1, np.ones(2)), np.array([0.5, np.nan])),
+     r"must lie in \[0, 2\]"),
+    (lambda: filter_response(FilterBank("bernstein", 2, np.ones(3)), float("nan")),
+     r"must lie in \[0, 2\]"),
+], ids=["k 1.5", "k True", "k '2'", "x nan", "x array with nan", "lambda array with nan",
+        "lambda nan"])
+def test_basis_arguments_outside_their_domain_are_parameter_errors(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+def test_basis_eval_takes_a_numpy_integer_index():
+    assert basis_eval("gegenbauer", np.int64(2), 0.3, alpha=1.5) == \
+        basis_eval("gegenbauer", 2, 0.3, alpha=1.5)
+
+
 @pytest.mark.parametrize("make", [
     lambda: FilterBank("gegenbauer", -1, np.ones((0, 1))),
     lambda: FilterBank("gegenbauer", 2.0, np.ones((3, 1))),
@@ -420,6 +444,77 @@ def test_graph_conv_matches_oracle_all_bases():
                                       bank, x)
         denom = max(np.linalg.norm(oracle), 1e-12)
         assert np.linalg.norm(fast - oracle) / denom < 1e-10
+
+
+def probe_graph(seed):
+    """A random weighted graph, signal and generator as perfbench's
+    spectral probe draws them: N=207, 5% of the node pairs joined."""
+    rng = np.random.default_rng(seed)
+    n = 207
+    weights = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.05), 1)
+    return normalized_laplacian(Adjacency(weights + weights.T)), rng.standard_normal((n, 12, 2)), rng
+
+
+@pytest.mark.parametrize("degree", [10, 16, 20])
+def test_graph_conv_matches_oracle_at_the_probe_shape(degree):
+    lap, x, rng = probe_graph(degree)
+    spectrum = eigendecompose(lap)
+    for basis in BASES:
+        bank = FilterBank(basis, degree, rng.standard_normal((degree + 1, 2)),
+                          alpha=float(rng.uniform(0.6, 2.0)))
+        oracle = spectral_oracle_conv(spectrum, bank, x)
+        err = np.linalg.norm(graph_conv(bank, lap, x) - oracle) / np.linalg.norm(oracle)
+        assert err < 1e-10, (basis, err)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 10])
+@pytest.mark.parametrize("shape", [(12, 3), (12, 5, 3)])
+@pytest.mark.parametrize("width", [1, 3])
+def test_bernstein_graph_conv_equals_the_weighted_stack(degree, shape, width):
+    """Horner's rule sums the terms of the Bernstein stack."""
+    rng = np.random.default_rng([degree, len(shape), width])
+    lap = normalized_laplacian(random_adjacency(rng, 12))
+    x = rng.standard_normal(shape)
+    bank = FilterBank("bernstein", degree, rng.standard_normal((degree + 1, width)))
+    stack = polynomial_stack(bank.recurrence(), x.reshape(12, -1), lambda v: lap @ v)
+    ref = sum(term.reshape(shape) * theta for term, theta in zip(stack, bank.coefficients))
+    got = graph_conv(bank, lap, x)
+    assert got.shape == shape
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+class CountingOperator(np.ndarray):
+    """An operator that counts its products with signals; arrays derived
+    from it, such as I - L, share its count."""
+
+    def __array_finalize__(self, obj):
+        self.applies = getattr(obj, "applies", None)
+
+    def __matmul__(self, other):
+        self.applies.append(other.shape)
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("basis", BASES)
+def test_graph_conv_apply_count(basis, monkeypatch):
+    """Bernstein applies L 2K times, a recurrence basis I - L K times."""
+    rng = np.random.default_rng(7)
+    adj = random_adjacency(rng, 6)
+    x = rng.standard_normal((6, 4, 2))
+    resolve = spectral_graph._resolve_laplacian
+    applies = []
+
+    def counting(adj_or_laplacian):
+        operator = resolve(adj_or_laplacian).view(CountingOperator)
+        operator.applies = applies
+        return operator
+
+    monkeypatch.setattr(spectral_graph, "_resolve_laplacian", counting)
+    for degree in range(11):
+        applies.clear()
+        graph_conv(FilterBank(basis, degree, rng.standard_normal((degree + 1, 2))), adj, x)
+        expected = 2 * degree if basis == "bernstein" else degree
+        assert applies == [(6, 8)] * expected, (degree, len(applies))
 
 
 def test_graph_conv_permutation_equivariance():
