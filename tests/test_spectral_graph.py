@@ -446,18 +446,15 @@ def test_graph_conv_matches_oracle_all_bases():
         assert np.linalg.norm(fast - oracle) / denom < 1e-10
 
 
-def probe_graph(seed):
-    """A random weighted graph, signal and generator as perfbench's
-    spectral probe draws them: N=207, 5% of the node pairs joined."""
-    rng = np.random.default_rng(seed)
-    n = 207
-    weights = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.05), 1)
-    return normalized_laplacian(Adjacency(weights + weights.T)), rng.standard_normal((n, 12, 2)), rng
-
-
 @pytest.mark.parametrize("degree", [10, 16, 20])
 def test_graph_conv_matches_oracle_at_the_probe_shape(degree):
-    lap, x, rng = probe_graph(degree)
+    """A graph and signal drawn as perfbench's spectral probe draws them:
+    N=207, 5% of the node pairs joined, a (207, 12, 2) signal."""
+    rng = np.random.default_rng(degree)
+    weights = np.triu(rng.uniform(0.0, 1.0, (207, 207))
+                      * (rng.uniform(size=(207, 207)) < 0.05), 1)
+    lap = normalized_laplacian(Adjacency(weights + weights.T))
+    x = rng.standard_normal((207, 12, 2))
     spectrum = eigendecompose(lap)
     for basis in BASES:
         bank = FilterBank(basis, degree, rng.standard_normal((degree + 1, 2)),
