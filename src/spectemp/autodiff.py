@@ -20,14 +20,18 @@ attention's per-row mode products. (``neg`` and ``mode_filter`` have no
 caller in the model; the benchmark's tracer still wraps them by name.)
 Every ``contract``, forward or VJP, runs as one broadcasting
 ``np.matmul``: a plan made once per subscript string sorts the axes into
-batch, summed and free axes and says how to transpose and reshape the
-operands into (batch..., M, K) @ (batch..., K, N) and the product back
-to the output order. Attention's scores and value mix contract only a
-few modes per (batch, node) pair, where a matmul pays per pair; so
-``node_scores`` and ``node_apply`` take modes with the (batch, node)
-axes innermost, (S, E, B, N), and run as broadcast products and sums
-over rows of length B*N. Elsewhere shapes follow the model convention
-(batch, node, time, dim).
+batch, summed and free axes, picks each operand's orientation from the
+subscripts alone and says how to transpose and reshape the operands into
+(batch..., M, K) @ (batch..., K, N) and the product back to the output
+order. The model carries its activations as contiguous (dim, node,
+batch, time) arrays, (D, N, B, T), so a node mix is one (N, N) @
+(N, B*T) product per dimension and a time mix one (B, T) @ (T, T)^T
+product per (dimension, node), each reading its operands as they lie
+and writing a contiguous result. Attention's scores and value mix
+contract only a few modes per (node, batch) pair, where a matmul pays
+per pair; so ``node_scores`` and ``node_apply`` take modes with the
+(node, batch) axes innermost, (S, E, N, B), and run as broadcast
+products and sums over rows of length N*B.
 """
 
 from __future__ import annotations
@@ -200,10 +204,19 @@ def sum_all(a):
                  [(a, lambda g: np.broadcast_to(g, va.shape).copy())])
 
 
-def stack(tensors):
-    """Stack equally shaped operands along a new leading axis."""
-    return _node(np.stack([_value(t) for t in tensors]),
-                 [(t, lambda g, k=k: g[k]) for k, t in enumerate(tensors)])
+def stack(tensors, axes=None):
+    """Stack equally shaped operands along a new leading axis. With
+    ``axes``, each operand is transposed by it first, and the result is
+    C-contiguous all the same."""
+    values = [_value(t) for t in tensors]
+    if axes is None:
+        return _node(np.stack(values), [(t, lambda g, k=k: g[k]) for k, t in enumerate(tensors)])
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    out = np.empty((len(values),) + values[0].transpose(axes).shape)
+    for k, value in enumerate(values):
+        out[k] = value.transpose(axes)
+    return _node(out, [(t, lambda g, k=k: g[k].transpose(inverse))
+                       for k, t in enumerate(tensors)])
 
 
 def sum_last(a):
@@ -226,21 +239,40 @@ def rsqrt_safe(a):
 
 
 # ---------------------------------------------------------------------------
-# bilinear contractions for the (batch, node, time, dim) layout
+# bilinear contractions for the (dim, node, batch, time) layout
 # ---------------------------------------------------------------------------
 
 _PLANS = {}
+
+
+def _operand(sub, batch, first, second):
+    """How one operand becomes its (batch..., rows, cols) matrix: the
+    permutation of ``sub`` to (batch, first, second) and the cut between
+    the row and column axes, or, when ``sub`` already lists its non-batch
+    axes as (second, first), the permutation to that order and True, for
+    the matrix to be read as its transposed view."""
+    swap = bool(first and second) and [c for c in sub if c not in batch] == second + first
+    rows, cols = (second, first) if swap else (first, second)
+    return tuple(map(sub.index, batch + rows + cols)), len(batch) + len(rows), swap
 
 
 def _plan(spec):
     """Matmul plan for the two-operand contraction ``spec`` ("sa,sb->so").
 
     Batch axes are in both operands and the output, summed axes in both
-    operands only, free axes in one operand and the output. Returns the
-    permutations that bring ``a`` to (batch, free_a, summed) and ``b`` to
-    (batch, summed, free_b), the three axis counts, and the permutation
-    from (batch, free_a, free_b) to the output order. Plans are cached by
-    ``spec``; each is a tuple, so sharing one is safe.
+    operands only, free axes in one operand and the output; free axes keep
+    the output's order and summed axes ``sa``'s. The product is
+    out = a b, with a as (batch, free_a, summed) and b as (batch, summed,
+    free_b), unless the output lists all of b's free axes before a's:
+    then it is out^T = b^T a^T, so the product comes out in the output's
+    order. An operand whose non-batch axes are listed in the opposite
+    order to the one its side of the product needs (summed before free on
+    the left, free before summed on the right) is passed as a transposed
+    view of its own order, which costs no copy when it is contiguous.
+    Returns ``flip``, each side's (permutation, cut, swap, free-axes
+    slice), the batch count and the permutation from (batch, free_left,
+    free_right) to the output order, None when that is the identity.
+    Plans are cached by ``spec``; each is a tuple, so sharing one is safe.
     """
     plan = _PLANS.get(spec)
     if plan is None:
@@ -249,29 +281,47 @@ def _plan(spec):
         free_a = [c for c in out_sub if c in a_sub and c not in b_sub]
         free_b = [c for c in out_sub if c in b_sub and c not in a_sub]
         summed = [c for c in a_sub if c in b_sub and c not in out_sub]
+        flip = bool(free_a and free_b) and out_sub.index(free_b[-1]) < out_sub.index(free_a[0])
+        (left, free_l), (right, free_r) = (((b_sub, free_b), (a_sub, free_a)) if flip
+                                           else ((a_sub, free_a), (b_sub, free_b)))
+        perm_l, cut_l, swap_l = _operand(left, batch, free_l, summed)
+        perm_r, cut_r, swap_r = _operand(right, batch, summed, free_r)
+        n_batch = len(batch)
+        perm_out = tuple((batch + free_l + free_r).index(c) for c in out_sub)
         plan = _PLANS[spec] = (
-            tuple(a_sub.index(c) for c in batch + free_a + summed),
-            tuple(b_sub.index(c) for c in batch + summed + free_b),
-            len(batch), len(free_a), len(summed),
-            tuple((batch + free_a + free_b).index(c) for c in out_sub),
+            flip,
+            (perm_l, cut_l, swap_l, slice(cut_l, None) if swap_l else slice(n_batch, cut_l)),
+            (perm_r, cut_r, swap_r, slice(n_batch, cut_r) if swap_r else slice(cut_r, None)),
+            n_batch,
+            None if perm_out == tuple(range(len(out_sub))) else perm_out,
         )
     return plan
+
+
+def _matrix(x, side, n_batch):
+    """``x`` as its side of the product, (batch..., rows, cols), and the
+    shape it was permuted to (see ``_operand``)."""
+    perm, cut, swap, _ = side
+    x = x.transpose(perm)
+    shape = x.shape
+    x = x.reshape(shape[:n_batch] + (math.prod(shape[n_batch:cut]), math.prod(shape[cut:])))
+    return (x.swapaxes(-1, -2) if swap else x), shape
 
 
 def _matmul(spec, a, b):
     """Arrays ``a`` and ``b`` contracted by ``spec`` as one ``np.matmul``.
 
     Batch axes stay unflattened, so size-1 batch axes broadcast as in
-    numpy; free and summed axes are flattened into the M, K and N axes.
+    numpy; free and summed axes are flattened into the M, K and N axes. A
+    reshape of an operand that is not contiguous in the planned order
+    copies it, so any layout gives the same answer.
     """
-    perm_a, perm_b, n_batch, n_free_a, n_summed, perm_out = _plan(spec)
-    a, b = a.transpose(perm_a), b.transpose(perm_b)
-    free_a = a.shape[n_batch:n_batch + n_free_a]
-    free_b = b.shape[n_batch + n_summed:]
-    k = math.prod(a.shape[n_batch + n_free_a:])
-    out = np.matmul(a.reshape(a.shape[:n_batch] + (math.prod(free_a), k)),
-                    b.reshape(b.shape[:n_batch] + (k, math.prod(free_b))))
-    return out.reshape(out.shape[:n_batch] + free_a + free_b).transpose(perm_out)
+    flip, left, right, n_batch, perm_out = _plan(spec)
+    x, shape_x = _matrix(b if flip else a, left, n_batch)
+    y, shape_y = _matrix(a if flip else b, right, n_batch)
+    out = np.matmul(x, y)
+    out = out.reshape(out.shape[:n_batch] + shape_x[left[3]] + shape_y[right[3]])
+    return out if perm_out is None else out.transpose(perm_out)
 
 
 def contract(spec, a, b):
@@ -292,26 +342,33 @@ def contract(spec, a, b):
     ])
 
 
-_GRAPH_MIX = {2: "ij,bjtd->bitd", 3: "dij,bjtd->bitd", 4: "bdij,bjtd->bitd"}
+_GRAPH_MIX = {2: "ij,djbt->dibt", 3: "dij,djbt->dibt", 4: "bdij,djbt->dibt"}
 
 
 def graph_mix(m, x):
-    """Mix along the node axis: out[b,i,t,d] = sum_j m[i,j] x[b,j,t,d].
+    """Mix along the node axis of a (D, N, B, T) signal:
+    out[d,i,b,t] = sum_j m[i,j] x[d,j,b,t].
 
     ``m`` is a shared (N, N) operator, a per-dimension (D|1, N, N) stack or
     a per-sample (B, D|1, N, N) stack; a size-1 dimension axis is shared by
-    every dimension.
+    every dimension. A (D|1, N, N) stack runs as one (N, N) @ (N, B*T)
+    product per dimension on the contiguous signal and returns a contiguous
+    result.
     """
     return contract(_GRAPH_MIX[_value(m).ndim], m, x)
 
 
 def time_mix(a, x):
-    """Mix along the time axis: out[b,n,i,d] = sum_j a[i,j] x[b,n,j,d].
+    """Mix along the time axis of a (D, N, B, T) signal:
+    out[d,n,b,i] = sum_j a[i,j] x[d,n,b,j].
 
-    ``a`` is a shared (T, T) operator or an (N|1, D|1, T, T) stack of one
-    operator per variable and dimension, whose size-1 axes are shared.
+    ``a`` is a shared (T, T) operator or a (D|1, N|1, T, T) stack of one
+    operator per dimension and variable, whose size-1 axes are shared.
+    Each (d, n) slice z runs as the product z (B x T) @ a^T, which reads a
+    contiguous signal and a contiguous stack as they are and returns a
+    contiguous result.
     """
-    spec = "ij,bnjd->bnid" if _value(a).ndim == 2 else "ndij,bnjd->bnid"
+    spec = "ij,dnbj->dnbi" if _value(a).ndim == 2 else "dnij,dnbj->dnbi"
     return contract(spec, a, x)
 
 
@@ -325,13 +382,13 @@ def mode_filter(x, w):
 
 
 def node_scores(q, k):
-    """Pairwise mode scores per (batch, node) row.
+    """Pairwise mode scores per (node, batch) row.
 
-    out[i,b,n,j] = sum_e q[i,e,b,n] k[j,e,b,n] for q (I, E, B, N) and
-    k (J, E, B, N). The result is stored as (I, J, B, N): the products
-    run over rows of length B*N instead of as B*N tiny (I, E) @ (E, J)
+    out[i,n,b,j] = sum_e q[i,e,n,b] k[j,e,n,b] for q (I, E, N, B) and
+    k (J, E, N, B). The result is stored as (I, J, N, B): the products
+    run over rows of length N*B instead of as N*B tiny (I, E) @ (E, J)
     products, and numpy's reductions over j in ``softmax_last`` run over
-    these key-major scores one (I, B, N) slice at a time.
+    these key-major scores one (I, N, B) slice at a time.
     """
     vq, vk = _value(q), _value(k)
     scores = (vq[:, None] * vk[None]).sum(axis=2)
@@ -342,11 +399,11 @@ def node_scores(q, k):
 
 
 def node_apply(a, v):
-    """Apply per-row mixing weights to modes, as rows of length B*N.
+    """Apply per-row mixing weights to modes, as rows of length N*B.
 
-    out[i,e,b,n] = sum_j a[i,b,n,j] v[j,e,b,n] for (I, B, N, J) weights
-    (best stored as (I, J, B, N), as ``node_scores`` leaves them) and
-    (J, E, B, N) modes.
+    out[i,e,n,b] = sum_j a[i,n,b,j] v[j,e,n,b] for (I, N, B, J) weights
+    (best stored as (I, J, N, B), as ``node_scores`` leaves them) and
+    (J, E, N, B) modes.
     """
     va, vv = _value(a), _value(v)
     weights = va.transpose(0, 3, 1, 2)[:, :, None]

@@ -10,6 +10,7 @@ data.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -100,38 +101,35 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None) -> Dat
     rows = []
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            for line_no, row in enumerate(reader, start=1):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                parsed = []
-                for col_no, cell in enumerate(row, start=1):
-                    cell = cell.strip()
-                    if cell == "" or cell.lower() == "nan":
-                        parsed.append(np.nan)
-                        continue
-                    try:
-                        parsed.append(float(cell))
-                    except ValueError:
-                        if line_no == 1:
-                            parsed = None  # header row
-                            break
-                        raise DataError(
-                            f"{path}: line {line_no}, column {col_no}: "
-                            f"non-numeric cell {cell!r}") from None
-                if parsed is not None:
-                    rows.append((line_no, parsed))
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if "".join(row).strip():        # a line of blank cells is skipped
+                    rows.append((line_no, row))
     except (UnicodeDecodeError, csv.Error) as err:
         # bytes that are not UTF-8, or a field past the csv module's limit
         raise DataError(f"{path}: unreadable CSV: {err}") from None
+    if rows and rows[0][0] == 1:
+        try:
+            for cell in rows[0][1]:
+                _cell_value(cell)
+        except ValueError:
+            rows = rows[1:]                     # a header row
     if not rows:
         raise DataError(f"{path}: no numeric rows")
+    # One bulk conversion parses every cell with float(), which strips the
+    # cell as _cell_value does; a blank or bad cell stops it, and then the
+    # cells are parsed one by one, to read blanks as NaN and name a bad cell.
+    cells = itertools.chain.from_iterable(row for _, row in rows)
+    try:
+        flat = np.fromiter(map(float, cells), np.float64, sum(len(row) for _, row in rows))
+    except ValueError:
+        flat = np.array([_parsed_cell(path, line_no, col_no, cell) for line_no, row in rows
+                         for col_no, cell in enumerate(row, start=1)])
     width = len(rows[0][1])
     for line_no, row in rows:
         if len(row) != width:
             raise DataError(f"{path}: line {line_no}: expected {width} columns,"
                             f" got {len(row)}")
-    table = np.asarray([row for _, row in rows], dtype=np.float64)
+    table = flat.reshape(len(rows), width)
     infinite = np.argwhere(np.isinf(table))
     if infinite.size:
         r, c = infinite[0]
@@ -157,6 +155,22 @@ def load_csv(path, layout: str = "time_major", impute: str | None = None) -> Dat
         table[:] = np.take_along_axis(table, np.maximum.accumulate(source, axis=1), axis=1)
     return Dataset(values=table[:, :, None],
                    name=os.path.splitext(os.path.basename(str(path)))[0])
+
+
+def _cell_value(cell: str) -> float:
+    """One CSV cell as ``load_csv`` reads it: a blank cell or "nan" in any
+    case is NaN, anything else goes through ``float``."""
+    cell = cell.strip()
+    return np.nan if cell == "" or cell.lower() == "nan" else float(cell)
+
+
+def _parsed_cell(path, line_no: int, col_no: int, cell: str) -> float:
+    """``_cell_value`` of one cell of a data row, or a DataError naming it."""
+    try:
+        return _cell_value(cell)
+    except ValueError:
+        raise DataError(f"{path}: line {line_no}, column {col_no}: "
+                        f"non-numeric cell {cell.strip()!r}") from None
 
 
 def save_csv(dataset: Dataset, path) -> None:

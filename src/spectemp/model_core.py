@@ -26,11 +26,20 @@ applies C before attention. Attention keeps re/im on one axis: real
 2S x T select kernels hold the real and imaginary parts of mode s in
 rows 2s and 2s+1, and a T x 2S rebuild kernel holds [Re R_s, -Im R_s],
 so each complex product (select, scores, mixing, rebuild) is one tape
-op. The select contractions emit (2S, D, B, N) modes, with the (batch,
-node) axes innermost, so the scores, the softmax over keys and the value
-mix run as products over rows of length B*N, not as B*N tiny matrix
-products. Learned adjacency differs per sample, so there the polynomial
-stack runs on the signal.
+op. The select contractions emit (2S, D, N, B) modes, with the (node,
+batch) axes innermost, so the scores, the softmax over keys and the
+value mix run as products over rows of length N*B, not as N*B tiny
+matrix products. Learned adjacency differs per sample, so there the
+polynomial stack runs on the signal.
+
+From the entry of ``_representation`` to the head, every block carries
+its activation as one contiguous (D, N, B, T) array, a copy of the
+(B, N, T, D) windows made on entry. So ``graph_mix`` is one (N, N) @
+(N, B*T) product per dimension, ``time_mix`` one (B, T) @ (T, T)^T
+product per dimension and variable, and each writes a contiguous result
+for the next op to read. The head is the one contraction that reorders
+axes: it returns the (B, N, H, D) forecast. Every public input and
+output keeps its (B, N, T, D) or (N, T, D) layout.
 
 What is derived when:
 - Per state (``_operators``): the stack P_k(M), the S/R kernels, A and
@@ -395,13 +404,12 @@ class _Operators:
     ``graph`` is the (K+1, N, N) stack P_k(M) of a fixed graph operator (None
     with learned adjacency). ``blocks`` holds per block (coarse, fine), each
     None when that stage is off: a linear stage as its (2, S, S, T, T)
-    kernel [K_re; K_im] (see ``_fold``), the attention stage as its real
-    (query select, key/value select, rebuild) kernels, (2S, T), (2S, T)
-    and (T, 2S), with re/im interleaved on the mode axis (see
-    ``_interleave``); the query kernel is conjugated and scaled by
-    1/sqrt(S D). ``trend`` is the
-    moving-average matrix A that the linear fine stage adds (None
-    otherwise).
+    kernel [K_re; K_im] (see ``_fold``), which binds to a (D|1, N|1, T, T)
+    operator, the attention stage as its real (query select, key/value
+    select, rebuild) kernels, (2S, T), (2S, T) and (T, 2S), with re/im
+    interleaved on the mode axis (see ``_interleave``); the query kernel is
+    conjugated and scaled by 1/sqrt(S D). ``trend`` is the moving-average
+    matrix A that the linear fine stage adds (None otherwise).
     """
 
     sources: tuple                  # the state arrays these were built from
@@ -508,34 +516,36 @@ def _learned_operators(params: dict, x: np.ndarray, config: ModelConfig):
 
 
 def _stage_operator(params: dict, name: str, kernel: np.ndarray):
-    """A linear stage's (N|1, D|1, T, T) operator from its mode weights:
-    one contraction of the stacked [W_re; W_im] with the stage's kernel."""
+    """A linear stage's (D|1, N|1, T, T) operator from its (N|1, D|1, S, S)
+    mode weights: one contraction of the stacked [W_re; W_im] with the
+    stage's kernel."""
     weights = ad.stack([params[f"{name}_re"], params[f"{name}_im"]])
-    return ad.contract("zndij,zijpq->ndpq", weights, kernel)
+    return ad.contract("zndij,zijpq->dnpq", weights, kernel)
 
 
 def _attention_stage(trend, seasonal, weights, kernels):
-    """Mode-space attention with re/im interleaved on the mode axis (see
-    ``_build_operators``); ``weights`` are the block's (T, T) query, key
-    and value projections. Each projection's select contraction emits its
-    modes as (2S, D, B, N), which reads as (S, 2D, B, N) without a copy, so
-    every complex product is one op. The scores, the softmax over keys and
-    the value mix run over rows of length B*N; the rebuild contracts the
-    mixed modes back to (B, N, T, D)."""
+    """Mode-space attention on (D, N, B, T) trend and seasonal parts, with
+    re/im interleaved on the mode axis (see ``_build_operators``);
+    ``weights`` are the block's (T, T) query, key and value projections.
+    Each projection's select contraction emits its modes as (2S, D, N, B),
+    which reads as (S, 2D, N, B) without a copy, so every complex product
+    is one op. The scores, the softmax over keys and the value mix run over
+    rows of length N*B; the rebuild contracts the mixed modes back to
+    (D, N, B, T)."""
     select_q, select_kv, rebuild = kernels
     w_q, w_k, w_v = weights
-    b, n, _, d = trend.shape
+    d, n, b, _ = trend.shape
 
     def project(weight, part, select):
-        modes = ad.contract("ij,bnjd->idbn", select, ad.relu(ad.time_mix(weight, part)))
-        return ad.reshape(modes, (-1, 2 * d, b, n))
+        modes = ad.contract("ij,dnbj->idnb", select, ad.relu(ad.time_mix(weight, part)))
+        return ad.reshape(modes, (-1, 2 * d, n, b))
 
     q = project(w_q, trend, select_q)
     k = project(w_k, seasonal, select_kv)
     v = project(w_v, seasonal, select_kv)
     attn = ad.softmax_last(ad.node_scores(q, k))
-    out = ad.reshape(ad.node_apply(attn, v), (-1, d, b, n))
-    return ad.add(trend, ad.contract("ij,jdbn->bnid", rebuild, out))
+    out = ad.reshape(ad.node_apply(attn, v), (-1, d, n, b))
+    return ad.add(trend, ad.contract("ij,jdnb->dnbi", rebuild, out))
 
 
 def require_finite_windows(x: np.ndarray) -> None:
@@ -551,10 +561,11 @@ class _Binding(dict):
     """The parameters a forward pass reads, with every block's operators
     bound from them.
 
-    ``blocks`` holds per block (graph, temporal, attention):
+    ``blocks`` holds per block (graph, temporal, attention), each shaped
+    for the (D, N, B, T) activations:
     - graph: G = sum_k theta_k P_k(M) as (D|1, N, N); with learned
       adjacency M depends on the window stack, so this is theta itself;
-    - temporal: the linear stages' (N|1, D|1, T, T) operator F C (or F or
+    - temporal: the linear stages' (D|1, N|1, T, T) operator F C (or F or
       C alone), None when no linear stage runs;
     - attention: (A, (W_q, W_k, W_v), kernels) of the attention fine
       stage, else None.
@@ -582,7 +593,7 @@ def _bind(params: dict, state: ModelState, config: ModelConfig) -> _Binding:
         if fine is not None and not attention:
             fine_op = ad.add(ops.trend, _stage_operator(params, f"{prefix}.fine", fine))
             temporal = fine_op if temporal is None else ad.contract(
-                "ndpr,ndrq->ndpq", fine_op, temporal)
+                "dnpr,dnrq->dnpq", fine_op, temporal)
         mix = None
         if attention:
             mix = (trend, tuple(params[f"{prefix}.attn_{tag}"] for tag in "qkv"), fine)
@@ -605,15 +616,22 @@ def _bound_state(state: ModelState, config: ModelConfig) -> ModelState:
 
 def _representation(params: dict, x: np.ndarray, state: ModelState,
                     config: ModelConfig, blocks, residual: bool):
-    """Forward ``x`` through ``blocks`` (block indices) of the model with
-    ``params`` bound (see ``_bind``), unless they already are.
+    """Forward the (B, N, T, D) windows ``x`` through ``blocks`` (block
+    indices) of the model with ``params`` bound (see ``_bind``), unless
+    they already are; returns the (D, N, B, T) representation.
 
-    Each block applies its graph filter G = sum_k theta_k P_k(M) with one
-    ``graph_mix``, a relu unless the variant is linear, and then its real
-    T x T temporal operator per variable and dimension with one
-    ``time_mix``: the fine stage's F = A + Re(R' W'^T S')(I - A) times the
-    coarse stage's C = Re(R W^T S). The nonlinear variant runs the
-    attention fine stage after C instead of F.
+    The windows enter as one contiguous (D, N, B, T) copy, which is
+    screened for non-finite values; only when that screen fails does
+    ``require_finite_windows`` name the window and node. Each block applies
+    its graph filter G = sum_k theta_k P_k(M) with one ``graph_mix``, a
+    relu unless the variant is linear, and then its real T x T temporal
+    operator per dimension and variable with one ``time_mix``: the fine
+    stage's F = A + Re(R' W'^T S')(I - A) times the coarse stage's
+    C = Re(R W^T S). The nonlinear variant runs the attention fine stage
+    after C instead of F. With learned adjacency the K+1 polynomial terms
+    are stacked with the dimension axis innermost, (K+1, N, B, T, D), so
+    theta's weighting reads each dimension's terms as the (B, N, T, D)
+    layout did and sums them in the same order.
     """
     b, n, t, d = x.shape
     if t != config.lookback or d != config.n_dims:
@@ -622,14 +640,15 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
     if n != state.n_nodes:
         raise ShapeError(f"window has {n} variables but the model state was "
                          f"built for {state.n_nodes}")
-    require_finite_windows(x)
+    z = np.ascontiguousarray(x.transpose(3, 1, 0, 2))
+    if not np.isfinite(z).all():
+        require_finite_windows(x)
     if not isinstance(params, _Binding):
         params = _bind(params, state, config)
     learned_mode = config.adjacency_mode == "learned"
     if learned_mode:
         rec = config.recurrence()
         learned = ad.reshape(_learned_operators(params, x, config), (b, 1, n, n))
-    z = x
     for m in blocks:
         graph, temporal, attention = params.blocks[m]
         if learned_mode:
@@ -637,7 +656,7 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
             # costs B K N^2 T D against B K N^3 for a per-sample G.
             terms = polynomial_stack(rec, z, lambda v: ad.graph_mix(learned, v),
                                      ad.mul, ad.add, ad.sub)
-            mixed = ad.contract("kd,kbntd->bntd", graph, ad.stack(terms))
+            mixed = ad.contract("kd,knbtd->dnbt", graph, ad.stack(terms, (1, 2, 3, 0)))
         else:
             mixed = ad.graph_mix(graph, z)
         if config.relu_enabled:
@@ -654,14 +673,16 @@ def _representation(params: dict, x: np.ndarray, state: ModelState,
 
 def _forward_graph(params: dict, x: np.ndarray, state: ModelState,
                    config: ModelConfig):
-    """Forward through every block and the head: a prediction node when a
-    parameter in ``params`` is a tape leaf, else an array. The head is one
-    contraction of each variable's (T, D) representation with the
-    (T*D, H*D) weight read as (T, D, H, D)."""
+    """Forward through every block and the head: a (B, N, H, D) prediction
+    node when a parameter in ``params`` is a tape leaf, else an array. The
+    head is one contraction of each variable's (T, D) representation with
+    the (T*D, H*D) weight read as (T, D, H, D); it sums over (t, d) and
+    its weight gradient over (b, n), in the order the (B, N, T, D) layout
+    summed them."""
     z = _representation(params, x, state, config, range(config.blocks), residual=True)
     t, d = config.lookback, config.n_dims
     weight = ad.reshape(params["head.weight"], (t, d, config.horizon, d))
-    return ad.contract("bntd,tdhe->bnhe", z, weight)
+    return ad.contract("tdhe,dnbt->bnhe", weight, z)
 
 
 def loss_node(prediction, targets: np.ndarray):
@@ -696,7 +717,7 @@ def embed(x: np.ndarray, state: ModelState, config: ModelConfig) -> np.ndarray:
     """Final-block representation (N, T, D) ahead of the forecasting head."""
     arr, squeeze = _promote(x)
     rep = _representation(state.params, arr, state, config, range(config.blocks),
-                          residual=True)
+                          residual=True).transpose(2, 1, 3, 0)
     return rep[0] if squeeze else rep
 
 
@@ -708,7 +729,8 @@ def tggc_block(x: np.ndarray, state: ModelState, config: ModelConfig,
         raise ParameterError(f"block must be an integer in [0, {config.blocks}), "
                              f"got {block!r}")
     arr, squeeze = _promote(x)
-    rep = _representation(state.params, arr, state, config, (block,), residual=False)
+    rep = _representation(state.params, arr, state, config, (block,),
+                          residual=False).transpose(2, 1, 3, 0)
     return rep[0] if squeeze else rep
 
 

@@ -223,9 +223,14 @@ def predict(state: mc.ModelState, config: mc.ModelConfig, windows: WindowSet,
     per call: a copy of ``state`` that lives only for the call holds the
     binding as its params, and every chunk's forward applies it, so a
     chunk costs only the operators' application. ``state`` itself keeps
-    its params and its cache as they were. Each chunk's forecast is bitwise that of ``forward`` on
-    the chunk alone; matmul rounds by the column count, so other chunk
-    sizes can differ in the last bits.
+    its params and its cache as they were. Each chunk's forecast is
+    bitwise that of ``forward`` on the chunk alone. No product of the
+    forward sums over windows, and BLAS rounds each element of these
+    products the same whatever the window count, so with chunks of two or
+    more windows the forecasts are bitwise those of one ``forward`` of the
+    whole set. A chunk of one window turns each time mix into a
+    vector-matrix product, which BLAS rounds differently, within a few
+    ulps.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, numbers.Integral):
         raise ParameterError(f"chunk must be an integer, got {chunk!r}")

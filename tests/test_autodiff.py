@@ -184,26 +184,40 @@ def test_rsqrt_safe_clamps_tiny_inputs_with_zero_gradient():
 
 def test_graph_mix():
     # shared, per-dimension, shared by dimensions, per-sample (and dimension)
-    x = rng_arrays(9, (2, 4, 3, 2))[0]
+    # operators on a (D, N, B, T) signal
+    x = rng_arrays(9, (2, 4, 3, 5))[0]
     for seed, shape in ((9, (4, 4)), (10, (2, 4, 4)), (18, (1, 4, 4)),
-                        (19, (2, 2, 4, 4)), (20, (2, 1, 4, 4))):
+                        (19, (3, 2, 4, 4)), (20, (3, 1, 4, 4))):
         m = rng_arrays(seed, shape)[0]
         check_op(lambda t: ad.graph_mix(t[0], t[1]), [m, x])
-        full = np.broadcast_to(m.reshape((1,) * (4 - m.ndim) + m.shape), (2, 2, 4, 4))
-        want = np.einsum("bdij,bjtd->bitd", full, x)
+        full = np.broadcast_to(m.reshape((1,) * (4 - m.ndim) + m.shape), (3, 2, 4, 4))
+        want = np.einsum("bdij,djbt->dibt", full, x)
         assert np.abs(ad.graph_mix(m, x) - want).max() < 1e-12
 
 
 def test_time_mix():
-    # one shared operator, or one per variable and dimension (size-1 axes shared)
-    x = rng_arrays(11, (2, 4, 3, 2))[0]
-    for seed, shape in ((11, (3, 3)), (21, (4, 2, 3, 3)), (22, (1, 2, 3, 3)),
-                        (25, (4, 1, 3, 3)), (26, (1, 1, 3, 3))):
+    # one shared operator, or one per dimension and variable (size-1 axes
+    # shared), on a (D, N, B, T) signal
+    x = rng_arrays(11, (2, 4, 3, 5))[0]
+    for seed, shape in ((11, (5, 5)), (21, (2, 4, 5, 5)), (22, (2, 1, 5, 5)),
+                        (25, (1, 4, 5, 5)), (26, (1, 1, 5, 5))):
         a = rng_arrays(seed, shape)[0]
         check_op(lambda t: ad.time_mix(t[0], t[1]), [a, x])
-        full = np.broadcast_to(a, (4, 2, 3, 3))
-        want = np.einsum("ndij,bnjd->bnid", full, x)
+        full = np.broadcast_to(a, (2, 4, 5, 5))
+        want = np.einsum("dnij,dnbj->dnbi", full, x)
         assert np.abs(ad.time_mix(a, x) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4), (1, 4, 4)])
+def test_graph_mix_of_a_contiguous_signal_is_contiguous(shape):
+    m, x = rng_arrays(27, shape, (2, 4, 5, 3))
+    assert ad.graph_mix(m, x).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 3, 3), (1, 4, 3, 3), (2, 1, 3, 3)])
+def test_time_mix_of_a_contiguous_signal_is_contiguous(shape):
+    a, x = rng_arrays(28, shape, (2, 4, 5, 3))
+    assert ad.time_mix(a, x).flags.c_contiguous
 
 
 def test_mode_filter():
@@ -292,6 +306,29 @@ CONTRACTIONS = [
     ("bntd,tdhe->bnhe", {}),
     ("ij,bnjd->idbn", {}),
     ("ij,jdbn->bnid", {}),
+    # the (D, N, B, T) layout's contractions
+    ("zndij,zijpq->dnpq", {}),
+    ("zndij,zijpq->dnpq", {"zndij": (2, 1, 2, 5, 6), "dnpq": (2, 1, 3, 4)}),
+    ("zndij,zijpq->dnpq", {"zndij": (2, 4, 1, 5, 6), "dnpq": (1, 4, 3, 4)}),
+    ("zndij,zijpq->dnpq", {"zndij": (2, 1, 1, 5, 6), "dnpq": (1, 1, 3, 4)}),
+    ("dnpr,dnrq->dnpq", {}),
+    ("dnpr,dnrq->dnpq", {"dnpr": (1, 1, 3, 2), "dnrq": (1, 1, 2, 4),
+                         "dnpq": (1, 1, 3, 4)}),
+    ("ij,djbt->dibt", {}),
+    ("dij,djbt->dibt", {}),
+    ("dij,djbt->dibt", {"dij": (1, 5, 6)}),
+    ("bdij,djbt->dibt", {}),
+    ("bdij,djbt->dibt", {"bdij": (3, 1, 5, 6)}),
+    ("dnij,dnbj->dnbi", {}),
+    ("dnij,dnbj->dnbi", {"dnij": (2, 1, 5, 6)}),
+    ("dnij,dnbj->dnbi", {"dnij": (1, 4, 5, 6)}),
+    ("dnij,dnbj->dnbi", {"dnij": (1, 1, 5, 6)}),
+    ("ij,dnbj->dnbi", {}),
+    ("ij,dnbj->idnb", {}),
+    ("ij,jdnb->dnbi", {}),
+    ("kd,knbtd->dnbt", {}),
+    ("kd,knbtd->dnbt", {"kd": (7, 1)}),
+    ("tdhe,dnbt->bnhe", {}),
 ]
 
 
@@ -328,6 +365,49 @@ def test_matmul_plan_matches_einsum(spec, overrides, transposed):
         got = ad._matmul(contraction, x, y)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# (spec, flip, (left swap, right swap)): out = a b as planned, with a
+# listed summed-before-free or b listed free-before-summed passed as a
+# transposed view, and out^T = b^T a^T when the output lists b's free axes
+# first (graph_mix, time_mix, graph_mix's operator gradient, attention's
+# rebuild and the head)
+ORIENTATIONS = [
+    ("ik,kj->ij", False, (False, False)),
+    ("ki,kj->ij", False, (True, False)),
+    ("ik,jk->ij", False, (False, True)),
+    ("ki,jk->ij", False, (True, True)),
+    ("ik,kj->ji", True, (True, True)),
+    ("bki,bkj->bij", False, (True, False)),
+    ("bki,bjk->bji", True, (False, False)),
+    ("dij,djbt->dibt", False, (False, False)),
+    ("dnij,dnbj->dnbi", True, (False, True)),
+    ("dibt,djbt->dij", False, (False, True)),
+    ("ij,jdnb->dnbi", True, (True, True)),
+    ("tdhe,dnbt->bnhe", True, (False, False)),
+]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "broadcast"])
+@pytest.mark.parametrize("spec,flip,swaps", ORIENTATIONS)
+def test_matmul_plan_orientations(spec, flip, swaps, layout):
+    plan = ad._plan(spec)
+    assert plan[0] is flip and (plan[1][2], plan[2][2]) == swaps
+    a_sub, b_sub, out_sub = spec.replace("->", ",").split(",")
+    rng = np.random.default_rng(39)
+    shape_a, shape_b = (tuple(SIZES[c] for c in sub) for sub in (a_sub, b_sub))
+    if layout == "broadcast":     # a's batch axes have size 1
+        shape_a = tuple(1 if c in b_sub and c in out_sub else n
+                        for c, n in zip(a_sub, shape_a))
+    a, b = (rng.standard_normal(shape[::-1]).T if layout == "transposed"
+            else rng.standard_normal(shape) for shape in (shape_a, shape_b))
+    want = np.einsum(spec, a, b)
+    got = ad._matmul(spec, a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    if layout == "contiguous":
+        # the product comes out in the output's order unless it reorders axes
+        assert got.flags.c_contiguous == (plan[-1] is None)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -390,7 +470,7 @@ def test_untracked_inputs_get_no_grad():
     # its Tensor input
     b = np.ones(3)
     for out in (ad.mul(b, b), ad.sum_all(b), ad.relu(b), ad.stack([b, b]),
-                ad.time_mix(np.eye(3), b.reshape(1, 1, 3, 1))):
+                ad.time_mix(np.eye(3), b.reshape(1, 1, 1, 3))):
         assert type(out) is np.ndarray
     a = ad.Tensor(np.ones(3))
     prod = ad.mul(a, b)

@@ -136,6 +136,108 @@ def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
     assert ds.name == "bom"
 
 
+def test_load_csv_reads_a_large_file_as_float_reads_each_cell(tmp_path):
+    # 207 variables over 3,000 steps: repr doubles, exponent forms and
+    # padded cells, spanning 2^-70 to 2^70, under a header row
+    rng = np.random.default_rng(40)
+    values = rng.standard_normal((3000, 207)) * np.exp2(rng.integers(-70, 70, (3000, 207)))
+    forms = ("{!r}", "{:.6e}", "  {!r}\t", "{:.17g}", "{:+.3E}")
+    lines = [",".join(f"v{i}" for i in range(207))]
+    lines += [",".join(forms[(r + c) % 5].format(v) for c, v in enumerate(row))
+              for r, row in enumerate(values.tolist())]
+    path = tmp_path / "wide.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+    assert load_csv(path).values[:, :, 0].T.tobytes() == want.tobytes()
+
+
+def test_load_csv_reads_blank_and_nan_cells_among_numbers(tmp_path):
+    path = tmp_path / "gappy.csv"
+    path.write_text("a,b,c\n1.5, ,2\n\n NaN ,3e1,\t\n-nan,nan,4\n , , \n5,6,7\n")
+    ds = load_csv(path, impute="ffill")
+    assert ds.values[:, :, 0].tolist() == [[1.5, 1.5, 1.5, 5.0], [30.0, 30.0, 30.0, 6.0],
+                                           [2.0, 2.0, 4.0, 7.0]]
+
+
+@pytest.mark.parametrize("text,where", [
+    ("1,2\n3, \n4,x5\n", "line 3, column 2: non-numeric cell 'x5'"),
+    ("1,2\n,3\n4\n5, 0x1 \n", "line 4, column 2: non-numeric cell '0x1'"),
+    ("1,2\n3\n", "line 2: expected 2 columns, got 1"),
+])
+def test_load_csv_names_the_first_bad_cell_before_a_ragged_row(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=where):
+        load_csv(path, impute="ffill")
+
+
+def per_cell_load(path):
+    """The replaced per-cell parse of a time-major CSV, kept as the oracle:
+    the (N, L) table, or the message of the DataError it raised."""
+    import csv
+    rows = []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            parsed = []
+            for col_no, cell in enumerate(row, start=1):
+                cell = cell.strip()
+                if cell == "" or cell.lower() == "nan":
+                    parsed.append(np.nan)
+                    continue
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    if line_no == 1:
+                        parsed = None
+                        break
+                    return f"line {line_no}, column {col_no}: non-numeric cell {cell!r}"
+            if parsed is not None:
+                rows.append((line_no, parsed))
+    if not rows:
+        return "no numeric rows"
+    for line_no, row in rows:
+        if len(row) != len(rows[0][1]):
+            return f"line {line_no}: expected {len(rows[0][1])} columns, got {len(row)}"
+    table = np.array([row for _, row in rows])
+    if np.isinf(table).any():
+        r, c = np.argwhere(np.isinf(table))[0]
+        return f"line {rows[r][0]}, column {c + 1}: non-finite cell {table[r, c]!r}"
+    if np.isnan(table).any():
+        v, t = np.argwhere(np.isnan(table.T))[0]
+        return f"NaN at variable {v}, step {t}"
+    return table.T
+
+
+# cells float() reads as str.strip() then float() does, and cells it does
+# not: blanks, "nan" in any case, and separators str.strip() removes but
+# float() does not (\x1c to \x1f)
+TRICKY_CELLS = ["1.5", " -2 ", "3e-2", "\t4\x0b", "\x1c5\x1f", "\u20036", "1_0", "\u0667",
+                "nan", " NaN ", "-nan", "", "  ", "inf", "7x", "0x1", "e", "h"]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_load_csv_matches_the_per_cell_parse(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    numeric = rng.random() < 0.5       # half the files hold only number cells
+    pool = TRICKY_CELLS[:8] if numeric else TRICKY_CELLS
+    width = int(rng.integers(1, 4))
+    lines = []
+    for _ in range(int(rng.integers(1, 6))):
+        cells = rng.choice(pool, size=width + (rng.random() < 0.1))
+        lines.append(",".join(cells) if rng.random() < 0.9 else "")
+    path = tmp_path / "cells.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = per_cell_load(path)
+    if isinstance(want, str):
+        with pytest.raises(DataError) as err:
+            load_csv(path)
+        assert str(err.value).startswith(f"{path}: {want}")
+    else:
+        assert load_csv(path).values[:, :, 0].tobytes() == want.tobytes()
+
+
 def test_csv_roundtrip(tmp_path):
     ds = linear_dataset()
     path = tmp_path / "walk.csv"

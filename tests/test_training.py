@@ -582,14 +582,66 @@ def test_predict_equals_forwarding_each_chunk(variant, adjacency_mode):
         each = np.concatenate([mc.forward(x[start:start + chunk], state, config)
                                for start in range(0, len(x), chunk)])
         assert predicted.tobytes() == each.tobytes(), chunk
-        # matmul rounds by its column count, so only one chunk is bitwise whole
-        if chunk >= len(x):
+        # chunks of two or more windows are bitwise the whole-set forward
+        # (see test_forecasts_do_not_depend_on_the_chunk_size)
+        if chunk > 1:
             assert predicted.tobytes() == whole.tobytes()
         else:
             assert np.abs(predicted - whole).max() <= 1e-13 * np.abs(whole).max()
     # the binding lived on predict's own copy of the state
     assert list(state.cache) == [config]
     assert state.params is params and type(params) is dict
+
+
+@pytest.mark.parametrize("basis", ex.BASIS_ORDER)
+@pytest.mark.parametrize("variant", mc.VARIANTS)
+def test_forecasts_do_not_depend_on_the_chunk_size(basis, variant):
+    # No forward product sums over windows, and BLAS rounds each element
+    # the same whatever the window count, so a chunk of two or more windows
+    # gives each forecast the bits of one forward of the whole set. A chunk
+    # of one window makes each (d, n) time mix a vector-matrix product,
+    # which numpy runs as a BLAS gemv; that rounds differently, by ulps.
+    state, config, _ = _race_model(basis=basis, variant=variant)
+    rng = np.random.default_rng(41)
+    for name, value in state.params.items():
+        state.params[name] = value + 0.1 * rng.standard_normal(value.shape)
+    task = ex.SynthTask(noise_sigma=ex.RACE_PRESET["noise_sigma"])
+    test = ex.prepare_synth(task, 0).test_windows
+    windows = WindowSet(test.inputs[:300], test.targets[:300], test.origins[:300])
+    whole = mc.forward(windows.inputs, state, config)
+    for chunk in (2, 3, 5, 7, 16, 100, 256, 1000):
+        assert tr.predict(state, config, windows, chunk=chunk)[0].tobytes() == whole.tobytes()
+    single, _ = tr.predict(state, config, windows, chunk=1)
+    assert np.abs(single - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("variant,ceiling", [("linear", 5), ("relu_only", 5),
+                                             ("nonlinear", 3)])
+def test_activations_keep_one_contiguous_layout(monkeypatch, variant, ceiling):
+    # Every block's activation is a contiguous (D, N, B, T) array, so each
+    # product of a forward comes out contiguous. A gradient step leaves
+    # only the stage operators' parameter-sized gradients and the head's
+    # input gradient strided: `ceiling` products in all.
+    state, config, windows = race_state(variant=variant)
+    x, y = windows.inputs[:64], windows.targets[:64]
+    results, matmul = [], ad._matmul
+    monkeypatch.setattr(ad, "_matmul",
+                        lambda spec, a, b: results.append(matmul(spec, a, b)) or results[-1])
+    # the benchmark wraps graph_mix and time_mix by name, and counts
+    # graph_mix's flops from its signal with the nodes on axis 1
+    signals = {"graph_mix": [], "time_mix": []}
+    for name, seen in signals.items():
+        def recorded(m, v, op=getattr(ad, name), seen=seen):
+            seen.append(ad._value(v).shape)
+            return op(m, v)
+        monkeypatch.setattr(ad, name, recorded)
+    mc.forward(x, state, config)
+    assert results and all(out.flags.c_contiguous for out in results)
+    assert signals["graph_mix"] and signals["time_mix"]
+    assert {shape[:2] for shape in signals["graph_mix"]} == {(config.n_dims, state.n_nodes)}
+    results.clear()
+    tr.gradients(state, (x, y), config)
+    assert sum(not out.flags.c_contiguous for out in results) <= ceiling
 
 
 def test_evaluate_binds_again_after_a_parameter_changes_in_place():
@@ -618,8 +670,8 @@ def test_evaluate_builds_each_blocks_operators_once(monkeypatch):
                         lambda spec, a, b: specs.append(spec) or contract(spec, a, b))
     tr.evaluate(state, config, windows, chunk=16)
     assert specs.count("kd,kij->dij") == config.blocks
-    assert specs.count("zndij,zijpq->ndpq") == 2 * config.blocks
-    assert specs.count("dij,bjtd->bitd") == 3 * config.blocks
+    assert specs.count("zndij,zijpq->dnpq") == 2 * config.blocks
+    assert specs.count("dij,djbt->dibt") == 3 * config.blocks
 
 
 def _windows_with_nan(count, at):
